@@ -48,7 +48,7 @@ events = []
 for t in range(140):
     cqi = 21 if t < 60 else 12
     ee_meas = 30_000.0 if t < 60 else 9_000.0
-    fb = TtiFeedback(cqi=cqi, ack=True, measured_power_dbm=st.power_dbm,
+    fb = TtiFeedback(cqi=cqi, acks=(True,), measured_power_dbm=st.power_dbm,
                      realized_ee=ee_meas)
     st, dec = on_tti(st, fb, table, cfg, pm)
     if dec.action == "reconfigure":

@@ -34,7 +34,7 @@ A sweep config adds:
 `run` writes trace.csv and metrics.csv, `sweep` writes series.csv, and
 all floats are emitted with repr so the files re-parse losslessly.
 Exit codes: 0 success, 1 config parse failure, 2 invalid experiment,
-3 I/O failure.  HSDPA_EE_THREADS caps sweep parallelism.
+3 I/O failure.
 """
 
 from __future__ import annotations
@@ -444,10 +444,8 @@ PRESETS = {
 }
 
 
-def build_preset(name: str, seed: int | None = None, reps: int | None = None) -> ExperimentSpec:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; have {', '.join(sorted(PRESETS))}")
-    spec = PRESETS[name]()
+def _override(spec: ExperimentSpec, seed: int | None, reps: int | None) -> ExperimentSpec:
+    """Apply the command line's --seed and --reps to an experiment."""
     if seed is not None:
         if spec.scenarios:
             spec = replace(
@@ -459,6 +457,12 @@ def build_preset(name: str, seed: int | None = None, reps: int | None = None) ->
     if reps is not None and spec.kind == "sweep":
         spec = replace(spec, repetitions=reps)
     return spec
+
+
+def build_preset(name: str, seed: int | None = None, reps: int | None = None) -> ExperimentSpec:
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; have {', '.join(sorted(PRESETS))}")
+    return _override(PRESETS[name](), seed, reps)
 
 
 # ------------------------------------------------------------- emission
@@ -650,19 +654,7 @@ def main(argv=None) -> int:
         if args.preset:
             spec = build_preset(args.preset, seed=args.seed, reps=args.reps)
         else:
-            spec = load_config(args.config, args.command)
-            if args.seed is not None:
-                if spec.scenarios:
-                    spec = replace(
-                        spec,
-                        scenarios=tuple(
-                            (lbl, replace(sc, seed=args.seed)) for lbl, sc in spec.scenarios
-                        ),
-                    )
-                if spec.template is not None:
-                    spec = replace(spec, template=replace(spec.template, seed=args.seed))
-            if args.reps is not None and spec.kind == "sweep":
-                spec = replace(spec, repetitions=args.reps)
+            spec = _override(load_config(args.config, args.command), args.seed, args.reps)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE

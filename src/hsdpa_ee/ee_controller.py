@@ -19,17 +19,22 @@ after the maximum interval. In between, the link falls back to plain
 AMC at the held power: the served level follows the fed-back CQI,
 shifted by any power difference since the measurement and backed off
 by delta.
+
+The same step drives the 2x2 mode: a dual-stream report goes through
+select_optimal_dual instead of select_optimal and yields two levels.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .mcs_table import McsTable, cqi_from_sinr
+from .mcs_table import McsTable
 from .power_model import PowerModelParams, dbm_to_watt
+
+if TYPE_CHECKING:
+    from .mimo_dtxaa import MimoFeedback
 
 __all__ = [
     "ControllerConfig",
@@ -44,6 +49,7 @@ __all__ = [
     "relative_ee_difference",
     "should_trigger",
     "update_offset",
+    "amc_level",
     "on_tti",
 ]
 
@@ -104,38 +110,40 @@ class ControllerState:
     ee_smoothed: float = 0.0
 
 
-@dataclass(frozen=True)
-class ControllerDecision:
+class ControllerDecision(NamedTuple):
     """What the link should do this TTI.
 
-    mcs is the level to serve now (0 = transmit nothing); power_dbm the
-    transmit power. estimated_ee carries the optimizer's view for
-    tracing, infeasible flags configurations where even the lowest
-    allowed level exceeds the power budget.
+    levels holds the level to serve now on each stream, one entry for
+    a single-stream report and two for a dual-stream one (empty =
+    transmit nothing); power_dbm the transmit power. estimated_ee
+    carries the optimizer's view for tracing, infeasible flags
+    configurations where even the lowest allowed level exceeds the
+    power budget.
     """
 
     action: str
     power_dbm: float
-    mcs: int
+    levels: tuple[int, ...]
     estimated_ee: float = 0.0
     infeasible: bool = False
 
 
-@dataclass(frozen=True)
-class TtiFeedback:
+class TtiFeedback(NamedTuple):
     """Per-TTI uplink report as the controller sees it (already delayed).
 
-    cqi: quantized channel report, 0 = out of range.
-    ack: outcome arriving this TTI for an earlier transmission, None if
-    no outcome is due.
+    cqi: the report in the form the selector takes: a CQI index (0 = out
+    of range) for select_optimal, a dual-mode MimoFeedback for
+    select_optimal_dual.
+    acks: ACK/NACK outcomes arriving this TTI for earlier transmissions,
+    one per stream in stream order; empty if none is due.
     measured_power_dbm: transmit power in force when cqi was measured;
     defaults to the current power when omitted.
     realized_ee: delivered-bits-per-joule sample for the smoothed
     realized-efficiency tracker, None to leave the tracker untouched.
     """
 
-    cqi: int
-    ack: bool | None = None
+    cqi: int | MimoFeedback
+    acks: tuple[bool, ...] = ()
     measured_power_dbm: float | None = None
     realized_ee: float | None = None
 
@@ -145,6 +153,10 @@ class OptimalSelection(NamedTuple):
     power_dbm: float
     ee: float
     infeasible: bool
+
+    @property
+    def levels(self) -> tuple[int]:
+        return (self.mcs,)
 
 
 def new_controller_state(
@@ -209,14 +221,15 @@ def select_optimal(
     ee_each = table.tbs_bits / ((cfg.tti_ms * 1e-3) * (p_w / pm.eta + pm.overhead_w))
 
     n = len(thr)
-    affordable = int(np.searchsorted(p_each, cfg.p_max_dbm, side="right"))
+    # ndarray methods, not the np.* wrappers: this runs once per TTI
+    affordable = int(p_each.searchsorted(cfg.p_max_dbm, side="right"))
     p_min_est = float(p_each[cfg.min_mcs - 1])
     if p_min_est > cfg.p_max_dbm:
         theta = max(affordable, 1)
         return OptimalSelection(theta, cfg.p_max_dbm, float(ee_each[theta - 1]), True)
 
     theta_max = min(affordable, n)
-    j_star = int(np.argmax(ee_each)) + 1
+    j_star = int(ee_each.argmax()) + 1
     theta = min(max(j_star, cfg.min_mcs), theta_max)
     return OptimalSelection(theta, float(p_each[theta - 1]), float(ee_each[theta - 1]), False)
 
@@ -252,49 +265,67 @@ def update_offset(state: ControllerState, ack: bool, cfg: ControllerConfig) -> C
     return state
 
 
+def amc_level(table: McsTable, cqi: int, shift_db: float, min_mcs: int) -> int:
+    """Plain AMC: the highest level supportable once the reported
+    level's threshold moves by shift_db, clamped to [min_mcs, N]."""
+    thr = table._thr_list
+    return min(max(bisect_right(thr, thr[cqi - 1] + shift_db), min_mcs), len(thr))
+
+
 def on_tti(
     state: ControllerState,
     feedback: TtiFeedback,
     table: McsTable,
     cfg: ControllerConfig,
     pm: PowerModelParams,
+    select=select_optimal,
+    always_fire: bool = False,
 ) -> tuple[ControllerState, ControllerDecision]:
     """One controller step: adapt the offset, re-estimate the optimum,
     and either reconfigure (trigger fired) or keep serving via AMC.
+
+    select is called as select(measured_power, feedback.cqi, offset,
+    table, cfg, pm): select_optimal for a CQI index, select_optimal_dual
+    (pairing options bound) for a dual-mode MimoFeedback. The per-TTI
+    optimum is this step with always_fire set.
 
     Out-of-range CQI serves nothing and skips trigger evaluation; the
     timer still runs and late ACK/NACK outcomes still adapt the offset.
     """
     state.timer_ms += cfg.tti_ms
-    if feedback.ack is not None:
-        update_offset(state, feedback.ack, cfg)
+    for ack in feedback.acks:
+        update_offset(state, ack, cfg)
     if feedback.realized_ee is not None:
         state.ee_smoothed += cfg.ee_smoothing * (feedback.realized_ee - state.ee_smoothed)
 
-    if feedback.cqi < 1:
-        return state, ControllerDecision(KEEP, state.power_dbm, 0)
+    report = feedback.cqi
+    if isinstance(report, int):
+        reported = (report,)
+    else:
+        reported = (report.cqi_primary, report.cqi_secondary)
+    if reported[0] < 1:
+        return state, ControllerDecision(KEEP, state.power_dbm, ())
 
     measured_p = (
         state.power_dbm
         if feedback.measured_power_dbm is None
         else feedback.measured_power_dbm
     )
-    best = select_optimal(measured_p, feedback.cqi, state.offset_db, table, cfg, pm)
-    gap = relative_ee_difference(best.ee, state.ee_smoothed)
+    best = select(measured_p, report, state.offset_db, table, cfg, pm)
 
-    if should_trigger(gap, state.timer_ms, cfg):
+    if always_fire or should_trigger(
+        relative_ee_difference(best.ee, state.ee_smoothed), state.timer_ms, cfg
+    ):
+        levels = best.levels
         state.power_dbm = best.power_dbm
-        state.mcs = best.mcs
+        state.mcs = levels[0]
         state.timer_ms = 0.0
         return state, ControllerDecision(
-            RECONFIGURE, best.power_dbm, best.mcs, best.ee, best.infeasible
+            RECONFIGURE, best.power_dbm, levels, best.ee, best.infeasible
         )
 
     # plain AMC at held power: follow the report, compensated for any
     # power change since the measurement, backed off by the offset
-    supportable_db = (
-        table.threshold(feedback.cqi) + (state.power_dbm - measured_p) - state.offset_db
-    )
-    serve = cqi_from_sinr(table, supportable_db)
-    serve = min(max(serve, cfg.min_mcs), len(table.entries))
-    return state, ControllerDecision(KEEP, state.power_dbm, serve, best.ee, best.infeasible)
+    shift = (state.power_dbm - measured_p) - state.offset_db
+    levels = tuple(amc_level(table, c, shift, cfg.min_mcs) for c in reported)
+    return state, ControllerDecision(KEEP, state.power_dbm, levels, best.ee, best.infeasible)

@@ -345,11 +345,10 @@ def hs_sinr_db(p_hs_w: float, state, params: ChannelParams) -> float:
     return 10.0 * np.log10(num / params.denominator_w)
 
 
-def decode(sinr_db: float, used_cqi: int, table, rng=None, margin_db: float = 0.0) -> bool:
+def decode(sinr_db: float, used_cqi: int, table, margin_db: float = 0.0) -> bool:
     """Threshold decode: ACK iff the effective SINR clears the MCS threshold.
 
-    Deterministic given sinr and margin; rng is accepted for signature
-    stability with soft decode models but unused here.
+    Deterministic given sinr and margin.
     """
     if used_cqi < 1:
         raise ValueError("decode needs a served MCS index >= 1")

@@ -124,27 +124,19 @@ def stream_gains(channel, weights: PrecodingWeights) -> tuple[float, float, floa
     combined_primary is the full receive-combined norm used when only
     the primary stream transmits.
     """
-    taps = _tap_stack(channel)
-    a1 = taps @ weights.primary
-    a2 = taps @ weights.secondary
-    n1 = np.sum(np.abs(a1) ** 2, axis=1)
-    n2 = np.sum(np.abs(a2) ** 2, axis=1)
-    cross = np.abs(np.sum(np.conj(a2) * a1, axis=1)) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e1 = n1 - np.where(n2 > 0.0, cross / n2, 0.0)
-        e2 = n2 - np.where(n1 > 0.0, cross / n1, 0.0)
-    e1 = np.maximum(e1, 0.0)  # clip float residue of colinear columns
-    e2 = np.maximum(e2, 0.0)
-    return float(e1.sum()), float(e2.sum()), float(n1.sum())
+    e1, e2, combined = stream_gain_series(_tap_stack(channel)[..., None], weights)
+    return float(e1[0]), float(e2[0]), float(combined[0])
 
 
 def stream_gain_series(
     block: np.ndarray, weights: PrecodingWeights
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized stream_gains over a (n_taps, 2, 2, T) trajectory block.
+    """Per-TTI stream gains over a (n_taps, 2, 2, T) trajectory block.
 
-    Returns three length-T arrays: nulled primary, nulled secondary,
-    combined single-stream gain.
+    Each stream keeps the part of its effective channel column that is
+    orthogonal to the other stream's column, summed over taps. Returns
+    three length-T arrays: nulled primary, nulled secondary, combined
+    single-stream gain.
     """
     if block.ndim != 4 or block.shape[1:3] != (2, 2):
         raise ValueError("block must have shape (n_taps, 2, 2, T)")
@@ -156,7 +148,7 @@ def stream_gain_series(
     with np.errstate(divide="ignore", invalid="ignore"):
         e1 = n1 - np.where(n2 > 0.0, cross / n2, 0.0)
         e2 = n2 - np.where(n1 > 0.0, cross / n1, 0.0)
-    e1 = np.maximum(e1, 0.0)
+    e1 = np.maximum(e1, 0.0)  # clip float residue of colinear columns
     e2 = np.maximum(e2, 0.0)
     return e1.sum(axis=0), e2.sum(axis=0), n1.sum(axis=0)
 
@@ -251,6 +243,10 @@ class DualSelection:
     power_dbm: float
     ee: float
     infeasible: bool
+
+    @property
+    def levels(self) -> tuple[int, int]:
+        return self.pair
 
 
 def select_optimal_dual(

@@ -13,18 +13,30 @@ measured at the configured power even on TTIs that carried no data,
 mirroring pilot-based measurement; otherwise an out-of-range report
 would lock the link idle forever.
 
-Failed blocks are retransmitted at the next serving opportunity at the
-same MCS and the then-current power, up to max_retransmissions, and
-count their payload once, at the attempt that decodes. Out-of-range
-report TTIs send nothing but still burn the circuit overhead.
+Failed blocks are retransmitted at the same MCS and the then-current
+power, up to max_retransmissions, and count their payload once, at the
+attempt that decodes. A pending block goes out before any new data on
+its stream at the next TTI that serves that stream. When the failure
+is queued differs by antenna mode:
+
+* SISO/SIMO queue the NACK arriving at TTI t before t transmits, so the
+  block can go out at t itself; a newer failure replaces a block still
+  pending, and the replaced block is dropped.
+* 2x2 transmits at TTI t first and queues the failures arriving at t
+  afterwards, so a block goes out at t + 1 at the earliest, on its own
+  stream (the second stream only on dual-stream TTIs); a failure that
+  finds its stream's block still pending is dropped.
+
+Out-of-range report TTIs send nothing but still burn the circuit
+overhead.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,17 +44,16 @@ from .ee_controller import (
     RECONFIGURE,
     ControllerConfig,
     TtiFeedback,
+    amc_level,
     new_controller_state,
     on_tti,
-    relative_ee_difference,
     select_optimal,
-    should_trigger,
     update_offset,
 )
 from .link_channel import ChannelParams, bessel_j0, doppler_hz, synth_fading
 from .mcs_table import McsTable, default_table
 from .mimo_dtxaa import DUAL, SINGLE, MimoFeedback, pci_codebook, select_optimal_dual, stream_gain_series
-from .power_model import PowerModelParams, total_power
+from .power_model import PowerModelParams
 
 __all__ = [
     "SISO",
@@ -163,47 +174,6 @@ class RunMetrics:
     antenna_mode: str
 
 
-class _Accounting:
-    """Per-run counters shared by the mode-specific loops."""
-
-    __slots__ = (
-        "delivered",
-        "energy_j",
-        "attempts",
-        "nacks",
-        "reconfigs",
-        "trace",
-        "collect",
-    )
-
-    def __init__(self, collect: bool):
-        self.delivered = 0
-        self.energy_j = 0.0
-        self.attempts = 0
-        self.nacks = 0
-        self.reconfigs = 0
-        self.trace: list[TtiRecord] = []
-        self.collect = collect
-
-    def log(self, rec: TtiRecord):
-        if self.collect:
-            self.trace.append(rec)
-
-    def metrics(self, sc: ScenarioConfig) -> RunMetrics:
-        span_s = sc.duration_ttis * sc.controller.tti_ms * 1e-3
-        return RunMetrics(
-            avg_ee_bits_per_joule=self.delivered / self.energy_j if self.energy_j > 0 else 0.0,
-            throughput_bps=self.delivered / span_s,
-            reconfig_count=self.reconfigs,
-            nack_rate=self.nacks / self.attempts if self.attempts else 0.0,
-            delivered_bits=self.delivered,
-            consumed_energy_j=self.energy_j,
-            duration_ttis=sc.duration_ttis,
-            strategy=sc.strategy,
-            antenna_mode=sc.antenna_mode,
-        )
-
-
 def _weighted_block(
     ch: ChannelParams, n_rx: int, n_tx: int, n_steps: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -239,149 +209,48 @@ def estimation_loss_db(f_d_hz: float, window_s: float) -> float:
 def run(sc: ScenarioConfig) -> tuple[RunMetrics, list[TtiRecord]]:
     """Simulate one scenario; deterministic for a fixed seed."""
     rng = np.random.default_rng(sc.seed)
-    if sc.antenna_mode == MIMO:
-        return _run_mimo(sc, rng)
-    return _run_single_stream(sc, rng)
+    link = _mimo_link(sc, rng) if sc.antenna_mode == MIMO else _single_stream_link(sc, rng)
+    return _run_link(sc, link)
 
 
-# --------------------------------------------------------------- 1-stream
+# ------------------------------------------------------------ link views
 
 
-def _run_single_stream(sc: ScenarioConfig, rng) -> tuple[RunMetrics, list[TtiRecord]]:
-    ch, cfg, pm, table = sc.channel, sc.controller, sc.power_model, sc.table
+class _Link(NamedTuple):
+    """What the TTI loop needs to know about one antenna mode.
+
+    report(t, p_dbm) is the (mode, pci, cqi1, cqi2, p_dbm) report measured
+    at TTI t with p_dbm configured; cqi2 is 0 for a single-stream mode.
+    sinr_db[mode][slot][pci][t] is the dB SINR at 0 dBm of stream slot
+    under a report of that mode, and share_db[mode] how far each stream's
+    power lies below the total. resolve_first selects the retransmission
+    timing (see the module docstring).
+    """
+
+    report: Callable[[int, float], tuple]
+    sinr_db: dict
+    share_db: dict
+    resolve_first: bool
+
+
+def _pilot_loss_db(sc: ScenarioConfig) -> float:
+    ch = sc.channel
+    return estimation_loss_db(doppler_hz(ch.speed_kmh, ch.carrier_hz), sc.pilot_window_s)
+
+
+def _single_stream_link(sc: ScenarioConfig, rng) -> _Link:
+    """SISO/SIMO: one receive-combined stream, reported by a scalar bisect."""
+    ch = sc.channel
     n_rx = 2 if sc.antenna_mode == SIMO else 1
-    T = sc.duration_ttis
-    delay = sc.feedback_delay_ttis
-    ts = cfg.tti_ms * 1e-3
-
-    block = _weighted_block(ch, n_rx, 1, T, rng)
+    block = _weighted_block(ch, n_rx, 1, sc.duration_ttis, rng)
     gain = np.sum(np.abs(block) ** 2, axis=(0, 1, 2))
-    loss = estimation_loss_db(doppler_hz(ch.speed_kmh, ch.carrier_hz), sc.pilot_window_s)
-    c_db = (_gain_to_db_const(gain, ch) - loss).tolist()
+    c_db = (_gain_to_db_const(gain, ch) - _pilot_loss_db(sc)).tolist()
+    thr = sc.table._thr_list
 
-    thr = [float(x) for x in table.thresholds_db]
-    tbs = [int(e.tbs_bits) for e in table.entries]
-    n_levels = len(thr)
-    overhead = pm.overhead_w
-    eta = pm.eta
+    def report(t, p_dbm):
+        return SINGLE, 0, bisect_right(thr, (p_dbm - 30.0) + c_db[t]), 0, p_dbm
 
-    acc = _Accounting(sc.collect_trace)
-    meas_cqi = [0] * T
-    meas_p = [0.0] * T
-    outcome_due: list[tuple[bool, int, int, int] | None] = [None] * (T + delay + 1)
-    retx: tuple[int, int, int] | None = None  # (mcs, tbs, retx_count)
-
-    strategy = sc.strategy
-    st = new_controller_state(cfg, sc.baseline_power_dbm)
-    last_sample_ee = 0.0
-
-    for t in range(T):
-        if t >= delay:
-            fb_cqi = meas_cqi[t - delay]
-            fb_p = meas_p[t - delay]
-        else:
-            fb_cqi, fb_p = 0, None
-        arriving = outcome_due[t]
-        ack_flag = arriving[0] if arriving is not None else None
-
-        # every applied trigger decision counts as a reconfiguration,
-        # even one that lands on the values already in force: it is the
-        # signaling event that costs, not the numeric delta
-        reconfigured = False
-        if strategy == SEMI_STATIC:
-            st, dec = on_tti(
-                st,
-                TtiFeedback(fb_cqi, ack_flag, fb_p, last_sample_ee),
-                table,
-                cfg,
-                pm,
-            )
-            if dec.action == RECONFIGURE:
-                reconfigured = True
-                acc.reconfigs += 1
-            p_cfg = st.power_dbm
-            serve = dec.mcs
-        elif strategy == PER_TTI_OPTIMAL:
-            if ack_flag is not None:
-                update_offset(st, ack_flag, cfg)
-            if fb_cqi >= 1:
-                sel = select_optimal(fb_p, fb_cqi, st.offset_db, table, cfg, pm)
-                st.power_dbm = sel.power_dbm
-                st.mcs = sel.mcs
-                reconfigured = True
-                acc.reconfigs += 1
-                serve = sel.mcs
-            else:
-                serve = 0
-            p_cfg = st.power_dbm
-        else:  # FixedBaseline: hold power, conventional link adaptation
-            # with the same ACK/NACK outer loop backing off the served MCS
-            if ack_flag is not None:
-                update_offset(st, ack_flag, cfg)
-            p_cfg = sc.baseline_power_dbm
-            if fb_cqi >= 1:
-                serve = bisect_right(thr, thr[fb_cqi - 1] - st.offset_db)
-                serve = min(max(serve, 1), n_levels)
-            else:
-                serve = 0
-
-        # resolve a failed block reported this TTI
-        if arriving is not None and not arriving[0]:
-            _, r_mcs, r_tbs, r_cnt = arriving
-            if r_cnt < sc.max_retransmissions:
-                retx = (r_mcs, r_tbs, r_cnt + 1)
-
-        # transmit
-        if fb_cqi >= 1 and retx is not None:
-            s_mcs, s_tbs, s_cnt = retx
-            retx = None
-        elif fb_cqi >= 1 and serve >= 1:
-            s_mcs, s_tbs, s_cnt = serve, tbs[serve - 1], 0
-        else:
-            s_mcs = 0
-
-        if s_mcs >= 1:
-            sinr = (p_cfg - 30.0) + c_db[t]
-            ack = sinr >= thr[s_mcs - 1]
-            acc.attempts += 1
-            p_w = 10.0 ** ((p_cfg - 30.0) / 10.0)
-            energy = ts * (p_w / eta + overhead)
-            if ack:
-                delivered = s_tbs
-                acc.delivered += s_tbs
-            else:
-                delivered = 0
-                acc.nacks += 1
-            outcome_due[t + delay] = (ack, s_mcs, s_tbs, s_cnt)
-            acc.energy_j += energy
-            last_sample_ee = delivered / energy
-            acc.log(
-                TtiRecord(
-                    t, p_cfg, s_mcs, 0,
-                    OUTCOME_ACK if ack else OUTCOME_NACK,
-                    delivered, energy, reconfigured,
-                )
-            )
-        else:
-            energy = ts * overhead
-            acc.energy_j += energy
-            last_sample_ee = 0.0
-            outcome_due[t + delay] = None
-            acc.log(
-                TtiRecord(
-                    t, float("-inf"), 0, 0, OUTCOME_IDLE, 0, energy, reconfigured
-                )
-            )
-
-        # measurement for the report that arrives delay TTIs from now,
-        # taken at the configured power regardless of what was sent
-        meas_cqi[t] = bisect_right(thr, (p_cfg - 30.0) + c_db[t])
-        meas_p[t] = p_cfg
-
-    return acc.metrics(sc), acc.trace
-
-
-# ------------------------------------------------------------------ 2x2
+    return _Link(report, {SINGLE: ((c_db,),)}, {SINGLE: 0.0}, resolve_first=True)
 
 
 def _mimo_constants(sc: ScenarioConfig, rng):
@@ -390,7 +259,7 @@ def _mimo_constants(sc: ScenarioConfig, rng):
     ch = sc.channel
     T = sc.duration_ttis
     block = _weighted_block(ch, 2, 2, T, rng)
-    loss = estimation_loss_db(doppler_hz(ch.speed_kmh, ch.carrier_hz), sc.pilot_window_s)
+    loss = _pilot_loss_db(sc)
     a1 = np.empty((4, T))
     a2 = np.empty((4, T))
     a_single = np.empty((4, T))
@@ -402,7 +271,7 @@ def _mimo_constants(sc: ScenarioConfig, rng):
     return a1, a2, a_single
 
 
-_HALF_DB = 10.0 * np.log10(2.0)
+_HALF_DB = float(10.0 * np.log10(2.0))
 
 
 def _mimo_hypothesis(thr_arr, tbs_arr, a1, a2, a_single, t, p_dbm):
@@ -425,188 +294,190 @@ def _mimo_hypothesis(thr_arr, tbs_arr, a1, a2, a_single, t, p_dbm):
     return DUAL, k, int(c1[k]), int(c2[k])
 
 
-def _run_mimo(sc: ScenarioConfig, rng) -> tuple[RunMetrics, list[TtiRecord]]:
-    ch, cfg, pm, table = sc.channel, sc.controller, sc.power_model, sc.table
+def _mimo_link(sc: ScenarioConfig, rng) -> _Link:
+    """2x2: the terminal reports its best mode/PCI hypothesis, and a
+    dual-stream TTI splits the power equally over the two streams."""
+    a1, a2, a_single = _mimo_constants(sc, rng)
+    thr_arr, tbs_arr = sc.table.thresholds_db, sc.table.tbs_bits
+
+    def report(t, p_dbm):
+        return _mimo_hypothesis(thr_arr, tbs_arr, a1, a2, a_single, t, p_dbm) + (p_dbm,)
+
+    sinr_db = {SINGLE: (a_single.tolist(),), DUAL: (a1.tolist(), a2.tolist())}
+    return _Link(report, sinr_db, {SINGLE: 0.0, DUAL: _HALF_DB}, resolve_first=False)
+
+
+# -------------------------------------------------------------- TTI loop
+
+
+def _queue_retx(failed, retx, max_retx: int, replace: bool) -> None:
+    """Queue the failed (slot, mcs, tbs, count) blocks for resending;
+    replace decides whether a newer failure displaces a pending one."""
+    for slot, m, b, cnt in failed:
+        if cnt < max_retx and (replace or retx[slot] is None):
+            retx[slot] = (m, b, cnt + 1)
+
+
+def _run_link(sc: ScenarioConfig, link: _Link) -> tuple[RunMetrics, list[TtiRecord]]:
+    cfg, pm, table = sc.controller, sc.power_model, sc.table
     T = sc.duration_ttis
     delay = sc.feedback_delay_ttis
     ts = cfg.tti_ms * 1e-3
-    a1, a2, a_single = _mimo_constants(sc, rng)
-
-    thr_arr = table.thresholds_db
-    tbs_arr = table.tbs_bits
-    thr = [float(x) for x in thr_arr]
-    tbs = [int(e.tbs_bits) for e in table.entries]
-    n_levels = len(thr)
+    thr = table._thr_list
+    tbs = table._tbs_list
     overhead = pm.overhead_w
     eta = pm.eta
     max_retx = sc.max_retransmissions
     strategy = sc.strategy
+    always_fire = strategy == PER_TTI_OPTIMAL
+    select_dual = partial(
+        select_optimal_dual, tol_db=sc.pair_tol_db, shift_factor=sc.dual_shift_factor
+    )
+    report, sinr_db, share_db, resolve_first = link
+    collect = sc.collect_trace
 
-    acc = _Accounting(sc.collect_trace)
-    feedback: list[tuple | None] = [None] * T  # (mode, pci, c1, c2, p_meas)
-    outcome_due: list[list | None] = [None] * (T + delay + 1)
+    trace: list[TtiRecord] = []
+    delivered_bits = attempts = nacks = reconfigs = 0
+    energy_j = 0.0
+    # reports and decode outcomes in flight, indexed by TTI modulo the
+    # delay: what TTI t reads was written at t - delay, and t writes its
+    # own in the same place. Outcomes are the per-stream ACK flags and
+    # the failed (slot, mcs, tbs, count) blocks.
+    reports: list[tuple | None] = [None] * delay
+    acks_due: list[tuple[bool, ...]] = [()] * delay
+    failed_due: list[tuple] = [()] * delay
     retx: list[tuple[int, int, int] | None] = [None, None]  # per stream slot
 
     st = new_controller_state(cfg, sc.baseline_power_dbm)
+    p_cfg = sc.baseline_power_dbm
+    p_energy = served_energy = None  # energy of a served TTI, cached per power
     last_sample_ee = 0.0
-    cfg_power = sc.baseline_power_dbm
-    cfg_sig: tuple = ()  # configured (mode, levels...) for change detection
 
     for t in range(T):
-        fb = feedback[t - delay] if t >= delay else None
-        arriving = outcome_due[t] or []
+        k = t % delay
+        fb = reports[k]
+        arriving_acks = acks_due[k]
+        arriving_failed = failed_due[k]
 
+        # every applied trigger decision counts as a reconfiguration,
+        # even one that lands on the values already in force: it is the
+        # signaling event that costs, not the numeric delta
         reconfigured = False
-        serve_mode = None
-        lvl1 = lvl2 = 0
-
         if strategy == FIXED_BASELINE:
-            for out in arriving:
-                update_offset(st, out[1], cfg)
-            p_cfg = sc.baseline_power_dbm
-            if fb is not None:
-                mode, pci, c1, c2, _ = fb
-
-                def _bo(c):  # outer-loop backoff on the reported level
-                    lvl = bisect_right(thr, thr[c - 1] - st.offset_db)
-                    return min(max(lvl, 1), n_levels)
-
-                if mode == SINGLE and c1 >= 1:
-                    serve_mode, lvl1 = SINGLE, _bo(c1)
-                elif mode == DUAL:
-                    serve_mode, lvl1, lvl2 = DUAL, _bo(c1), _bo(c2)
+            # hold power, conventional link adaptation with the same
+            # ACK/NACK outer loop backing off the served levels
+            for ack in arriving_acks:
+                update_offset(st, ack, cfg)
+            levels = ()
+            if fb is not None and (fb[0] == DUAL or fb[2] >= 1):
+                back = -st.offset_db
+                levels = (amc_level(table, fb[2], back, 1),)
+                if fb[0] == DUAL:
+                    levels += (amc_level(table, fb[3], back, 1),)
         else:
-            for out in arriving:
-                update_offset(st, out[1], cfg)
-            st.ee_smoothed += cfg.ee_smoothing * (last_sample_ee - st.ee_smoothed)
-            st.timer_ms += cfg.tti_ms
-            usable = fb is not None and (fb[0] == DUAL or fb[2] >= 1)
-            if usable:
-                mode, pci, c1, c2, p_meas = fb
-                if mode == SINGLE:
-                    sel = select_optimal(p_meas, c1, st.offset_db, table, cfg, pm)
-                    cand_sig = (SINGLE, sel.mcs)
-                    cand_power = sel.power_dbm
-                    cand_ee = sel.ee
-                else:
-                    dsel = select_optimal_dual(
-                        p_meas,
-                        MimoFeedback(DUAL, pci, c1, c2),
-                        st.offset_db,
-                        table,
-                        cfg,
-                        pm,
-                        tol_db=sc.pair_tol_db,
-                        shift_factor=sc.dual_shift_factor,
-                    )
-                    cand_sig = (DUAL,) + dsel.pair
-                    cand_power = dsel.power_dbm
-                    cand_ee = dsel.ee
-                gap = relative_ee_difference(cand_ee, st.ee_smoothed)
-                fire = (
-                    strategy == PER_TTI_OPTIMAL
-                    or should_trigger(gap, st.timer_ms, cfg)
-                )
-                if fire:
-                    # the applied decision is the signaling event, counted
-                    # whether or not the values moved
-                    reconfigured = True
-                    acc.reconfigs += 1
-                    cfg_power, cfg_sig = cand_power, cand_sig
-                    st.power_dbm = cand_power
-                    if strategy == SEMI_STATIC:
-                        st.timer_ms = 0.0
-                    serve_mode = cand_sig[0]
-                    if serve_mode == SINGLE:
-                        lvl1 = cand_sig[1]
-                    else:
-                        lvl1, lvl2 = cand_sig[1], cand_sig[2]
-                else:
-                    # AMC at held power: follow the report, shifted by the
-                    # power change since measurement, backed off by delta
-                    shift = (cfg_power - p_meas) - st.offset_db
-                    serve_mode = mode
-                    lvl1 = bisect_right(thr, thr[c1 - 1] + shift)
-                    lvl1 = min(max(lvl1, cfg.min_mcs), n_levels)
-                    if mode == DUAL:
-                        lvl2 = bisect_right(thr, thr[c2 - 1] + shift)
-                        lvl2 = min(max(lvl2, cfg.min_mcs), n_levels)
-            p_cfg = cfg_power
-
-        # assemble per-stream transmissions (retransmissions first)
-        sends = []  # (slot, mcs, tbs, retx_count, share_db)
-        if serve_mode == SINGLE:
-            if retx[0] is not None:
-                m, b, c = retx[0]
-                sends.append((0, m, b, c, 0.0))
-                retx[0] = None
-            elif lvl1 >= 1:
-                sends.append((0, lvl1, tbs[lvl1 - 1], 0, 0.0))
-        elif serve_mode == DUAL:
-            for slot, lvl in ((0, lvl1), (1, lvl2)):
-                if retx[slot] is not None:
-                    m, b, c = retx[slot]
-                    sends.append((slot, m, b, c, _HALF_DB))
-                    retx[slot] = None
-                elif lvl >= 1:
-                    sends.append((slot, lvl, tbs[lvl - 1], 0, _HALF_DB))
-
-        for out in arriving:
-            slot, ok, m, b, cnt = out
-            if not ok and cnt < max_retx and retx[slot] is None:
-                retx[slot] = (m, b, cnt + 1)
-
-        if sends:
-            pci_now = fb[1]
-            delivered = 0
-            acks = 0
-            due = []
-            p_w = 10.0 ** ((p_cfg - 30.0) / 10.0)
-            energy = ts * (p_w / eta + overhead)
-            for slot, m, b, cnt, share in sends:
-                if serve_mode == SINGLE:
-                    sinr = a_single[pci_now, t] + (p_cfg - 30.0)
-                else:
-                    base = a1 if slot == 0 else a2
-                    sinr = base[pci_now, t] + (p_cfg - 30.0 - share)
-                ok = bool(sinr >= thr[m - 1])
-                acc.attempts += 1
-                if ok:
-                    delivered += b
-                    acks += 1
-                else:
-                    acc.nacks += 1
-                due.append((slot, ok, m, b, cnt))
-            outcome_due[t + delay] = due
-            acc.delivered += delivered
-            acc.energy_j += energy
-            last_sample_ee = delivered / energy
-            if acks == len(sends):
-                outcome = OUTCOME_ACK
-            elif acks == 0:
-                outcome = OUTCOME_NACK
+            if fb is None:
+                cqi, p_meas, select = 0, None, select_optimal
+            elif fb[0] == SINGLE:
+                cqi, p_meas, select = fb[2], fb[4], select_optimal
             else:
-                outcome = OUTCOME_MIXED
-            m1 = next((s[1] for s in sends if s[0] == 0), 0)
-            m2 = next((s[1] for s in sends if s[0] == 1), 0)
-            acc.log(
-                TtiRecord(t, p_cfg, m1, m2, outcome, delivered, energy, reconfigured)
+                cqi, p_meas, select = MimoFeedback(DUAL, fb[1], fb[2], fb[3]), fb[4], select_dual
+            st, dec = on_tti(
+                st,
+                TtiFeedback(cqi, arriving_acks, p_meas, last_sample_ee),
+                table,
+                cfg,
+                pm,
+                select,
+                always_fire,
             )
+            if dec.action == RECONFIGURE:
+                reconfigured = True
+                reconfigs += 1
+            p_cfg = st.power_dbm
+            levels = dec.levels
+
+        if resolve_first and arriving_failed:
+            _queue_retx(arriving_failed, retx, max_retx, True)
+
+        # transmit: each served stream resends its pending block if it
+        # has one, otherwise sends a new block at the decided level
+        if levels:
+            pci = fb[1]
+            rows = sinr_db[fb[0]]
+            off = (p_cfg - 30.0) - share_db[fb[0]]
+            if p_cfg != p_energy:
+                p_energy = p_cfg
+                p_w = 10.0 ** ((p_cfg - 30.0) / 10.0)
+                served_energy = ts * (p_w / eta + overhead)
+            energy = served_energy
+            delivered = 0
+            acks = failed = ()
+            m1 = m2 = 0
+            for slot, m in enumerate(levels):
+                pending = retx[slot]
+                if pending is None:
+                    b = tbs[m - 1]
+                    cnt = 0
+                else:
+                    m, b, cnt = pending
+                    retx[slot] = None
+                if rows[slot][pci][t] + off >= thr[m - 1]:
+                    acks += (True,)
+                    delivered += b
+                else:
+                    acks += (False,)
+                    failed += ((slot, m, b, cnt),)
+                if slot == 0:
+                    m1 = m
+                else:
+                    m2 = m
+            acks_due[k] = acks
+            failed_due[k] = failed
+            attempts += len(acks)
+            nacks += len(failed)
+            delivered_bits += delivered
+            energy_j += energy
+            last_sample_ee = delivered / energy
+            if collect:
+                if not failed:
+                    outcome = OUTCOME_ACK
+                elif len(failed) == len(acks):
+                    outcome = OUTCOME_NACK
+                else:
+                    outcome = OUTCOME_MIXED
+                trace.append(
+                    TtiRecord(t, p_cfg, m1, m2, outcome, delivered, energy, reconfigured)
+                )
         else:
             energy = ts * overhead
-            acc.energy_j += energy
+            energy_j += energy
             last_sample_ee = 0.0
-            acc.log(
-                TtiRecord(
-                    t, float("-inf"), 0, 0, OUTCOME_IDLE, 0, energy, reconfigured
+            acks_due[k] = failed_due[k] = ()
+            if collect:
+                trace.append(
+                    TtiRecord(t, float("-inf"), 0, 0, OUTCOME_IDLE, 0, energy, reconfigured)
                 )
-            )
 
-        feedback[t] = _mimo_hypothesis(thr_arr, tbs_arr, a1, a2, a_single, t, p_cfg) + (
-            p_cfg,
-        )
+        if not resolve_first and arriving_failed:
+            _queue_retx(arriving_failed, retx, max_retx, False)
 
-    return acc.metrics(sc), acc.trace
+        # measurement for the report that arrives delay TTIs from now,
+        # taken at the configured power regardless of what was sent
+        reports[k] = report(t, p_cfg)
+
+    span_s = T * cfg.tti_ms * 1e-3
+    metrics = RunMetrics(
+        avg_ee_bits_per_joule=delivered_bits / energy_j if energy_j > 0 else 0.0,
+        throughput_bps=delivered_bits / span_s,
+        reconfig_count=reconfigs,
+        nack_rate=nacks / attempts if attempts else 0.0,
+        delivered_bits=delivered_bits,
+        consumed_energy_j=energy_j,
+        duration_ttis=T,
+        strategy=strategy,
+        antenna_mode=sc.antenna_mode,
+    )
+    return metrics, trace
 
 
 # ------------------------------------------------------------------ sweep
@@ -657,14 +528,6 @@ def _derive(template: ScenarioConfig, variable, value, strategy, mode, seed):
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HSDPA_EE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sweep(
     template: ScenarioConfig,
     variable: str,
@@ -700,12 +563,7 @@ def sweep(
                     sc = _derive(template, variable, value, strat, mode, seeds[rep])
                     jobs.append((value, label, sc))
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda j: run(j[2])[0], jobs))
-    else:
-        results = [run(sc)[0] for _, _, sc in jobs]
+    results = [run(sc)[0] for _, _, sc in jobs]
 
     points: list[SweepPoint] = []
     by_cell: dict[tuple, list[RunMetrics]] = {}

@@ -343,9 +343,9 @@ def test_on_tti_first_feedback_configures_link():
     assert dec.action == RECONFIGURE
     assert st.timer_ms == 0.0
     assert st.power_dbm == dec.power_dbm
-    assert st.mcs == dec.mcs
+    assert (st.mcs,) == dec.levels
     want = select_optimal(40.5, 18, 0.0, t, cfg, PM5)
-    assert (dec.mcs, dec.power_dbm) == (want.mcs, want.power_dbm)
+    assert (dec.levels, dec.power_dbm) == ((want.mcs,), want.power_dbm)
 
 
 def test_on_tti_static_channel_waits_for_periodic():
@@ -379,7 +379,7 @@ def test_on_tti_spacing_bounds_under_noisy_feedback():
     for k in range(5000):
         fb = TtiFeedback(
             cqi=int(rng.integers(5, 26)),
-            ack=bool(rng.random() < 0.9),
+            acks=(bool(rng.random() < 0.9),),
             realized_ee=float(rng.uniform(0.0, 2e5)),
         )
         st, dec = on_tti(st, fb, t, cfg, PM5)
@@ -397,9 +397,9 @@ def test_on_tti_out_of_range_cqi_serves_nothing():
     st = new_controller_state(cfg, power_dbm=40.5)
     timer_before = st.timer_ms
     offset_before = st.offset_db
-    st, dec = on_tti(st, TtiFeedback(cqi=0, ack=False), t, cfg, PM5)
+    st, dec = on_tti(st, TtiFeedback(cqi=0, acks=(False,)), t, cfg, PM5)
     assert dec.action == KEEP
-    assert dec.mcs == 0
+    assert dec.levels == ()
     assert st.timer_ms == timer_before + cfg.tti_ms  # timer keeps running
     assert st.offset_db == pytest.approx(offset_before + 0.5)  # late NACK counted
 
@@ -414,7 +414,7 @@ def test_on_tti_amc_follows_offset_backoff():
     st, dec = on_tti(st, TtiFeedback(cqi=20, measured_power_dbm=40.0), t, cfg, PM5)
     assert dec.action == KEEP
     # supportable = beta_20 - 1.2 lands between beta_18 and beta_19
-    assert dec.mcs == 18
+    assert dec.levels == (18,)
 
 
 def test_on_tti_amc_compensates_power_changes():
@@ -427,7 +427,7 @@ def test_on_tti_amc_compensates_power_changes():
     st, dec = on_tti(st, TtiFeedback(cqi=20, measured_power_dbm=38.0), t, cfg, PM5)
     assert dec.action == KEEP
     # report taken 2 dB below current power: two extra levels supportable
-    assert dec.mcs == 22
+    assert dec.levels == (22,)
 
 
 def test_on_tti_serve_respects_min_mcs():
@@ -438,7 +438,7 @@ def test_on_tti_serve_respects_min_mcs():
     )
     st, dec = on_tti(st, TtiFeedback(cqi=3, measured_power_dbm=40.0), t, cfg, PM5)
     assert dec.action == KEEP
-    assert dec.mcs == 4
+    assert dec.levels == (4,)
 
 
 def test_joint_adjustment_preserves_decode_margin():

@@ -6,7 +6,16 @@ fixed-power mode-selection equivalence.
 import numpy as np
 import pytest
 
-from hsdpa_ee.ee_controller import ControllerConfig, estimate_ee
+from hsdpa_ee.ee_controller import (
+    KEEP,
+    RECONFIGURE,
+    ControllerConfig,
+    ControllerState,
+    TtiFeedback,
+    estimate_ee,
+    new_controller_state,
+    on_tti,
+)
 from hsdpa_ee.link_channel import ChannelState, make_channel
 from hsdpa_ee.mcs_table import cqi_from_sinr, default_table, load_table, make_uniform_table
 from hsdpa_ee.mimo_dtxaa import (
@@ -99,15 +108,23 @@ def test_rank_one_channel_kills_secondary_stream():
 
 
 def test_stream_gain_series_matches_scalar_path():
+    # per tap, the zero-forcing gain of stream i is 1 / [(A^H A)^-1]_ii
+    # with A = [H w_primary, H w_secondary]; the combined gain is |H w_primary|^2
     rng = np.random.default_rng(12)
     block = rng.standard_normal((4, 2, 2, 50)) + 1j * rng.standard_normal((4, 2, 2, 50))
     w = pci_codebook()[1]
     e1, e2, comb = stream_gain_series(block, w)
     for t in (0, 17, 49):
-        a, b, c = stream_gains(block[:, :, :, t], w)
-        assert e1[t] == pytest.approx(a, rel=1e-12)
-        assert e2[t] == pytest.approx(b, rel=1e-12)
-        assert comb[t] == pytest.approx(c, rel=1e-12)
+        want = np.zeros(3)
+        for h in block[:, :, :, t]:
+            a = np.column_stack([h @ w.primary, h @ w.secondary])
+            inv = np.linalg.inv(a.conj().T @ a)
+            want += [1.0 / inv[0, 0].real, 1.0 / inv[1, 1].real,
+                     np.linalg.norm(a[:, 0]) ** 2]
+        assert e1[t] == pytest.approx(want[0], rel=1e-9)
+        assert e2[t] == pytest.approx(want[1], rel=1e-9)
+        assert comb[t] == pytest.approx(want[2], rel=1e-9)
+        assert stream_gains(block[:, :, :, t], w) == (e1[t], e2[t], comb[t])
 
 
 def test_per_stream_sinr_rejects_negative_power():
@@ -391,3 +408,45 @@ def test_zero_second_stream_never_beats_single_at_same_power():
         only_first = estimate_ee(40.0, tbs1, PM2)
         both = estimate_ee(40.0, tbs1 + tbs2, PM2)
         assert both > only_first
+
+
+# ------------------------------------------------- controller step, 2x2
+
+
+def test_on_tti_dual_report_configures_both_streams():
+    t = default_table()
+    cfg = ControllerConfig()
+    report = MimoFeedback(DUAL, 2, 14, 9)
+    st = new_controller_state(cfg, power_dbm=40.0)
+    st, dec = on_tti(st, TtiFeedback(report, measured_power_dbm=40.0), t, cfg, PM2,
+                     select_optimal_dual)
+    want = select_optimal_dual(40.0, report, 0.0, t, cfg, PM2)
+    assert dec.action == RECONFIGURE
+    assert (dec.levels, dec.power_dbm) == (want.pair, want.power_dbm)
+    assert st.power_dbm == want.power_dbm and st.timer_ms == 0.0
+
+
+def test_on_tti_dual_report_amc_shifts_both_levels():
+    t = default_table()  # thresholds -4.5 + (cqi-1)
+    cfg = ControllerConfig()
+    st = ControllerState(power_dbm=41.0, mcs=14, offset_db=-1.5, ee_smoothed=1e12)
+    fb = TtiFeedback(MimoFeedback(DUAL, 0, 14, 9), acks=(True, False),
+                     measured_power_dbm=40.0)
+    st, dec = on_tti(st, fb, t, cfg, PM2, select_optimal_dual)
+    assert dec.action == KEEP
+    # one offset step per stream outcome, in stream order
+    assert st.offset_db == pytest.approx(-1.5 - cfg.offset_step_down_db + cfg.offset_step_up_db)
+    # 1 dB more power than at the measurement plus ~1.06 dB of negative
+    # offset: both reported levels move up by two 1 dB steps
+    assert dec.levels == (16, 11)
+
+
+def test_on_tti_always_fire_reconfigures_every_report():
+    t = default_table()
+    cfg = ControllerConfig()
+    report = MimoFeedback(DUAL, 1, 12, 12)
+    st = ControllerState(power_dbm=40.0, mcs=12, ee_smoothed=1e12)
+    for _ in range(3):
+        st, dec = on_tti(st, TtiFeedback(report, measured_power_dbm=40.0), t, cfg, PM2,
+                         select_optimal_dual, always_fire=True)
+        assert dec.action == RECONFIGURE
