@@ -22,16 +22,40 @@ by delta.
 
 The same step drives the 2x2 mode: a dual-stream report goes through
 select_optimal_dual instead of select_optimal and yields two levels.
+
+The argmax is not searched level by level. Write x = P - beta_i + delta,
+so level j costs x + beta_j. Its efficiency is TBS_j / (a 10^((x +
+beta_j)/10) + c), and the log ratio of any two levels' efficiencies is
+monotone in x: two levels cross at most once and the optimum is a step
+function of x (the ratio structure of Dinkelbach-style fractional
+programming). Once per (table, power model) the x intervals on which
+one level beats every other by a relative margin of at least
+_TIE_MARGIN are derived in closed form; tti_ms scales every level's
+energy alike and drops out. A call bisects those intervals for the
+optimum and the thresholds for the power ceiling. Outside every
+interval, within the margin of a crossing where rounding could decide
+the order, it evaluates every level instead, so the result is always
+the first maximum of the per-level efficiencies as evaluated below.
+
+The chosen level's efficiency is evaluated with numpy's power ufunc,
+not Python's ** or math.pow. numpy dispatches its own SIMD kernel (on
+AVX-512 hosts a vector pow that differs from libm's in the last bit
+for a few percent of arguments) and applies the same kernel to a
+scalar as to every element of a wide array, so the figures match the
+ones a whole-table evaluation gives, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NamedTuple
 
+import numpy as np
+
 from .mcs_table import McsTable
-from .power_model import PowerModelParams, dbm_to_watt
+from .power_model import PowerModelParams
 
 if TYPE_CHECKING:
     from .mimo_dtxaa import MimoFeedback
@@ -79,6 +103,9 @@ class ControllerConfig:
     ee_smoothing: float = 0.05
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.tti_ms <= 0.0:
             raise ValueError("tti_ms must be > 0")
         if not 0.0 < self.ee_gap_threshold < 1.0:
@@ -192,8 +219,105 @@ def estimate_ee(
         raise ValueError("tbs_bits must be > 0")
     if tti_ms <= 0.0:
         raise ValueError("tti_ms must be > 0")
-    energy_j = (tti_ms * 1e-3) * (dbm_to_watt(p_dbm) / pm.eta + pm.overhead_w)
-    return tbs_bits / energy_j
+    if not math.isfinite(p_dbm):
+        raise ValueError("power in dBm must be finite")
+    return _ee(p_dbm, tbs_bits, tti_ms * 1e-3, pm)
+
+
+def _ee(p_dbm: float, bits: float, tti_s: float, pm: PowerModelParams) -> float:
+    """bits over the energy of one TTI at p_dbm: the one EE formula of
+    both selectors. np.power, not **: see the module docstring."""
+    p_w = float(np.power(10.0, (p_dbm - 30.0) / 10.0))
+    return bits / (tti_s * (p_w / pm.eta + pm.overhead_w))
+
+
+# Relative EE lead (as a natural log) a candidate needs for the interval
+# search to name it without evaluating the others. Rounding moves the
+# evaluated efficiencies by ~1e-15 relative, so nothing short of this
+# margin is left to the closed form.
+_TIE_MARGIN = 1e-9
+_LN10_DB = math.log(10.0) / 10.0
+
+
+class _ArgmaxIntervals(NamedTuple):
+    """Disjoint x intervals [starts[k], ends[k]], ascending, on each of
+    which candidate items[k] is the EE argmax by at least _TIE_MARGIN."""
+
+    starts: list[float]
+    ends: list[float]
+    items: list[int]
+
+
+def _argmax_intervals(offsets_db, bits, pm: PowerModelParams) -> _ArgmaxIntervals:
+    """Closed-form argmax map of candidates that cost x + offsets_db[j]
+    dBm (offsets ascending) and carry bits[j].
+
+    With c = overhead and y = x + offset, EE ~ bits / (1 + 10^((y + K)/10))
+    where 10^(K/10) = 1e-3 / (eta c). For candidates L and m the log
+    ratio f(x) = ln(bits_L/bits_m) - ln(D_L/D_m) runs monotonically from
+    ln(bits_L/bits_m) at x = -inf to that plus (offset_m - offset_L)
+    ln(10)/10 at +inf, so {f >= margin} is a half-line whose edge solves
+    1 + w = R (1 + w s) with R = (bits_L/bits_m) e^-margin, s =
+    10^((offset_m - offset_L)/10) and w = 10^((x + offset_L + K)/10).
+    Without overhead f is constant and a candidate wins everywhere or
+    nowhere. L's interval is the intersection of its half-lines over m.
+    """
+    off = np.asarray(offsets_db, dtype=float)
+    log_bits = np.log(np.asarray(bits, dtype=float))
+    a = log_bits[:, None] - log_bits[None, :] - _TIE_MARGIN  # ln R; f(-inf) - margin
+    b = a + (off[None, :] - off[:, None]) * _LN10_DB  # f(+inf) - margin
+    overhead = pm.overhead_w
+    if overhead > 0.0:
+        k_db = -30.0 - 10.0 * math.log10(pm.eta * overhead)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # b capped below expm1's overflow: w is then ~0 either way
+            w = np.expm1(a) / -np.expm1(np.minimum(b, 700.0))
+            edge = 10.0 * np.log10(w) - off[:, None] - k_db
+        never = (a < 0.0) & (b < 0.0)
+        lower = (a < 0.0) & (b >= 0.0)  # f rises through the margin at edge
+        upper = (a >= 0.0) & (b < 0.0)  # f falls through it
+    else:
+        never = b < 0.0
+        lower = upper = np.zeros_like(never)
+        edge = np.zeros_like(b)
+    np.fill_diagonal(never, False)
+    lo = np.where(lower, edge, -np.inf).max(axis=1)
+    hi = np.where(upper, edge, np.inf).min(axis=1)
+    items = np.flatnonzero(~never.any(axis=1) & (lo < hi))
+    items = items[np.argsort(lo[items], kind="stable")]
+    return _ArgmaxIntervals(lo[items].tolist(), hi[items].tolist(), items.tolist())
+
+
+def _argmax_at(intervals: _ArgmaxIntervals, x: float) -> int | None:
+    """The candidate that wins at x with room to spare, else None."""
+    k = bisect_right(intervals.starts, x) - 1
+    if k >= 0 and x <= intervals.ends[k]:
+        return intervals.items[k]
+    return None
+
+
+class _LevelSearch(NamedTuple):
+    bits: list[float]  # per level, as floats
+    intervals: _ArgmaxIntervals  # over levels, with offsets beta_j
+    owners: tuple  # the table and power model, keeping their ids unique
+
+
+# Searches keyed on the ids of the table and power model they were built
+# for (plus the report, for pairs). Each entry holds both objects, so an
+# id cannot be reused by another object while its entry exists; hashing
+# the frozen table's rows on every call would cost more than the search
+# saves. Cleared when full: a run uses one table and power model.
+_CACHE_LIMIT = 512
+_level_searches: dict = {}
+
+
+def _level_search(table: McsTable, pm: PowerModelParams) -> _LevelSearch:
+    if len(_level_searches) >= _CACHE_LIMIT:
+        _level_searches.clear()
+    bits = [float(v) for v in table.tbs_bits]
+    search = _LevelSearch(bits, _argmax_intervals(table.thresholds_db, bits, pm), (table, pm))
+    _level_searches[(id(table), id(pm))] = search
+    return search
 
 
 def select_optimal(
@@ -206,32 +330,52 @@ def select_optimal(
 ) -> OptimalSelection:
     """Constrained EE argmax over every table level.
 
-    Evaluates the power estimate and efficiency of each level, picks
-    the best, then applies the index clamp [min_mcs, theta_max] where
-    theta_max is the highest level affordable within p_max. Ties go to
-    the lower level (lower power). When even min_mcs does not fit in
-    the power budget the selection is flagged infeasible and falls
-    back to the best affordable level at full power.
+    Picks the level whose efficiency at its power estimate is highest
+    (found by the interval search of the module docstring), then applies
+    the index clamp [min_mcs, theta_max] where theta_max is the highest
+    level affordable within p_max. Ties go to the lower level (lower
+    power). When even min_mcs does not fit in the power budget the
+    selection is flagged infeasible and falls back to the best
+    affordable level at full power.
     """
-    if feedback_cqi < 1 or feedback_cqi > len(table.entries):
-        raise ValueError("feedback_cqi must be a valid table index")
-    thr = table.thresholds_db
-    p_each = p_dbm + thr - thr[feedback_cqi - 1] + delta_db
-    p_w = 10.0 ** ((p_each - 30.0) / 10.0)
-    ee_each = table.tbs_bits / ((cfg.tti_ms * 1e-3) * (p_w / pm.eta + pm.overhead_w))
-
+    thr = table._thr_list
     n = len(thr)
-    # ndarray methods, not the np.* wrappers: this runs once per TTI
-    affordable = int(p_each.searchsorted(cfg.p_max_dbm, side="right"))
-    p_min_est = float(p_each[cfg.min_mcs - 1])
-    if p_min_est > cfg.p_max_dbm:
-        theta = max(affordable, 1)
-        return OptimalSelection(theta, cfg.p_max_dbm, float(ee_each[theta - 1]), True)
+    if feedback_cqi < 1 or feedback_cqi > n:
+        raise ValueError("feedback_cqi must be a valid table index")
+    min_mcs = cfg.min_mcs
+    if min_mcs > n:
+        raise ValueError("min_mcs must be a valid table index")
+    search = _level_searches.get((id(table), id(pm))) or _level_search(table, pm)
+    bits = search.bits
+    # level j's power estimate is p_dbm + thr[j - 1] - ref + delta_db,
+    # the expression of estimate_power_for_mcs, written out in full
+    # wherever a level's figures are returned
+    ref = thr[feedback_cqi - 1]
+    x = p_dbm - ref + delta_db
 
-    theta_max = min(affordable, n)
-    j_star = int(ee_each.argmax()) + 1
-    theta = min(max(j_star, cfg.min_mcs), theta_max)
-    return OptimalSelection(theta, float(p_each[theta - 1]), float(ee_each[theta - 1]), False)
+    # theta_max: the levels whose estimate fits the budget. Estimates
+    # rise with the level, so the bisect on the thresholds lands next to
+    # it and the loops settle what rounding decides.
+    p_max = cfg.p_max_dbm
+    theta_max = bisect_right(thr, p_max - x)
+    while theta_max < n and p_dbm + thr[theta_max] - ref + delta_db <= p_max:
+        theta_max += 1
+    while theta_max > 0 and p_dbm + thr[theta_max - 1] - ref + delta_db > p_max:
+        theta_max -= 1
+
+    tti_s = cfg.tti_ms * 1e-3
+    if min_mcs > theta_max:
+        theta = max(theta_max, 1)
+        p_theta = p_dbm + thr[theta - 1] - ref + delta_db
+        return OptimalSelection(theta, p_max, _ee(p_theta, bits[theta - 1], tti_s, pm), True)
+
+    j_star = _argmax_at(search.intervals, x)
+    if j_star is None:
+        ees = [_ee(p_dbm + thr[j] - ref + delta_db, bits[j], tti_s, pm) for j in range(n)]
+        j_star = ees.index(max(ees))
+    theta = min(max(j_star + 1, min_mcs), theta_max)
+    p_theta = p_dbm + thr[theta - 1] - ref + delta_db
+    return OptimalSelection(theta, p_theta, _ee(p_theta, bits[theta - 1], tti_s, pm), False)
 
 
 def relative_ee_difference(xi_opt: float, xi: float) -> float:

@@ -19,6 +19,7 @@ the synthesis block matches the power-delay profile in expectation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,12 @@ class ChannelParams:
     pdp_weights: tuple[float, ...] = field(default_factory=lambda: pa3_profile()[1])
 
     def __post_init__(self):
+        for name in ("i_or_w", "i_oc_w", "alpha", "n0_w_per_hz", "bandwidth_hz",
+                     "speed_kmh", "carrier_hz", "distance_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(math.isfinite(v) for v in (*self.pdp_delays_ns, *self.pdp_weights)):
+            raise ValueError("pdp delays and weights must be finite")
         if self.sf < 1:
             raise ValueError("spreading factor must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
@@ -142,6 +149,10 @@ def make_channel(
     derived from it and clipped at zero when the requested geometry is
     already noise-limited.
     """
+    for name, value in (("i_or_dbm", i_or_dbm), ("geometry_db", geometry_db),
+                        ("noise_figure_db", noise_figure_db)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     i_or_w = 10.0 ** ((i_or_dbm - 30.0) / 10.0)
     n0 = 3.9811e-21 * 10.0 ** (noise_figure_db / 10.0)  # -174 dBm/Hz + NF
     bandwidth = kwargs.pop("bandwidth_hz", 5e6)

@@ -19,15 +19,37 @@ The dual-stream optimizer walks MCS pairs that move both streams by
 the same threshold shift, so one power value serves both; the total
 power update applies that per-stream shift twice by default (a flag
 selects the single-application convention instead).
+
+The pair list, its block-size sums and the admissible floor depend only
+on the table and the report, so they are built once per (table, power
+model, reported pair, tol_db, shift_factor) and cached. The enumeration
+is row-major in the stream-1 level, on which alone the power depends,
+so for shift_factor >= 0 (enforced) the list is already in ascending
+power order and needs no sort. Pairs at one power
+form a group whose best is its first pair with the largest sum; the
+groups are candidates at offsets shift_factor * (beta_j1 - beta_i1) for
+the closed-form interval search of ee_controller, with the same
+near-tie fallback to evaluating every pair and the same EE evaluation
+(numpy's power ufunc, for bit-exact figures).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .ee_controller import ControllerConfig
+from .ee_controller import (
+    _CACHE_LIMIT,
+    ControllerConfig,
+    _argmax_at,
+    _argmax_intervals,
+    _ArgmaxIntervals,
+    _ee,
+)
 from .link_channel import ChannelState
 from .mcs_table import McsTable, cqi_from_sinr
 from .power_model import PowerModelParams
@@ -208,8 +230,8 @@ def enumerate_equal_delta_pairs(
     n = len(thr)
     if not (1 <= i1 <= n and 1 <= i2 <= n):
         raise ValueError("reference indices must be valid table entries")
-    if tol_db < 0.0:
-        raise ValueError("tol_db must be >= 0")
+    if not 0.0 <= tol_db < np.inf:
+        raise ValueError("tol_db must be finite and >= 0")
     d1 = thr - thr[i1 - 1]
     d2 = thr - thr[i2 - 1]
     mismatch = np.abs(d1[:, None] - d2[None, :])
@@ -249,6 +271,52 @@ class DualSelection:
         return self.pair
 
 
+class _PairSearch(NamedTuple):
+    """What select_optimal_dual needs of one reported pair, per pair
+    position k in enumeration order and per equal-power group g."""
+
+    pairs: list[tuple[int, int]]
+    bits: list[float]  # k: block-size sum
+    group: list[int]  # k: its group
+    floor: list[int]  # k: max over positions <= k of min(pair)
+    shifts: list[float]  # g: power above p_dbm + delta_db, ascending
+    ends: list[int]  # g: one past its last position
+    intervals: _ArgmaxIntervals  # over groups; items map to best[g]
+    best: list[int]  # g: its first position with the largest sum
+    owners: tuple  # the table and power model, keeping their ids unique
+
+
+_pair_searches: dict = {}  # see ee_controller._level_searches
+
+
+def _pair_search(table, pm, i1, i2, tol_db, shift_factor) -> _PairSearch:
+    if not 0.0 <= shift_factor < np.inf:
+        raise ValueError("shift_factor must be finite and >= 0")
+    pairs = enumerate_equal_delta_pairs(i1, i2, table, tol_db)
+    tbs = table._tbs_list
+    bits = [float(tbs[a - 1] + tbs[b - 1]) for a, b in pairs]
+    group, shifts, ends, best = [], [], [], []
+    for k, (j1, _) in enumerate(pairs):
+        # exactly the shift term: p_dbm + shift + delta_db rounds like
+        # estimate_dual_power(p_dbm, ..., delta_db, shift_factor)
+        shift = estimate_dual_power(0.0, i1, j1, table, 0.0, shift_factor)
+        if not shifts or shift != shifts[-1]:
+            shifts.append(shift)
+            ends.append(k)
+            best.append(k)
+        elif bits[k] > bits[best[-1]]:
+            best[-1] = k
+        ends[-1] = k + 1
+        group.append(len(shifts) - 1)
+    floor = list(accumulate((min(pair) for pair in pairs), max))
+    intervals = _argmax_intervals(shifts, [bits[k] for k in best], pm)
+    search = _PairSearch(pairs, bits, group, floor, shifts, ends, intervals, best, (table, pm))
+    if len(_pair_searches) >= _CACHE_LIMIT:
+        _pair_searches.clear()
+    _pair_searches[(id(table), id(pm), i1, i2, tol_db, shift_factor)] = search
+    return search
+
+
 def select_optimal_dual(
     p_dbm: float,
     feedback: MimoFeedback,
@@ -271,24 +339,39 @@ def select_optimal_dual(
     if feedback.mode != DUAL:
         raise ValueError("dual-stream selection needs dual-mode feedback")
     i1, i2 = feedback.cqi_primary, feedback.cqi_secondary
-    pairs = enumerate_equal_delta_pairs(i1, i2, table, tol_db)
-    powers = np.array(
-        [estimate_dual_power(p_dbm, i1, j1, table, delta_db, shift_factor) for j1, _ in pairs]
-    )
-    order = np.argsort(powers, kind="stable")
-    pairs = [pairs[k] for k in order]
-    powers = powers[order]
-    tbs_sum = np.array([table.tbs(a) + table.tbs(b) for a, b in pairs], dtype=float)
-    p_w = 10.0 ** ((powers - 30.0) / 10.0)
-    ee = tbs_sum / ((cfg.tti_ms * 1e-3) * (p_w / pm.eta + pm.overhead_w))
+    search = _pair_searches.get(
+        (id(table), id(pm), i1, i2, tol_db, shift_factor)
+    ) or _pair_search(table, pm, i1, i2, tol_db, shift_factor)
+    pairs, bits, group, floor, shifts, ends, intervals, best, _ = search
 
-    admissible = [min(a, b) >= cfg.min_mcs for a, b in pairs]
-    pos_min = next((k for k, ok in enumerate(admissible) if ok), None)
-    affordable = int(np.searchsorted(powers, cfg.p_max_dbm, side="right"))
-    if pos_min is None or powers[pos_min] > cfg.p_max_dbm:
+    # affordable: the pairs whose power p_dbm + shift + delta_db (the
+    # expression of estimate_dual_power) fits the budget, found on the
+    # ascending group shifts and corrected for rounding
+    p_max = cfg.p_max_dbm
+    n_groups = len(shifts)
+    g = bisect_right(shifts, p_max - p_dbm - delta_db)
+    while g < n_groups and p_dbm + shifts[g] + delta_db <= p_max:
+        g += 1
+    while g > 0 and p_dbm + shifts[g - 1] + delta_db > p_max:
+        g -= 1
+    affordable = ends[g - 1] if g else 0
+
+    tti_s = cfg.tti_ms * 1e-3
+    pos_min = bisect_left(floor, cfg.min_mcs)
+    if pos_min >= affordable:  # no admissible pair fits the budget
         pos = affordable - 1 if affordable >= 1 else 0
-        return DualSelection(pairs[pos], cfg.p_max_dbm, float(ee[pos]), True)
-    pos_max = affordable - 1
-    pos_star = int(np.argmax(ee))
-    pos = min(max(pos_star, pos_min), pos_max)
-    return DualSelection(pairs[pos], float(powers[pos]), float(ee[pos]), False)
+        p_pos = p_dbm + shifts[group[pos]] + delta_db
+        return DualSelection(pairs[pos], p_max, _ee(p_pos, bits[pos], tti_s, pm), True)
+
+    g_star = _argmax_at(intervals, p_dbm + delta_db)
+    if g_star is None:
+        ees = [
+            _ee(p_dbm + shifts[group[k]] + delta_db, bits[k], tti_s, pm)
+            for k in range(len(pairs))
+        ]
+        pos_star = ees.index(max(ees))
+    else:
+        pos_star = best[g_star]
+    pos = min(max(pos_star, pos_min), affordable - 1)
+    p_pos = p_dbm + shifts[group[pos]] + delta_db
+    return DualSelection(pairs[pos], p_pos, _ee(p_pos, bits[pos], tti_s, pm), False)

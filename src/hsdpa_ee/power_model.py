@@ -15,6 +15,7 @@ whenever the circuit/overhead terms are nonzero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,9 @@ class PowerModelParams:
     m_a: int = 1
 
     def __post_init__(self):
+        for name in ("eta", "p_cir_w", "p_sta_w"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if self.p_cir_w < 0.0 or self.p_sta_w < 0.0:

@@ -33,9 +33,10 @@ overhead.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -98,6 +99,13 @@ def power_model_for_mode(mode: str, base: PowerModelParams) -> PowerModelParams:
     m_a = 2 if mode == MIMO else 1
     if base.m_a == m_a:
         return base
+    return _with_chain_count(base, m_a)
+
+
+@lru_cache(maxsize=16)
+def _with_chain_count(base: PowerModelParams, m_a: int) -> PowerModelParams:
+    # memoised, so the runs of a sweep share one object per mode and
+    # with it the selectors' searches, which are cached per object
     return PowerModelParams(eta=base.eta, p_cir_w=base.p_cir_w, p_sta_w=base.p_sta_w, m_a=m_a)
 
 
@@ -139,8 +147,18 @@ class ScenarioConfig:
             raise ValueError("feedback_delay_ttis must be >= 1")
         if self.max_retransmissions < 0:
             raise ValueError("max_retransmissions must be >= 0")
+        for name in ("baseline_power_dbm", "dual_shift_factor", "pair_tol_db", "pilot_window_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.pilot_window_s < 0.0:
             raise ValueError("pilot_window_s must be >= 0")
+        if self.dual_shift_factor < 0.0 or self.pair_tol_db < 0.0:
+            raise ValueError("dual_shift_factor and pair_tol_db must be >= 0")
+        if self.controller.min_mcs > len(self.table):
+            raise ValueError(
+                f"controller.min_mcs {self.controller.min_mcs} exceeds the "
+                f"{len(self.table)}-level table"
+            )
         want_ma = 2 if self.antenna_mode == MIMO else 1
         if self.power_model.m_a != want_ma:
             raise ValueError(
@@ -274,36 +292,40 @@ def _mimo_constants(sc: ScenarioConfig, rng):
 _HALF_DB = float(10.0 * np.log10(2.0))
 
 
-def _mimo_hypothesis(thr_arr, tbs_arr, a1, a2, a_single, t, p_dbm):
+def _mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm):
     """Best of the eight mode/PCI hypotheses at power p_dbm for TTI t;
-    ties prefer single mode, then the lower PCI."""
+    ties prefer single mode, then the lower PCI. thr and tbs are the
+    table's thresholds and block sizes, a1/a2/a_single[pci][t] the dB
+    constants of _mimo_constants; a dual hypothesis needs both streams
+    in range."""
     off = p_dbm - 30.0
-    c_single = np.searchsorted(thr_arr, a_single[:, t] + off, side="right")
-    t_single = np.where(c_single > 0, tbs_arr[np.maximum(c_single - 1, 0)], 0)
-    c1 = np.searchsorted(thr_arr, a1[:, t] + (off - _HALF_DB), side="right")
-    c2 = np.searchsorted(thr_arr, a2[:, t] + (off - _HALF_DB), side="right")
-    live = (c1 > 0) & (c2 > 0)
-    t_dual = np.where(
-        live, tbs_arr[np.maximum(c1 - 1, 0)] + tbs_arr[np.maximum(c2 - 1, 0)], -1
-    )
-    cat = np.concatenate([t_single, t_dual])
-    k = int(np.argmax(cat))
-    if k < 4:
-        return SINGLE, k, int(c_single[k]), 0
-    k -= 4
-    return DUAL, k, int(c1[k]), int(c2[k])
+    best = None
+    best_bits = -2
+    for pci in range(4):
+        c = bisect_right(thr, a_single[pci][t] + off)
+        bits = tbs[c - 1] if c > 0 else 0
+        if bits > best_bits:
+            best, best_bits = (SINGLE, pci, c, 0), bits
+    off -= _HALF_DB
+    for pci in range(4):
+        c1 = bisect_right(thr, a1[pci][t] + off)
+        c2 = bisect_right(thr, a2[pci][t] + off)
+        bits = tbs[c1 - 1] + tbs[c2 - 1] if c1 > 0 and c2 > 0 else -1
+        if bits > best_bits:
+            best, best_bits = (DUAL, pci, c1, c2), bits
+    return best
 
 
 def _mimo_link(sc: ScenarioConfig, rng) -> _Link:
     """2x2: the terminal reports its best mode/PCI hypothesis, and a
     dual-stream TTI splits the power equally over the two streams."""
-    a1, a2, a_single = _mimo_constants(sc, rng)
-    thr_arr, tbs_arr = sc.table.thresholds_db, sc.table.tbs_bits
+    a1, a2, a_single = (a.tolist() for a in _mimo_constants(sc, rng))
+    thr, tbs = sc.table._thr_list, sc.table._tbs_list
 
     def report(t, p_dbm):
-        return _mimo_hypothesis(thr_arr, tbs_arr, a1, a2, a_single, t, p_dbm) + (p_dbm,)
+        return _mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm) + (p_dbm,)
 
-    sinr_db = {SINGLE: (a_single.tolist(),), DUAL: (a1.tolist(), a2.tolist())}
+    sinr_db = {SINGLE: (a_single,), DUAL: (a1, a2)}
     return _Link(report, sinr_db, {SINGLE: 0.0, DUAL: _HALF_DB}, resolve_first=False)
 
 

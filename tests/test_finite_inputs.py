@@ -1,0 +1,74 @@
+"""Configs and the channel constructor reject NaN and infinite numbers.
+
+Without these checks a NaN slips through every range comparison (they
+are all false) and a run finishes with NaN energy, while the selectors'
+cached interval searches would silently be built from NaN.
+"""
+
+import math
+
+import pytest
+
+from hsdpa_ee.ee_controller import ControllerConfig
+from hsdpa_ee.link_channel import ChannelParams, make_channel
+from hsdpa_ee.power_model import PowerModelParams
+from hsdpa_ee.sim_engine import ScenarioConfig
+
+
+def scenario(**kw):
+    return ScenarioConfig(channel=make_channel(435.0, -72.5), **kw)
+
+
+CONTROLLER_FIELDS = (
+    "p_max_dbm", "ee_gap_threshold", "min_reconfig_interval_ms", "max_reconfig_interval_ms",
+    "tti_ms", "offset_step_up_db", "offset_step_down_db", "offset_clamp_db", "bler_target",
+    "ee_smoothing",
+)
+CHANNEL_FIELDS = (
+    "i_or_w", "i_oc_w", "alpha", "n0_w_per_hz", "bandwidth_hz", "speed_kmh", "carrier_hz",
+    "distance_m",
+)
+SCENARIO_FIELDS = ("baseline_power_dbm", "dual_shift_factor", "pair_tol_db", "pilot_window_s")
+
+CASES = (
+    [(f"ControllerConfig.{f}", lambda v, f=f: ControllerConfig(**{f: v}))
+     for f in CONTROLLER_FIELDS]
+    + [(f"PowerModelParams.{f}", lambda v, f=f: PowerModelParams(**{f: v}))
+       for f in ("eta", "p_cir_w", "p_sta_w")]
+    + [(f"ChannelParams.{f}",
+        lambda v, f=f: ChannelParams(**{"i_or_w": 1e-10, "i_oc_w": 1e-11, f: v}))
+       for f in CHANNEL_FIELDS]
+    + [("ChannelParams.pdp_delays_ns",
+        lambda v: ChannelParams(1e-10, 1e-11, pdp_delays_ns=(0.0, v), pdp_weights=(0.5, 0.5))),
+       ("ChannelParams.pdp_weights",
+        lambda v: ChannelParams(1e-10, 1e-11, pdp_delays_ns=(0.0, 1.0), pdp_weights=(1.0, v)))]
+    + [(f"make_channel.{f}", lambda v, f=f: make_channel(435.0, -72.5, **{f: v}))
+       for f in ("geometry_db", "noise_figure_db", "speed_kmh", "alpha")]
+    + [("make_channel.distance_m", lambda v: make_channel(v, -72.5)),
+       ("make_channel.i_or_dbm", lambda v: make_channel(435.0, v))]
+    + [(f"ScenarioConfig.{f}", lambda v, f=f: scenario(**{f: v})) for f in SCENARIO_FIELDS]
+)
+
+
+@pytest.mark.parametrize("build", [c[1] for c in CASES], ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_input_is_rejected(build, value):
+    with pytest.raises(ValueError):
+        build(value)
+
+
+def test_negative_pairing_parameters_are_rejected():
+    for kw in ({"dual_shift_factor": -1.0}, {"pair_tol_db": -0.1}):
+        with pytest.raises(ValueError):
+            scenario(antenna_mode="MIMO", power_model=PowerModelParams(m_a=2), **kw)
+
+
+def test_min_mcs_beyond_the_table_is_rejected():
+    with pytest.raises(ValueError):
+        scenario(controller=ControllerConfig(min_mcs=31))
+
+
+def test_finite_defaults_still_build():
+    ControllerConfig()
+    PowerModelParams()
+    scenario()

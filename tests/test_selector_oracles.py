@@ -1,0 +1,392 @@
+"""The per-TTI searches against their former whole-table numpy bodies.
+
+select_optimal, select_optimal_dual and the 2x2 report search used to
+evaluate every candidate with numpy on each call. Those bodies are kept
+here, unchanged, as oracles: the scalar searches must return the same
+results bit for bit (floats compared by their hex form) on generated
+tables, power models, clamps and reports, on the exact float where the
+oracle's argmax flips between two levels, and one ulp to either side.
+"""
+
+import dataclasses
+import math
+from itertools import accumulate
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hsdpa_ee import ee_controller
+from hsdpa_ee.ee_controller import (
+    ControllerConfig,
+    OptimalSelection,
+    _level_search,
+    select_optimal,
+)
+from hsdpa_ee.mcs_table import McsEntry, McsTable, reference_table
+from hsdpa_ee.mimo_dtxaa import (
+    DUAL,
+    DualSelection,
+    MimoFeedback,
+    _pair_search,
+    enumerate_equal_delta_pairs,
+    estimate_dual_power,
+    select_optimal_dual,
+)
+from hsdpa_ee.power_model import PowerModelParams
+from hsdpa_ee.sim_engine import _HALF_DB, MIMO, SINGLE, _mimo_hypothesis, power_model_for_mode
+
+SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def oracle_select_optimal(p_dbm, feedback_cqi, delta_db, table, cfg, pm):
+    if feedback_cqi < 1 or feedback_cqi > len(table.entries):
+        raise ValueError("feedback_cqi must be a valid table index")
+    thr = table.thresholds_db
+    p_each = p_dbm + thr - thr[feedback_cqi - 1] + delta_db
+    p_w = 10.0 ** ((p_each - 30.0) / 10.0)
+    ee_each = table.tbs_bits / ((cfg.tti_ms * 1e-3) * (p_w / pm.eta + pm.overhead_w))
+
+    n = len(thr)
+    affordable = int(p_each.searchsorted(cfg.p_max_dbm, side="right"))
+    p_min_est = float(p_each[cfg.min_mcs - 1])
+    if p_min_est > cfg.p_max_dbm:
+        theta = max(affordable, 1)
+        return OptimalSelection(theta, cfg.p_max_dbm, float(ee_each[theta - 1]), True)
+
+    theta_max = min(affordable, n)
+    j_star = int(ee_each.argmax()) + 1
+    theta = min(max(j_star, cfg.min_mcs), theta_max)
+    return OptimalSelection(theta, float(p_each[theta - 1]), float(ee_each[theta - 1]), False)
+
+
+def oracle_select_optimal_dual(
+    p_dbm, feedback, delta_db, table, cfg, pm, tol_db=0.0, shift_factor=2.0
+):
+    if feedback.mode != DUAL:
+        raise ValueError("dual-stream selection needs dual-mode feedback")
+    i1, i2 = feedback.cqi_primary, feedback.cqi_secondary
+    pairs = enumerate_equal_delta_pairs(i1, i2, table, tol_db)
+    powers = np.array(
+        [estimate_dual_power(p_dbm, i1, j1, table, delta_db, shift_factor) for j1, _ in pairs]
+    )
+    order = np.argsort(powers, kind="stable")
+    pairs = [pairs[k] for k in order]
+    powers = powers[order]
+    tbs_sum = np.array([table.tbs(a) + table.tbs(b) for a, b in pairs], dtype=float)
+    p_w = 10.0 ** ((powers - 30.0) / 10.0)
+    ee = tbs_sum / ((cfg.tti_ms * 1e-3) * (p_w / pm.eta + pm.overhead_w))
+
+    admissible = [min(a, b) >= cfg.min_mcs for a, b in pairs]
+    pos_min = next((k for k, ok in enumerate(admissible) if ok), None)
+    affordable = int(np.searchsorted(powers, cfg.p_max_dbm, side="right"))
+    if pos_min is None or powers[pos_min] > cfg.p_max_dbm:
+        pos = affordable - 1 if affordable >= 1 else 0
+        return DualSelection(pairs[pos], cfg.p_max_dbm, float(ee[pos]), True)
+    pos_max = affordable - 1
+    pos_star = int(np.argmax(ee))
+    pos = min(max(pos_star, pos_min), pos_max)
+    return DualSelection(pairs[pos], float(powers[pos]), float(ee[pos]), False)
+
+
+def oracle_mimo_hypothesis(thr_arr, tbs_arr, a1, a2, a_single, t, p_dbm):
+    off = p_dbm - 30.0
+    c_single = np.searchsorted(thr_arr, a_single[:, t] + off, side="right")
+    t_single = np.where(c_single > 0, tbs_arr[np.maximum(c_single - 1, 0)], 0)
+    c1 = np.searchsorted(thr_arr, a1[:, t] + (off - _HALF_DB), side="right")
+    c2 = np.searchsorted(thr_arr, a2[:, t] + (off - _HALF_DB), side="right")
+    live = (c1 > 0) & (c2 > 0)
+    t_dual = np.where(
+        live, tbs_arr[np.maximum(c1 - 1, 0)] + tbs_arr[np.maximum(c2 - 1, 0)], -1
+    )
+    cat = np.concatenate([t_single, t_dual])
+    k = int(np.argmax(cat))
+    if k < 4:
+        return SINGLE, k, int(c_single[k]), 0
+    k -= 4
+    return DUAL, k, int(c1[k]), int(c2[k])
+
+
+def bits_of(selection):
+    """Every field, floats by their exact bits, plus the float types."""
+    if dataclasses.is_dataclass(selection):
+        selection = dataclasses.astuple(selection)
+    return tuple(
+        (type(v).__name__, v.hex() if isinstance(v, float) else v) for v in selection
+    )
+
+
+def assert_same(got, want):
+    assert bits_of(got) == bits_of(want), (got, want)
+
+
+# ------------------------------------------------------------- strategies
+
+
+@st.composite
+def tables(draw, max_levels=30):
+    n = draw(st.integers(2, max_levels))
+    first = draw(st.floats(-12.0, 12.0))
+    gap = st.one_of(st.just(1e-9), st.floats(1e-9, 1e-4), st.floats(0.05, 3.0))
+    thr = list(accumulate([first] + draw(st.lists(gap, min_size=n - 1, max_size=n - 1))))
+    step = st.one_of(st.just(0), st.integers(1, 4000))
+    tbs = list(
+        accumulate(
+            [draw(st.integers(1, 3000))] + draw(st.lists(step, min_size=n - 1, max_size=n - 1))
+        )
+    )
+    return McsTable(tuple(McsEntry(k + 1, thr[k], tbs[k], 2, 1) for k in range(n)))
+
+
+power_models = st.builds(
+    PowerModelParams,
+    eta=st.floats(0.05, 1.0),
+    p_cir_w=st.one_of(st.just(0.0), st.floats(0.01, 60.0)),
+    p_sta_w=st.one_of(st.just(0.0), st.floats(0.01, 600.0)),
+    m_a=st.sampled_from([1, 2]),
+)
+
+
+def calls(rng, table, count):
+    """Random reports, offsets, budgets and floors on one table; budgets
+    low enough for infeasible selections and floors above the optimum."""
+    n = len(table)
+    for _ in range(count):
+        cfg = ControllerConfig(
+            p_max_dbm=float(rng.uniform(-10.0, 70.0)),
+            min_mcs=int(rng.integers(1, n + 1)),
+            tti_ms=float(rng.choice([2.0, 0.5, 10.0])),
+        )
+        yield (float(rng.uniform(-20.0, 70.0)), int(rng.integers(1, n + 1)),
+               float(rng.uniform(-6.0, 6.0)), cfg)
+
+
+# ------------------------------------------------------- select_optimal
+
+
+@SETTINGS
+@given(tables(), power_models, st.integers(0, 2**32 - 1))
+def test_select_optimal_matches_numpy_oracle(table, pm, seed):
+    for p, i, delta, cfg in calls(np.random.default_rng(seed), table, 40):
+        call = (p, i, delta, table, cfg, pm)
+        assert_same(select_optimal(*call), oracle_select_optimal(*call))
+
+
+def flip_point(value_at, lo, hi):
+    """Adjacent floats lo < hi with value_at(lo) != value_at(hi), by
+    bisection from a bracket whose ends already differ."""
+    v_lo = value_at(lo)
+    assert v_lo != value_at(hi)
+    while math.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            mid = math.nextafter(lo, math.inf)
+        if value_at(mid) == v_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def around(*xs):
+    for x in xs:
+        yield from (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tables(), power_models, st.data())
+def test_select_optimal_on_and_beside_every_breakpoint(table, pm, data):
+    n = len(table)
+    i = data.draw(st.integers(1, n))
+    ref = table.threshold(i)
+    cfg = ControllerConfig(p_max_dbm=1e4, min_mcs=1)
+    intervals = _level_search(table, pm).intervals
+
+    def argmax_at(p):
+        return oracle_select_optimal(p, i, 0.0, table, cfg, pm).mcs
+
+    # the search works in x = p - ref; its interval edges, moved to p
+    edges = [x + ref for x in intervals.starts[1:] + intervals.ends[:-1]]
+    points = list(around(*edges))
+    for k in range(len(intervals.items) - 1):
+        lo, hi = flip_point(argmax_at, intervals.ends[k] + ref, intervals.starts[k + 1] + ref)
+        points.extend(around(lo, hi))
+    for p in points:
+        assert_same(select_optimal(p, i, 0.0, table, cfg, pm),
+                    oracle_select_optimal(p, i, 0.0, table, cfg, pm))
+
+
+def test_reference_table_has_eight_optimal_levels():
+    for m_a in (1, 2):
+        intervals = _level_search(reference_table(), PowerModelParams(m_a=m_a)).intervals
+        assert len(intervals.items) == 8
+        assert intervals.starts[0] == -math.inf and intervals.ends[-1] == math.inf
+
+
+def test_zero_overhead_argmax_ignores_power():
+    # without circuit or site power every level's energy scales alike
+    # with x, so one level is optimal at every power
+    pm = PowerModelParams(p_cir_w=0.0, p_sta_w=0.0)
+    table = reference_table()
+    cfg = ControllerConfig(p_max_dbm=1e4)
+    chosen = {select_optimal(p, 15, 0.0, table, cfg, pm).mcs for p in np.linspace(-30, 90, 241)}
+    assert len(chosen) == 1
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        call = (float(rng.uniform(-30, 90)), int(rng.integers(1, 31)),
+                float(rng.uniform(-6, 6)), table,
+                ControllerConfig(p_max_dbm=float(rng.uniform(0, 60)),
+                                 min_mcs=int(rng.integers(1, 31))), pm)
+        assert_same(select_optimal(*call), oracle_select_optimal(*call))
+
+
+def test_select_optimal_randomized_covers_every_branch():
+    rng = np.random.default_rng(31)
+    table = reference_table()
+    pms = (PowerModelParams(), PowerModelParams(m_a=2), PowerModelParams(p_cir_w=0.0, p_sta_w=0.0))
+    seen = {"infeasible": 0, "lower": 0, "upper": 0, "free": 0}
+    for k in range(6000):
+        cfg = ControllerConfig(p_max_dbm=float(rng.uniform(15.0, 50.0)),
+                               min_mcs=int(rng.integers(1, 31)))
+        call = (float(rng.uniform(0.0, 50.0)), int(rng.integers(1, 31)),
+                float(rng.uniform(-6.0, 6.0)), table, cfg, pms[k % 3])
+        got = select_optimal(*call)
+        assert_same(got, oracle_select_optimal(*call))
+        if got.infeasible:
+            seen["infeasible"] += 1
+        elif got.mcs == cfg.min_mcs:
+            seen["lower"] += 1
+        elif select_optimal(call[0], call[1], call[2], table,
+                            ControllerConfig(p_max_dbm=1e4), call[5]).mcs > got.mcs:
+            seen["upper"] += 1
+        else:
+            seen["free"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_select_optimal_rejects_min_mcs_beyond_table():
+    with pytest.raises(ValueError):
+        select_optimal(40.0, 5, 0.0, reference_table(), ControllerConfig(min_mcs=31),
+                       PowerModelParams())
+
+
+def test_estimate_ee_is_the_selectors_formula():
+    table = reference_table()
+    cfg = ControllerConfig(p_max_dbm=1e4)
+    pm = PowerModelParams()
+    for p in np.linspace(10.0, 45.0, 71):
+        got = select_optimal(float(p), 12, 0.0, table, cfg, pm)
+        assert got.ee == ee_controller.estimate_ee(got.power_dbm, table.tbs(got.mcs), pm)
+
+
+def test_search_cache_is_bounded_and_transparent():
+    table = reference_table()
+    cfg = ControllerConfig()
+    want = select_optimal(40.0, 15, 0.2, table, cfg, PowerModelParams())
+    for _ in range(ee_controller._CACHE_LIMIT + 5):
+        got = select_optimal(40.0, 15, 0.2, table, cfg, PowerModelParams())
+        assert got == want
+        assert len(ee_controller._level_searches) <= ee_controller._CACHE_LIMIT
+
+
+def test_sweep_runs_share_one_power_model_per_mode():
+    # the searches are cached per power model object, so every 2x2 run of
+    # a sweep must get the same one
+    base = PowerModelParams()
+    assert power_model_for_mode(MIMO, base) is power_model_for_mode(MIMO, PowerModelParams())
+
+
+# --------------------------------------------------- select_optimal_dual
+
+
+@SETTINGS
+@given(tables(), power_models, st.one_of(st.just(0.0), st.floats(1e-9, 3.0)),
+       st.sampled_from([1.0, 2.0]), st.integers(0, 2**32 - 1))
+def test_select_optimal_dual_matches_numpy_oracle(table, pm, tol_db, shift_factor, seed):
+    rng = np.random.default_rng(seed)
+    n = len(table)
+    for p, i1, delta, cfg in calls(rng, table, 40):
+        fb = MimoFeedback(DUAL, 0, i1, int(rng.integers(1, n + 1)))
+        call = (p, fb, delta, table, cfg, pm)
+        kwargs = {"tol_db": tol_db, "shift_factor": shift_factor}
+        assert_same(select_optimal_dual(*call, **kwargs),
+                    oracle_select_optimal_dual(*call, **kwargs))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tables(), power_models, st.data())
+def test_select_optimal_dual_on_and_beside_every_breakpoint(table, pm, data):
+    n = len(table)
+    fb = MimoFeedback(DUAL, 0, data.draw(st.integers(1, n)), data.draw(st.integers(1, n)))
+    tol_db = data.draw(st.sampled_from([0.0, 0.7]))
+    shift_factor = data.draw(st.sampled_from([1.0, 2.0]))
+    cfg = ControllerConfig(p_max_dbm=1e4, min_mcs=1)
+    intervals = _pair_search(table, pm, fb.cqi_primary, fb.cqi_secondary, tol_db,
+                             shift_factor).intervals
+
+    def select(select_fn, p):
+        return select_fn(p, fb, 0.0, table, cfg, pm, tol_db=tol_db, shift_factor=shift_factor)
+
+    points = list(around(*intervals.starts[1:], *intervals.ends[:-1]))
+    for k in range(len(intervals.items) - 1):
+        lo, hi = flip_point(lambda p: select(oracle_select_optimal_dual, p).pair,
+                            intervals.ends[k], intervals.starts[k + 1])
+        points.extend(around(lo, hi))
+    for p in points:
+        assert_same(select(select_optimal_dual, p), select(oracle_select_optimal_dual, p))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tables(), st.data())
+def test_pair_enumeration_is_in_ascending_power_order(table, data):
+    # the invariant that lets select_optimal_dual skip sorting the pairs
+    # by their power estimate
+    n = len(table)
+    i1, i2 = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+    tol_db = data.draw(st.one_of(st.just(0.0), st.floats(1e-9, 5.0)))
+    shift_factor = data.draw(st.sampled_from([1.0, 2.0]))
+    p, delta = data.draw(st.floats(-20.0, 70.0)), data.draw(st.floats(-6.0, 6.0))
+    pairs = enumerate_equal_delta_pairs(i1, i2, table, tol_db)
+    powers = [estimate_dual_power(p, i1, j1, table, delta, shift_factor) for j1, _ in pairs]
+    assert (i1, i2) in pairs
+    assert all(a <= b for a, b in zip(powers, powers[1:]))
+
+
+def test_select_optimal_dual_rejects_negative_shift_factor():
+    fb = MimoFeedback(DUAL, 0, 10, 12)
+    with pytest.raises(ValueError):
+        select_optimal_dual(40.0, fb, 0.0, reference_table(), ControllerConfig(),
+                            PowerModelParams(m_a=2), shift_factor=-1.0)
+
+
+# ------------------------------------------------- 2x2 hypothesis search
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tables(), st.data())
+def test_mimo_hypothesis_matches_numpy_oracle(table, data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    T = 40
+    a1 = rng.uniform(-25.0, 35.0, size=(4, T))
+    a2 = a1 - rng.uniform(0.0, 20.0, size=(4, T))
+    a_single = a1 + rng.uniform(0.0, 6.0, size=(4, T))
+    for a in (a1, a2, a_single):
+        a[rng.random((4, T)) < 0.05] = -np.inf  # a stream nulled to zero gain
+    thr, tbs = table.thresholds_db, np.array(table._tbs_list)
+    lists = (a1.tolist(), a2.tolist(), a_single.tolist())
+    for t in range(T):
+        p_dbm = float(rng.uniform(0.0, 50.0))
+        want = oracle_mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm)
+        got = _mimo_hypothesis(table._thr_list, table._tbs_list, *lists, t, p_dbm)
+        assert got == want
+        assert all(type(v) is type(w) for v, w in zip(got, want))
