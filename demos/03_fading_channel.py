@@ -10,17 +10,15 @@ through quantisation and decoding.
 import numpy as np
 
 from hsdpa_ee import (
-    aggregate_fading_power,
     bessel_j0,
     dbm_to_watt,
     decode,
     doppler_hz,
+    fading_block,
     hs_sinr_db,
     make_channel,
-    new_channel_state,
     path_gain_db,
     reference_table,
-    step_fading,
     synth_fading,
 )
 
@@ -42,17 +40,17 @@ print(f"\n{speed:.0f} km/h, f_d = {fd:.1f} Hz: lag-{lag} autocorr "
       f"measured {rho_hat:+.3f}, Jakes {rho_jakes:+.3f}")
 
 # -- one TTI through the SINR chain ----------------------------------------
+# per-tap gains (n_taps, n_rx, n_tx, TTI) with the delay profile folded in;
+# the walk below starts one TTI into the block
 ch = make_channel(435.0, -72.5, geometry_db=23.0, alpha=0.995, speed_kmh=3.0)
-rng = np.random.default_rng(3)
-st = new_channel_state(ch, rng, n_rx=2)
+block = fading_block(ch, n_rx=2, n_tx=1, n_steps=6, rng=np.random.default_rng(3))
 table = reference_table()
 p_w = dbm_to_watt(40.5)
 
 print()
 for tti in range(5):
-    st = step_fading(st, 2e-3, rng)
-    gain = aggregate_fading_power(st)
-    sinr = hs_sinr_db(p_w, st, ch)
+    gain = np.sum(np.abs(block[..., tti + 1]) ** 2)  # MRC over taps and rx antennas
+    sinr = hs_sinr_db(p_w, ch.path_gain_lin * gain, ch)
     ok = decode(sinr, 17, table)  # try MCS 17 against this SINR
     print(f"TTI {tti}: fading gain {10 * np.log10(gain):+6.2f} dB, "
           f"SINR {sinr:6.2f} dB, MCS 17 -> {'ACK' if ok else 'NACK'}")

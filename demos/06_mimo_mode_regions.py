@@ -9,7 +9,6 @@ import numpy as np
 
 from hsdpa_ee import (
     DUAL,
-    ChannelState,
     dbm_to_watt,
     enumerate_equal_delta_pairs,
     estimate_dual_power,
@@ -31,13 +30,12 @@ for i, w in enumerate(pci_codebook()):
 # -- mode regions over transmit power ----------------------------------------
 # one frozen channel draw; sweep power and watch the rank decision flip
 rng = np.random.default_rng(2)
-g = (rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))) * 0.7
-st = ChannelState(params=params, n_rx=2, n_tx=2, gains=g)
+g = (rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))) * 0.7  # 3 taps of 2x2
 
 print()
 last = None
 for p_dbm in np.arange(24.0, 44.1, 2.0):
-    fb = select_mode_and_feedback(st, table, dbm_to_watt(p_dbm))
+    fb = select_mode_and_feedback(g, params, table, dbm_to_watt(p_dbm))
     desc = (f"{fb.mode:6s} PCI {fb.pci} CQI {fb.cqi_primary}"
             + (f"/{fb.cqi_secondary}" if fb.mode == DUAL else ""))
     if desc != last:

@@ -4,10 +4,11 @@ Subpackage tour:
 
 * power_model   -- consumed-power model, dBm helpers, AWGN SE/EE curves
 * mcs_table     -- CQI/MCS tables, SINR quantiser, synthetic table maker
-* link_channel  -- path loss, Rayleigh/Jakes fading, HS-PDSCH SINR, decode
+* link_channel  -- path loss, Jakes fading synthesis, HS-PDSCH SINR, decode
 * ee_controller -- per-MCS power/EE estimates, optimiser, dual trigger
 * mimo_dtxaa    -- 2x2 precoding codebook, per-stream SINR, mode selection
-* sim_engine    -- TTI-level Monte-Carlo runs and parameter sweeps
+* sim_engine    -- PDP-weighted fading blocks, TTI-level Monte-Carlo runs,
+                   parameter sweeps
 * cli_report    -- `hsdpa-ee` command line front end and preset scenarios
 
 The library favours explicit dataclass configs over global state; every
@@ -37,16 +38,12 @@ from hsdpa_ee.mcs_table import (
 )
 from hsdpa_ee.link_channel import (
     ChannelParams,
-    ChannelState,
     make_channel,
-    new_channel_state,
     path_gain_db,
     doppler_hz,
     bessel_j0,
     pa3_profile,
     synth_fading,
-    step_fading,
-    aggregate_fading_power,
     hs_sinr_db,
     decode,
 )
@@ -92,6 +89,7 @@ from hsdpa_ee.sim_engine import (
     RunMetrics,
     SweepPoint,
     estimation_loss_db,
+    fading_block,
     power_model_for_mode,
     run,
     sweep,

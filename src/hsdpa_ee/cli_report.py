@@ -45,7 +45,8 @@ import csv
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -138,7 +139,7 @@ _SCENARIO_KEYS = {
     "collect_trace": bool,
 }
 
-_CONTROLLER_KEYS = {f.name: f.type for f in fields(ControllerConfig)}
+_CONTROLLER_KEYS = get_type_hints(ControllerConfig)
 _POWER_KEYS = {"eta": float, "p_cir_w": float, "p_sta_w": float}
 _SWEEP_KEYS = {
     "variable": str,
@@ -187,16 +188,8 @@ def _section_dict(cp, section, allowed, path, text):
             line = _key_line(text, key)
             loc = f" [line {line}]" if line is not None else ""
             raise ConfigError(f"{path}{loc}: unknown key {key!r} in [{section}]")
-        typ = allowed[key]
-        typ = typ if isinstance(typ, type) else float  # annotations stored as strings
-        out[key] = _coerce(raw, typ, path, text, key)
+        out[key] = _coerce(raw, allowed[key], path, text, key)
     return out
-
-
-def _controller_value(name: str, raw: str, path: str, text: str):
-    # ControllerConfig is all floats except min_mcs
-    typ = int if name == "min_mcs" else float
-    return _coerce(raw, typ, path, text, name)
 
 
 def _resolve_table(label: str) -> McsTable:
@@ -212,14 +205,7 @@ def _scenario_from_config(cp, path: str, text: str) -> ScenarioConfig:
         raise ConfigError(f"{path}: missing required [scenario] section")
     sc = _section_dict(cp, "scenario", _SCENARIO_KEYS, path, text)
 
-    ctrl_kwargs = {}
-    if cp.has_section("controller"):
-        for key, raw in cp.items("controller"):
-            if key not in _CONTROLLER_KEYS:
-                line = _key_line(text, key)
-                loc = f" [line {line}]" if line is not None else ""
-                raise ConfigError(f"{path}{loc}: unknown key {key!r} in [controller]")
-            ctrl_kwargs[key] = _controller_value(key, raw, path, text)
+    ctrl_kwargs = _section_dict(cp, "controller", _CONTROLLER_KEYS, path, text)
     pm_kwargs = _section_dict(cp, "power", _POWER_KEYS, path, text)
 
     channel = make_channel(

@@ -15,6 +15,9 @@ are synthesised in the frequency domain (white complex Gaussians shaped
 by the per-bin Jakes energies, then an inverse FFT), so the marginals
 are exactly complex Gaussian at any sample count, and tap energy across
 the synthesis block matches the power-delay profile in expectation.
+synth_fading draws unit-power processes; sim_engine.fading_block folds
+in the power-delay profile and shapes one block for a whole run, so the
+Doppler correlation holds across every TTI of it.
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ __all__ = [
     "doppler_hz",
     "bessel_j0",
     "synth_fading",
-    "ChannelState",
-    "new_channel_state",
-    "step_fading",
-    "aggregate_fading_power",
     "hs_sinr_db",
     "decode",
 ]
@@ -254,100 +253,15 @@ def synth_fading(
     return np.ascontiguousarray(x[:, :n_steps])
 
 
-@dataclass
-class ChannelState:
-    """Mutable fading state: per-tap matrix gains plus a sample cursor.
-
-    gains has shape (n_taps, n_rx, n_tx); tap k carries mean power
-    pdp_weights[k] per antenna pair.
-    """
-
-    params: ChannelParams
-    n_rx: int
-    n_tx: int
-    time_s: float = 0.0
-    gains: np.ndarray | None = None
-    _block: np.ndarray | None = field(default=None, repr=False)
-    _pos: int = field(default=0, repr=False)
-    _dt_s: float = field(default=0.0, repr=False)
-
-    @property
-    def n_taps(self) -> int:
-        return len(self.params.pdp_weights)
-
-
-def new_channel_state(
-    params: ChannelParams, rng: np.random.Generator, n_rx: int = 1, n_tx: int = 1
-) -> ChannelState:
-    state = ChannelState(params=params, n_rx=n_rx, n_tx=n_tx)
-    _refill(state, dt_s=2e-3, rng=rng, n_steps=4096)
-    _load_column(state)
-    return state
-
-
-def _refill(state: ChannelState, dt_s: float, rng: np.random.Generator, n_steps: int):
-    params = state.params
-    n_procs = state.n_taps * state.n_rx * state.n_tx
-    f_d = doppler_hz(params.speed_kmh, params.carrier_hz)
-    block = synth_fading(n_procs, n_steps, dt_s, f_d, rng)
-    scale = np.sqrt(np.asarray(params.pdp_weights))
-    block = block.reshape(state.n_taps, state.n_rx, state.n_tx, n_steps)
-    block *= scale[:, None, None, None]
-    state._block = block
-    state._pos = 0
-    state._dt_s = dt_s
-
-
-def _load_column(state: ChannelState):
-    state.gains = state._block[:, :, :, state._pos]
-
-
-def step_fading(
-    state: ChannelState, dt_s: float, rng: np.random.Generator
-) -> ChannelState:
-    """Advance the fading by one step of dt_s and return the state.
-
-    The state is advanced in place; trajectories are drawn lazily in
-    blocks from rng. Changing dt_s mid-stream restarts the spectral
-    block at the new sampling interval.
-    """
-    if dt_s <= 0.0:
-        raise ValueError("dt_s must be > 0")
-    if state._block is None or dt_s != state._dt_s:
-        _refill(state, dt_s=dt_s, rng=rng, n_steps=4096)
-    state._pos += 1
-    if state._pos >= state._block.shape[-1]:
-        _refill(state, dt_s=dt_s, rng=rng, n_steps=state._block.shape[-1])
-        state._pos = 0
-    state.time_s += dt_s
-    _load_column(state)
-    return state
-
-
-def aggregate_fading_power(state: ChannelState) -> float:
-    """Receive-combined aggregate fading power (MRC across rx antennas).
-
-    Sums |h|^2 over taps and receive antennas for single-stream use;
-    unit mean for one rx antenna, n_rx mean with combining.
-    """
-    if state.n_tx != 1:
-        raise ValueError("aggregate power is defined for single-stream states")
-    return float(np.sum(np.abs(state.gains) ** 2))
-
-
-def hs_sinr_db(p_hs_w: float, state, params: ChannelParams) -> float:
+def hs_sinr_db(p_hs_w: float, link_gain: float, params: ChannelParams) -> float:
     """Post-despreading SINR of the HS-PDSCH in dB.
 
-    state is either a ChannelState, in which case the link gain is the
-    path gain times the receive-combined aggregate fading power, or a
-    bare number already holding that product.
+    link_gain is the path gain times the receive-combined fading power,
+    or times the spatial gain for one nulled 2x2 stream.
     """
     if p_hs_w < 0.0:
         raise ValueError("transmit power must be >= 0")
-    if isinstance(state, ChannelState):
-        g_lin = params.path_gain_lin * aggregate_fading_power(state)
-    else:
-        g_lin = float(state)
+    g_lin = float(link_gain)
     if g_lin < 0.0:
         raise ValueError("link gain must be >= 0")
     num = params.sf * p_hs_w * g_lin

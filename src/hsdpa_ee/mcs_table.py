@@ -89,10 +89,6 @@ class McsTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def max_index(self) -> int:
-        return len(self.entries)
-
     def threshold(self, cqi: int) -> float:
         """SINR threshold in dB of a valid index (1..N)."""
         if not 1 <= cqi <= len(self.entries):

@@ -50,7 +50,7 @@ from .ee_controller import (
     _ArgmaxIntervals,
     _ee,
 )
-from .link_channel import ChannelState
+from .link_channel import ChannelParams, hs_sinr_db
 from .mcs_table import McsTable, cqi_from_sinr
 from .power_model import PowerModelParams
 
@@ -127,10 +127,7 @@ def pci_codebook() -> tuple[PrecodingWeights, ...]:
 
 def _tap_stack(channel) -> np.ndarray:
     """Normalize channel input to a (n_taps, 2, 2) complex stack."""
-    if isinstance(channel, ChannelState):
-        gains = channel.gains
-    else:
-        gains = np.asarray(channel, dtype=complex)
+    gains = np.asarray(channel, dtype=complex)
     if gains.ndim == 2:
         gains = gains[None, :, :]
     if gains.ndim != 3 or gains.shape[-2:] != (2, 2):
@@ -175,45 +172,45 @@ def stream_gain_series(
     return e1.sum(axis=0), e2.sum(axis=0), n1.sum(axis=0)
 
 
-def _sinr_db(p_w: float, spatial_gain: float, params) -> float:
-    num = params.sf * p_w * params.path_gain_lin * spatial_gain
-    if num <= 0.0:
-        return -np.inf
-    return 10.0 * np.log10(num / params.denominator_w)
-
-
 def per_stream_sinr(
-    channel, weights: PrecodingWeights, p_per_stream_w: float, params
+    channel, weights: PrecodingWeights, p_per_stream_w: float, params: ChannelParams
 ) -> tuple[float, float]:
     """Post-receiver SINR of both streams in dB at equal per-stream power."""
     if p_per_stream_w < 0.0:
         raise ValueError("per-stream power must be >= 0")
     e1, e2, _ = stream_gains(channel, weights)
-    return (_sinr_db(p_per_stream_w, e1, params), _sinr_db(p_per_stream_w, e2, params))
+    g = params.path_gain_lin
+    return (hs_sinr_db(p_per_stream_w, g * e1, params),
+            hs_sinr_db(p_per_stream_w, g * e2, params))
 
 
-def select_mode_and_feedback(state: ChannelState, table: McsTable, p_hs_w: float) -> MimoFeedback:
-    """Pick the mode/PCI hypothesis with the largest total TBS.
+def select_mode_and_feedback(
+    channel, params: ChannelParams, table: McsTable, p_hs_w: float
+) -> MimoFeedback:
+    """Pick the mode/PCI hypothesis with the largest total TBS for one
+    (n_taps, 2, 2) gain stack.
 
     Single-stream hypotheses put all power on the primary precoder with
     receive combining; dual hypotheses split power equally and null.
-    Ties prefer single mode, then the lower codebook index.
+    Ties prefer single mode, then the lower codebook index. The engine
+    reaches the same answers per TTI through sim_engine._mimo_hypothesis;
+    this is its slow per-step reference.
     """
     if p_hs_w < 0.0:
         raise ValueError("transmit power must be >= 0")
-    params = state.params
+    g = params.path_gain_lin
     best = None
     best_tbs = -1
     for pci, weights in enumerate(pci_codebook()):
-        e1, e2, combined = stream_gains(state, weights)
-        cqi_single = cqi_from_sinr(table, _sinr_db(p_hs_w, combined, params))
+        e1, e2, combined = stream_gains(channel, weights)
+        cqi_single = cqi_from_sinr(table, hs_sinr_db(p_hs_w, g * combined, params))
         tbs_single = table.tbs(cqi_single) if cqi_single >= 1 else 0
         if tbs_single > best_tbs:
             best = MimoFeedback(SINGLE, pci, cqi_single)
             best_tbs = tbs_single
         half = 0.5 * p_hs_w
-        c1 = cqi_from_sinr(table, _sinr_db(half, e1, params))
-        c2 = cqi_from_sinr(table, _sinr_db(half, e2, params))
+        c1 = cqi_from_sinr(table, hs_sinr_db(half, g * e1, params))
+        c2 = cqi_from_sinr(table, hs_sinr_db(half, g * e2, params))
         tbs_dual = (table.tbs(c1) if c1 >= 1 else 0) + (table.tbs(c2) if c2 >= 1 else 0)
         if tbs_dual > best_tbs and c1 >= 1 and c2 >= 1:
             best = MimoFeedback(DUAL, pci, c1, c2)

@@ -72,6 +72,7 @@ __all__ = [
     "RunMetrics",
     "SweepPoint",
     "estimation_loss_db",
+    "fading_block",
     "power_model_for_mode",
     "run",
     "sweep",
@@ -192,11 +193,13 @@ class RunMetrics:
     antenna_mode: str
 
 
-def _weighted_block(
+def fading_block(
     ch: ChannelParams, n_rx: int, n_tx: int, n_steps: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Fading trajectories (n_taps, n_rx, n_tx, n_steps) with PDP weights
-    folded in, sampled at the TTI rate."""
+    folded in, sampled at the TTI rate: every per-TTI link gain of a run
+    comes from one such block. synth_fading is called through this
+    module's name so the benchmark tracer's patch on it takes effect."""
     n_taps = len(ch.pdp_weights)
     f_d = doppler_hz(ch.speed_kmh, ch.carrier_hz)
     block = synth_fading(n_taps * n_rx * n_tx, n_steps, 2e-3, f_d, rng)
@@ -260,7 +263,7 @@ def _single_stream_link(sc: ScenarioConfig, rng) -> _Link:
     """SISO/SIMO: one receive-combined stream, reported by a scalar bisect."""
     ch = sc.channel
     n_rx = 2 if sc.antenna_mode == SIMO else 1
-    block = _weighted_block(ch, n_rx, 1, sc.duration_ttis, rng)
+    block = fading_block(ch, n_rx, 1, sc.duration_ttis, rng)
     gain = np.sum(np.abs(block) ** 2, axis=(0, 1, 2))
     c_db = (_gain_to_db_const(gain, ch) - _pilot_loss_db(sc)).tolist()
     thr = sc.table._thr_list
@@ -276,7 +279,7 @@ def _mimo_constants(sc: ScenarioConfig, rng):
     each shaped (4, T)."""
     ch = sc.channel
     T = sc.duration_ttis
-    block = _weighted_block(ch, 2, 2, T, rng)
+    block = fading_block(ch, 2, 2, T, rng)
     loss = _pilot_loss_db(sc)
     a1 = np.empty((4, T))
     a2 = np.empty((4, T))
@@ -585,19 +588,12 @@ def sweep(
                     sc = _derive(template, variable, value, strat, mode, seeds[rep])
                     jobs.append((value, label, sc))
 
-    results = [run(sc)[0] for _, _, sc in jobs]
+    by_cell: dict[tuple, list[RunMetrics]] = {}
+    for value, label, sc in jobs:
+        by_cell.setdefault((value, label), []).append(run(sc)[0])
 
     points: list[SweepPoint] = []
-    by_cell: dict[tuple, list[RunMetrics]] = {}
-    order: list[tuple] = []
-    for (value, label, _), metrics in zip(jobs, results):
-        key = (value, label)
-        if key not in by_cell:
-            by_cell[key] = []
-            order.append(key)
-        by_cell[key].append(metrics)
-    for value, label in order:
-        ms = by_cell[(value, label)]
+    for (value, label), ms in by_cell.items():
         ees = np.array([m.avg_ee_bits_per_joule for m in ms])
         points.append(
             SweepPoint(

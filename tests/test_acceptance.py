@@ -17,7 +17,7 @@ from hsdpa_ee.ee_controller import (
     estimate_power_for_mcs,
     select_optimal,
 )
-from hsdpa_ee.link_channel import ChannelState, make_channel
+from hsdpa_ee.link_channel import hs_sinr_db, make_channel
 from hsdpa_ee.mcs_table import cqi_from_sinr, default_table, reference_table
 from hsdpa_ee.mimo_dtxaa import (
     DUAL,
@@ -26,7 +26,6 @@ from hsdpa_ee.mimo_dtxaa import (
     select_mode_and_feedback,
     stream_gains,
 )
-from hsdpa_ee.mimo_dtxaa import _sinr_db
 from hsdpa_ee.power_model import (
     PowerModelParams,
     optimal_shannon_power,
@@ -381,10 +380,9 @@ def test_criterion_10_mode_choice_ee_equals_sum_tbs():
         taps = int(rng.integers(1, 4))
         g = (rng.normal(size=(taps, 2, 2)) + 1j * rng.normal(size=(taps, 2, 2)))
         g *= rng.uniform(0.3, 1.5)
-        st = ChannelState(params=params, n_rx=2, n_tx=2, gains=g)
         p_w = float(rng.uniform(0.5, 19.95))
 
-        fb = select_mode_and_feedback(st, table, p_w)  # sum-TBS winner
+        fb = select_mode_and_feedback(g, params, table, p_w)  # sum-TBS winner
 
         # independent EE winner over the same eight hypotheses, same
         # preference order; EE = sum TBS over the shared power cost
@@ -392,13 +390,13 @@ def test_criterion_10_mode_choice_ee_equals_sum_tbs():
         best = None
         best_ee = -1.0
         for pci, w in enumerate(pci_codebook()):
-            e1, e2, combined = stream_gains(st, w)
-            c_s = cqi_from_sinr(table, _sinr_db(p_w, combined, params))
+            e1, e2, combined = stream_gains(g, w)
+            c_s = cqi_from_sinr(table, hs_sinr_db(p_w, params.path_gain_lin * combined, params))
             tbs_s = table.tbs(c_s) if c_s >= 1 else 0
             if tbs_s / cost > best_ee:
                 best, best_ee = (SINGLE, pci, c_s, None), tbs_s / cost
-            c1 = cqi_from_sinr(table, _sinr_db(0.5 * p_w, e1, params))
-            c2 = cqi_from_sinr(table, _sinr_db(0.5 * p_w, e2, params))
+            c1 = cqi_from_sinr(table, hs_sinr_db(0.5 * p_w, params.path_gain_lin * e1, params))
+            c2 = cqi_from_sinr(table, hs_sinr_db(0.5 * p_w, params.path_gain_lin * e2, params))
             if c1 >= 1 and c2 >= 1:
                 tbs_d = table.tbs(c1) + table.tbs(c2)
                 if tbs_d / cost > best_ee:

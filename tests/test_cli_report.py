@@ -89,6 +89,19 @@ def test_bad_value_exits_1_with_line(tmp_path, capsys):
     assert "[line 2]" in err and "speed_kmh" in err
 
 
+def test_controller_keys_parse_to_their_field_types(tmp_path, capsys):
+    # min_mcs is the one int field of ControllerConfig
+    text = "[scenario]\nduration_ttis = 10\n\n[controller]\nee_smoothing = 0.02\nmin_mcs = {}\n"
+    spec = load_config(write(tmp_path, "ok.ini", text.format("26")), "run")
+    cfg = spec.scenarios[0][1].controller
+    assert cfg.min_mcs == 26 and type(cfg.min_mcs) is int
+    assert cfg.ee_smoothing == 0.02 and type(cfg.ee_smoothing) is float
+    cfg_path = write(tmp_path, "bad.ini", text.format("2.5"))
+    assert main(["run", "--config", cfg_path]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "[line 6]" in err and "min_mcs" in err and "int" in err
+
+
 def test_unknown_key_exits_1(tmp_path, capsys):
     cfg = write(tmp_path, "bad.ini", "[scenario]\nwarp_factor = 9\n")
     assert main(["run", "--config", cfg]) == EXIT_PARSE

@@ -16,7 +16,7 @@ from hsdpa_ee.ee_controller import (
     new_controller_state,
     on_tti,
 )
-from hsdpa_ee.link_channel import ChannelState, make_channel
+from hsdpa_ee.link_channel import make_channel
 from hsdpa_ee.mcs_table import cqi_from_sinr, default_table, load_table, make_uniform_table
 from hsdpa_ee.mimo_dtxaa import (
     DUAL,
@@ -40,11 +40,12 @@ def mimo_channel_params():
     return make_channel(500.0, -72.5, geometry_db=23.0, alpha=0.995)
 
 
-def state_with(gains: np.ndarray) -> ChannelState:
+def state_with(gains: np.ndarray) -> np.ndarray:
+    """A (n_taps, 2, 2) gain stack from one or more 2x2 matrices."""
     g = np.asarray(gains, dtype=complex)
     if g.ndim == 2:
         g = g[None, :, :]
-    return ChannelState(params=mimo_channel_params(), n_rx=2, n_tx=2, gains=g)
+    return g
 
 
 # ------------------------------------------------------------- codebook
@@ -139,7 +140,7 @@ def test_per_stream_sinr_rejects_negative_power():
 def all_hypotheses(state, table, p_hs_w):
     """Ordered hypothesis list: single mode first, then dual, each by
     ascending PCI; mirrors the documented tie-break preference."""
-    params = state.params
+    params = mimo_channel_params()
     out = []
     for pci, w in enumerate(pci_codebook()):
         _, _, comb = stream_gains(state, w)
@@ -174,7 +175,7 @@ def test_mode_selection_matches_exhaustive_oracle():
         ) * float(rng.uniform(0.2, 1.5))
         st = state_with(taps)
         p = float(10 ** rng.uniform(-2.0, 1.3))
-        fb = select_mode_and_feedback(st, table, p)
+        fb = select_mode_and_feedback(st, mimo_channel_params(), table, p)
         hyps = all_hypotheses(st, table, p)
         best = max(h[4] for h in hyps)
         chosen = next(h for h in hyps if h[4] == best)  # first max = tie-break
@@ -190,13 +191,13 @@ def test_faded_second_eigenmode_selects_single():
     w = pci_codebook()[0]
     h = np.outer(np.array([1.0, 0.4 + 0.1j]), np.conj(w.primary))
     st = state_with(h)
-    fb = select_mode_and_feedback(st, default_table(), 5.0)
+    fb = select_mode_and_feedback(st, mimo_channel_params(), default_table(), 5.0)
     assert fb.mode == SINGLE
 
 
 def test_strong_well_conditioned_channel_selects_dual():
     st = state_with(np.eye(2))
-    fb = select_mode_and_feedback(st, default_table(), 10.0)
+    fb = select_mode_and_feedback(st, mimo_channel_params(), default_table(), 10.0)
     assert fb.mode == DUAL
     assert fb.cqi_primary == 30 and fb.cqi_secondary == 30
 
@@ -222,7 +223,7 @@ def test_mode_by_tbs_equals_mode_by_ee_at_fixed_power():
         ee_single = estimate_ee(p_dbm, tbs_single, PM2) if tbs_single > 0 else 0.0
         ee_dual = estimate_ee(p_dbm, tbs_dual, PM2) if tbs_dual > 0 else 0.0
         assert (ee_dual > ee_single) == (tbs_dual > tbs_single)
-        fb = select_mode_and_feedback(st, table, p_w)
+        fb = select_mode_and_feedback(st, mimo_channel_params(), table, p_w)
         want = DUAL if tbs_dual > tbs_single else SINGLE
         assert fb.mode == want
         agree += 1
