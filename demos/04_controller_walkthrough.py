@@ -52,7 +52,7 @@ for t in range(140):
                      realized_ee=ee_meas)
     st, dec = on_tti(st, fb, table, cfg, pm)
     if dec.action == "reconfigure":
-        events.append((t, st.mcs, round(st.power_dbm, 2)))
+        events.append((t, dec.levels[0], round(st.power_dbm, 2)))
 
 print(f"\n{len(events)} reconfigurations over 140 ticks:")
 for t, mcs, pdbm in events:

@@ -47,7 +47,7 @@ for p_dbm in np.arange(24.0, 44.1, 2.0):
 # -- one power update for two streams ----------------------------------------
 # reported dual CQIs (14, 9) at 38 dBm: which MCS pairs stay reachable
 # with a single shared power shift, and what does each shift cost?
-pairs = enumerate_equal_delta_pairs(14, 9, table, tol_db=0.0)
+pairs = enumerate_equal_delta_pairs(14, 9, table)
 print(f"\n{len(pairs)} equal-shift MCS pairs from (14, 9); a few around the report:")
 for j1, j2 in pairs:
     if abs(j1 - 14) <= 2:

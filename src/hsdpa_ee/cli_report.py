@@ -118,25 +118,13 @@ class ExperimentSpec:
 
 # ------------------------------------------------------------- config
 
+# [scenario] takes make_channel's named arguments, the scalar fields of
+# ScenarioConfig and the label of the table ("default", "reference" or
+# a CSV path)
 _SCENARIO_KEYS = {
-    "distance_m": float,
-    "i_or_dbm": float,
-    "geometry_db": float,
-    "alpha": float,
-    "noise_figure_db": float,
-    "speed_kmh": float,
-    "antenna_mode": str,
-    "strategy": str,
-    "duration_ttis": int,
-    "seed": int,
-    "feedback_delay_ttis": int,
-    "baseline_power_dbm": float,
-    "max_retransmissions": int,
-    "dual_shift_factor": float,
-    "pair_tol_db": float,
-    "pilot_window_s": float,
+    **{k: t for k, t in get_type_hints(make_channel).items() if k != "return"},
+    **{k: t for k, t in get_type_hints(ScenarioConfig).items() if t in (int, float, str, bool)},
     "table": str,
-    "collect_trace": bool,
 }
 
 _CONTROLLER_KEYS = get_type_hints(ControllerConfig)
@@ -265,13 +253,10 @@ def load_config(path: str, kind: str) -> ExperimentSpec:
         raise ValueError(f"{path}: sweep command needs a [sweep] section")
     sw = _section_dict(cp, "sweep", _SWEEP_KEYS, path, text)
     variable = sw.get("variable", "")
-    raw_values = _split_list(sw.get("values", ""))
-    if variable == "antenna_mode":
-        values = tuple(raw_values)
-    elif variable == "theta_min":
-        values = tuple(int(v) for v in raw_values)
-    else:
-        values = tuple(float(v) for v in raw_values)
+    typ = {"theta_min": int, "antenna_mode": str}.get(variable, float)
+    values = tuple(
+        _coerce(v, typ, path, text, "values") for v in _split_list(sw.get("values", ""))
+    )
     return ExperimentSpec(
         name=name,
         kind="sweep",

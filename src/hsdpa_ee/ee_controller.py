@@ -87,7 +87,7 @@ class ControllerConfig:
 
     The default offset steps implement the jump algorithm at a 10%
     error target: step_up/step_down = (1 - target)/target, so the
-    stationary NACK rate settles at the target.
+    stationary NACK rate settles at the target. The steps alone set it.
     """
 
     p_max_dbm: float = 43.0
@@ -99,7 +99,6 @@ class ControllerConfig:
     offset_step_up_db: float = 0.5
     offset_step_down_db: float = 0.5 / 9.0
     offset_clamp_db: float = 6.0
-    bler_target: float = 0.1
     ee_smoothing: float = 0.05
 
     def __post_init__(self):
@@ -120,8 +119,6 @@ class ControllerConfig:
             raise ValueError("offset steps must be >= 0")
         if self.offset_clamp_db <= 0.0:
             raise ValueError("offset clamp must be > 0")
-        if not 0.0 < self.bler_target < 1.0:
-            raise ValueError("bler_target must be in (0, 1)")
         if not 0.0 < self.ee_smoothing <= 1.0:
             raise ValueError("ee_smoothing must be in (0, 1]")
 
@@ -131,7 +128,6 @@ class ControllerState:
     """Live controller memory for one user."""
 
     power_dbm: float
-    mcs: int
     offset_db: float = 0.0
     timer_ms: float = 0.0
     ee_smoothed: float = 0.0
@@ -186,16 +182,10 @@ class OptimalSelection(NamedTuple):
         return (self.mcs,)
 
 
-def new_controller_state(
-    cfg: ControllerConfig, power_dbm: float, mcs: int | None = None
-) -> ControllerState:
+def new_controller_state(cfg: ControllerConfig, power_dbm: float) -> ControllerState:
     """Fresh state; the timer starts expired so the first valid feedback
     configures the link immediately through the periodic branch."""
-    return ControllerState(
-        power_dbm=power_dbm,
-        mcs=cfg.min_mcs if mcs is None else mcs,
-        timer_ms=cfg.max_reconfig_interval_ms,
-    )
+    return ControllerState(power_dbm=power_dbm, timer_ms=cfg.max_reconfig_interval_ms)
 
 
 def estimate_power_for_mcs(
@@ -430,8 +420,8 @@ def on_tti(
 
     select is called as select(measured_power, feedback.cqi, offset,
     table, cfg, pm): select_optimal for a CQI index, select_optimal_dual
-    (pairing options bound) for a dual-mode MimoFeedback. The per-TTI
-    optimum is this step with always_fire set.
+    for a dual-mode MimoFeedback. The per-TTI optimum is this step with
+    always_fire set.
 
     Out-of-range CQI serves nothing and skips trigger evaluation; the
     timer still runs and late ACK/NACK outcomes still adapt the offset.
@@ -460,12 +450,10 @@ def on_tti(
     if always_fire or should_trigger(
         relative_ee_difference(best.ee, state.ee_smoothed), state.timer_ms, cfg
     ):
-        levels = best.levels
         state.power_dbm = best.power_dbm
-        state.mcs = levels[0]
         state.timer_ms = 0.0
         return state, ControllerDecision(
-            RECONFIGURE, best.power_dbm, levels, best.ee, best.infeasible
+            RECONFIGURE, best.power_dbm, best.levels, best.ee, best.infeasible
         )
 
     # plain AMC at held power: follow the report, compensated for any

@@ -73,6 +73,9 @@ class ChannelParams:
     i_or_w is the total received own-cell power and i_oc_w the received
     other-cell interference, both in watts at the terminal. They are
     held constant over a run; only the numerator of the SINR fades.
+    pdp_weights are the tap powers of the delay profile; the taps fade
+    as independent flat Rayleigh processes, so tap delays never reach a
+    link gain and are not a parameter.
     """
 
     i_or_w: float
@@ -84,7 +87,6 @@ class ChannelParams:
     speed_kmh: float = 3.0
     carrier_hz: float = 2e9
     distance_m: float = 1000.0
-    pdp_delays_ns: tuple[float, ...] = PA3_DELAYS_NS
     pdp_weights: tuple[float, ...] = field(default_factory=lambda: pa3_profile()[1])
 
     def __post_init__(self):
@@ -92,8 +94,8 @@ class ChannelParams:
                      "speed_kmh", "carrier_hz", "distance_m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not all(math.isfinite(v) for v in (*self.pdp_delays_ns, *self.pdp_weights)):
-            raise ValueError("pdp delays and weights must be finite")
+        if not all(math.isfinite(v) for v in self.pdp_weights):
+            raise ValueError("pdp weights must be finite")
         if self.sf < 1:
             raise ValueError("spreading factor must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
@@ -111,13 +113,6 @@ class ChannelParams:
         w = np.asarray(self.pdp_weights, dtype=float)
         if len(w) == 0 or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("pdp weights must be non-negative and sum to 1")
-        if len(self.pdp_delays_ns) != len(self.pdp_weights):
-            raise ValueError("pdp delays and weights must have equal length")
-
-    @property
-    def pdp(self) -> tuple[tuple[float, float], ...]:
-        """(delay_ns, weight) pairs of the power-delay profile."""
-        return tuple(zip(self.pdp_delays_ns, self.pdp_weights))
 
     @property
     def noise_w(self) -> float:

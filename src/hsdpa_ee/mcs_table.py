@@ -1,7 +1,7 @@
 """CQI/MCS lookup tables and the SINR -> CQI quantiser.
 
 A table row associates a CQI index with the SINR threshold at which its
-transport block meets the configured error target, plus informational
+transport block meets its block error target, plus informational
 modulation/code-count columns. The controller only relies on three
 structural properties, which are enforced on construction:
 
@@ -50,10 +50,9 @@ class McsEntry:
 
 @dataclass(frozen=True)
 class McsTable:
-    """Validated MCS table plus the error target its thresholds assume."""
+    """Validated MCS table."""
 
     entries: tuple[McsEntry, ...]
-    bler_target: float = 0.1
     # cached lookup arrays, derived in __post_init__
     thresholds_db: np.ndarray = field(init=False, repr=False, compare=False)
     tbs_bits: np.ndarray = field(init=False, repr=False, compare=False)
@@ -61,8 +60,6 @@ class McsTable:
     def __post_init__(self):
         if len(self.entries) == 0:
             raise ValueError("table must contain at least one entry")
-        if not 0.0 < self.bler_target < 1.0:
-            raise ValueError("bler_target must be in (0, 1)")
         for pos, e in enumerate(self.entries, start=1):
             if e.cqi_index != pos:
                 raise ValueError(
@@ -119,7 +116,7 @@ def threshold_delta(table: McsTable, from_cqi: int, to_cqi: int) -> float:
     return table.threshold(to_cqi) - table.threshold(from_cqi)
 
 
-def load_table(text: str, bler_target: float = 0.1) -> McsTable:
+def load_table(text: str) -> McsTable:
     """Parse CSV table content. Lines starting with '#' are comments.
 
     Raises ValueError with the 1-based row number on any malformed row.
@@ -155,12 +152,12 @@ def load_table(text: str, bler_target: float = 0.1) -> McsTable:
         raise ValueError("row 1: missing header line")
     if not rows:
         raise ValueError("table has a header but no data rows")
-    return McsTable(entries=tuple(rows), bler_target=bler_target)
+    return McsTable(entries=tuple(rows))
 
 
-def load_table_file(path, bler_target: float = 0.1) -> McsTable:
+def load_table_file(path) -> McsTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_table(fh.read(), bler_target=bler_target)
+        return load_table(fh.read())
 
 
 def make_uniform_table(
@@ -169,7 +166,6 @@ def make_uniform_table(
     first_threshold_db: float = -4.5,
     tbs_min_bits: int = 137,
     tbs_max_bits: int = 25558,
-    bler_target: float = 0.1,
 ) -> McsTable:
     """Synthetic table: uniform threshold spacing, geometric TBS growth.
 
@@ -199,7 +195,7 @@ def make_uniform_table(
                 num_codes=codes,
             )
         )
-    return McsTable(entries=tuple(rows), bler_target=bler_target)
+    return McsTable(entries=tuple(rows))
 
 
 def table_to_csv(table: McsTable, comment: str | None = None) -> str:

@@ -16,21 +16,20 @@ the controller requires; receivers that trade interference against
 noise break that linearity.
 
 The dual-stream optimizer walks MCS pairs that move both streams by
-the same threshold shift, so one power value serves both; the total
-power update applies that per-stream shift twice by default (a flag
-selects the single-application convention instead).
+exactly the same threshold shift, so one power value serves both; the
+total power update applies that per-stream shift twice
+(DUAL_SHIFT_FACTOR).
 
 The pair list, its block-size sums and the admissible floor depend only
 on the table and the report, so they are built once per (table, power
-model, reported pair, tol_db, shift_factor) and cached. The enumeration
-is row-major in the stream-1 level, on which alone the power depends,
-so for shift_factor >= 0 (enforced) the list is already in ascending
-power order and needs no sort. Pairs at one power
-form a group whose best is its first pair with the largest sum; the
-groups are candidates at offsets shift_factor * (beta_j1 - beta_i1) for
-the closed-form interval search of ee_controller, with the same
-near-tie fallback to evaluating every pair and the same EE evaluation
-(numpy's power ufunc, for bit-exact figures).
+model, reported pair) and cached. The enumeration is row-major in the
+stream-1 level, on which alone the power depends, so with
+DUAL_SHIFT_FACTOR positive the list is already in ascending power order
+and needs no sort. Pairs at one power form a group whose best is its first pair with
+the largest sum; the groups are candidates at offsets DUAL_SHIFT_FACTOR
+* (beta_j1 - beta_i1) for the closed-form interval search of
+ee_controller, with the same near-tie fallback to evaluating every pair
+and the same EE evaluation (numpy's power ufunc, for bit-exact figures).
 """
 
 from __future__ import annotations
@@ -74,6 +73,10 @@ SINGLE = "single"
 DUAL = "dual"
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# dB of total power per dB of per-stream threshold shift: the shift is
+# applied to each of the two equal-power streams
+DUAL_SHIFT_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -218,42 +221,30 @@ def select_mode_and_feedback(
     return best
 
 
-def enumerate_equal_delta_pairs(
-    i1: int, i2: int, table: McsTable, tol_db: float = 0.0
-) -> list[tuple[int, int]]:
-    """All MCS pairs whose threshold shifts from (i1, i2) agree within
-    tol_db, so a single power update serves both streams."""
+def enumerate_equal_delta_pairs(i1: int, i2: int, table: McsTable) -> list[tuple[int, int]]:
+    """All MCS pairs whose threshold shifts from (i1, i2) are equal, so
+    a single power update serves both streams."""
     thr = table.thresholds_db
     n = len(thr)
     if not (1 <= i1 <= n and 1 <= i2 <= n):
         raise ValueError("reference indices must be valid table entries")
-    if not 0.0 <= tol_db < np.inf:
-        raise ValueError("tol_db must be finite and >= 0")
     d1 = thr - thr[i1 - 1]
     d2 = thr - thr[i2 - 1]
-    mismatch = np.abs(d1[:, None] - d2[None, :])
-    idx1, idx2 = np.nonzero(mismatch <= tol_db)
+    idx1, idx2 = np.nonzero(d1[:, None] - d2[None, :] == 0.0)
     return [(int(a) + 1, int(b) + 1) for a, b in zip(idx1, idx2)]
 
 
 def estimate_dual_power(
-    p_dbm: float,
-    i1: int,
-    j1: int,
-    table: McsTable,
-    delta_db: float = 0.0,
-    shift_factor: float = 2.0,
+    p_dbm: float, i1: int, j1: int, table: McsTable, delta_db: float = 0.0
 ) -> float:
     """Total-power estimate for moving stream 1 from level i1 to j1
-    (stream 2 moves by the same threshold shift by construction).
-
-    The default applies the per-stream shift twice to the total power;
-    shift_factor=1.0 applies it once.
+    (stream 2 moves by the same threshold shift by construction): the
+    per-stream shift applies to the total power DUAL_SHIFT_FACTOR times.
     """
     if i1 < 1:
         raise ValueError("no power estimate possible from an out-of-range CQI")
     shift = table.threshold(j1) - table.threshold(i1)
-    return p_dbm + shift_factor * shift + delta_db
+    return p_dbm + DUAL_SHIFT_FACTOR * shift + delta_db
 
 
 @dataclass(frozen=True)
@@ -286,17 +277,15 @@ class _PairSearch(NamedTuple):
 _pair_searches: dict = {}  # see ee_controller._level_searches
 
 
-def _pair_search(table, pm, i1, i2, tol_db, shift_factor) -> _PairSearch:
-    if not 0.0 <= shift_factor < np.inf:
-        raise ValueError("shift_factor must be finite and >= 0")
-    pairs = enumerate_equal_delta_pairs(i1, i2, table, tol_db)
+def _pair_search(table, pm, i1, i2) -> _PairSearch:
+    pairs = enumerate_equal_delta_pairs(i1, i2, table)
     tbs = table._tbs_list
     bits = [float(tbs[a - 1] + tbs[b - 1]) for a, b in pairs]
     group, shifts, ends, best = [], [], [], []
     for k, (j1, _) in enumerate(pairs):
         # exactly the shift term: p_dbm + shift + delta_db rounds like
-        # estimate_dual_power(p_dbm, ..., delta_db, shift_factor)
-        shift = estimate_dual_power(0.0, i1, j1, table, 0.0, shift_factor)
+        # estimate_dual_power(p_dbm, ..., delta_db)
+        shift = estimate_dual_power(0.0, i1, j1, table)
         if not shifts or shift != shifts[-1]:
             shifts.append(shift)
             ends.append(k)
@@ -310,7 +299,7 @@ def _pair_search(table, pm, i1, i2, tol_db, shift_factor) -> _PairSearch:
     search = _PairSearch(pairs, bits, group, floor, shifts, ends, intervals, best, (table, pm))
     if len(_pair_searches) >= _CACHE_LIMIT:
         _pair_searches.clear()
-    _pair_searches[(id(table), id(pm), i1, i2, tol_db, shift_factor)] = search
+    _pair_searches[(id(table), id(pm), i1, i2)] = search
     return search
 
 
@@ -321,8 +310,6 @@ def select_optimal_dual(
     table: McsTable,
     cfg: ControllerConfig,
     pm: PowerModelParams,
-    tol_db: float = 0.0,
-    shift_factor: float = 2.0,
 ) -> DualSelection:
     """Sum-efficiency argmax over the equal-shift MCS pair list.
 
@@ -336,9 +323,9 @@ def select_optimal_dual(
     if feedback.mode != DUAL:
         raise ValueError("dual-stream selection needs dual-mode feedback")
     i1, i2 = feedback.cqi_primary, feedback.cqi_secondary
-    search = _pair_searches.get(
-        (id(table), id(pm), i1, i2, tol_db, shift_factor)
-    ) or _pair_search(table, pm, i1, i2, tol_db, shift_factor)
+    search = _pair_searches.get((id(table), id(pm), i1, i2)) or _pair_search(
+        table, pm, i1, i2
+    )
     pairs, bits, group, floor, shifts, ends, intervals, best, _ = search
 
     # affordable: the pairs whose power p_dbm + shift + delta_db (the

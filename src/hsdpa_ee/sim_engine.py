@@ -7,14 +7,14 @@ TTI (per precoder and stream for the 2x2 mode), so the loop only adds
 the current transmit power in dB and compares against thresholds.
 
 Feedback is delayed: the report the transmitter acts on at TTI t was
-measured at t - feedback_delay_ttis against the power configured then,
+measured at t - FEEDBACK_DELAY_TTIS against the power configured then,
 and decode outcomes come back on the same lag. Reports are always
 measured at the configured power even on TTIs that carried no data,
 mirroring pilot-based measurement; otherwise an out-of-range report
 would lock the link idle forever.
 
 Failed blocks are retransmitted at the same MCS and the then-current
-power, up to max_retransmissions, and count their payload once, at the
+power, up to MAX_RETRANSMISSIONS, and count their payload once, at the
 attempt that decodes. A pending block goes out before any new data on
 its stream at the next TTI that serves that stream. When the failure
 is queued differs by antenna mode:
@@ -29,6 +29,10 @@ is queued differs by antenna mode:
 
 Out-of-range report TTIs send nothing but still burn the circuit
 overhead.
+
+The feedback delay, the retransmission limit and the pilot averaging
+window are module constants (FEEDBACK_DELAY_TTIS, MAX_RETRANSMISSIONS,
+PILOT_WINDOW_S), not scenario fields: no experiment varies them.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -93,6 +97,17 @@ OUTCOME_NACK = "nack"
 OUTCOME_MIXED = "mixed"
 OUTCOME_IDLE = "idle"
 
+# TTIs between a measurement (CQI report, ACK/NACK) and the transmitter
+# acting on it
+FEEDBACK_DELAY_TTIS = 3
+# resends of a failed block before it is dropped
+MAX_RETRANSMISSIONS = 3
+# Pilot-aided channel estimation: the effective SINR (for decode and for
+# the reported CQI alike) is degraded by the estimator decorrelation over
+# one averaging window of this length, a loss that grows with Doppler and
+# is negligible at walking speed.
+PILOT_WINDOW_S = 1.0 / 1500.0
+
 
 def power_model_for_mode(mode: str, base: PowerModelParams) -> PowerModelParams:
     """Same amplifier/overhead figures with the chain count the antenna
@@ -113,13 +128,7 @@ def _with_chain_count(base: PowerModelParams, m_a: int) -> PowerModelParams:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one run needs. power_model.m_a must match the antenna
-    mode (2 for MIMO, 1 otherwise); power_model_for_mode builds it.
-
-    pilot_window_s models pilot-aided channel estimation: the effective
-    SINR (for decode and for the reported CQI alike) is degraded by the
-    estimator decorrelation over one averaging window, a loss that grows
-    with Doppler and is negligible at walking speed.
-    """
+    mode (2 for MIMO, 1 otherwise); power_model_for_mode builds it."""
 
     channel: ChannelParams
     antenna_mode: str = SISO
@@ -129,12 +138,7 @@ class ScenarioConfig:
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     power_model: PowerModelParams = field(default_factory=PowerModelParams)
     table: McsTable = field(default_factory=default_table)
-    feedback_delay_ttis: int = 3
     baseline_power_dbm: float = 40.5
-    max_retransmissions: int = 3
-    dual_shift_factor: float = 2.0
-    pair_tol_db: float = 0.0
-    pilot_window_s: float = 1.0 / 1500.0
     collect_trace: bool = True
 
     def __post_init__(self):
@@ -144,17 +148,8 @@ class ScenarioConfig:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
         if self.duration_ttis < 1:
             raise ValueError("duration_ttis must be > 0")
-        if self.feedback_delay_ttis < 1:
-            raise ValueError("feedback_delay_ttis must be >= 1")
-        if self.max_retransmissions < 0:
-            raise ValueError("max_retransmissions must be >= 0")
-        for name in ("baseline_power_dbm", "dual_shift_factor", "pair_tol_db", "pilot_window_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.pilot_window_s < 0.0:
-            raise ValueError("pilot_window_s must be >= 0")
-        if self.dual_shift_factor < 0.0 or self.pair_tol_db < 0.0:
-            raise ValueError("dual_shift_factor and pair_tol_db must be >= 0")
+        if not math.isfinite(self.baseline_power_dbm):
+            raise ValueError(f"baseline_power_dbm must be finite, got {self.baseline_power_dbm}")
         if self.controller.min_mcs > len(self.table):
             raise ValueError(
                 f"controller.min_mcs {self.controller.min_mcs} exceeds the "
@@ -256,7 +251,7 @@ class _Link(NamedTuple):
 
 def _pilot_loss_db(sc: ScenarioConfig) -> float:
     ch = sc.channel
-    return estimation_loss_db(doppler_hz(ch.speed_kmh, ch.carrier_hz), sc.pilot_window_s)
+    return estimation_loss_db(doppler_hz(ch.speed_kmh, ch.carrier_hz), PILOT_WINDOW_S)
 
 
 def _single_stream_link(sc: ScenarioConfig, rng) -> _Link:
@@ -335,29 +330,25 @@ def _mimo_link(sc: ScenarioConfig, rng) -> _Link:
 # -------------------------------------------------------------- TTI loop
 
 
-def _queue_retx(failed, retx, max_retx: int, replace: bool) -> None:
+def _queue_retx(failed, retx, replace: bool) -> None:
     """Queue the failed (slot, mcs, tbs, count) blocks for resending;
     replace decides whether a newer failure displaces a pending one."""
     for slot, m, b, cnt in failed:
-        if cnt < max_retx and (replace or retx[slot] is None):
+        if cnt < MAX_RETRANSMISSIONS and (replace or retx[slot] is None):
             retx[slot] = (m, b, cnt + 1)
 
 
 def _run_link(sc: ScenarioConfig, link: _Link) -> tuple[RunMetrics, list[TtiRecord]]:
     cfg, pm, table = sc.controller, sc.power_model, sc.table
     T = sc.duration_ttis
-    delay = sc.feedback_delay_ttis
+    delay = FEEDBACK_DELAY_TTIS
     ts = cfg.tti_ms * 1e-3
     thr = table._thr_list
     tbs = table._tbs_list
     overhead = pm.overhead_w
     eta = pm.eta
-    max_retx = sc.max_retransmissions
     strategy = sc.strategy
     always_fire = strategy == PER_TTI_OPTIMAL
-    select_dual = partial(
-        select_optimal_dual, tol_db=sc.pair_tol_db, shift_factor=sc.dual_shift_factor
-    )
     report, sinr_db, share_db, resolve_first = link
     collect = sc.collect_trace
 
@@ -405,7 +396,8 @@ def _run_link(sc: ScenarioConfig, link: _Link) -> tuple[RunMetrics, list[TtiReco
             elif fb[0] == SINGLE:
                 cqi, p_meas, select = fb[2], fb[4], select_optimal
             else:
-                cqi, p_meas, select = MimoFeedback(DUAL, fb[1], fb[2], fb[3]), fb[4], select_dual
+                cqi, p_meas = MimoFeedback(DUAL, fb[1], fb[2], fb[3]), fb[4]
+                select = select_optimal_dual
             st, dec = on_tti(
                 st,
                 TtiFeedback(cqi, arriving_acks, p_meas, last_sample_ee),
@@ -422,7 +414,7 @@ def _run_link(sc: ScenarioConfig, link: _Link) -> tuple[RunMetrics, list[TtiReco
             levels = dec.levels
 
         if resolve_first and arriving_failed:
-            _queue_retx(arriving_failed, retx, max_retx, True)
+            _queue_retx(arriving_failed, retx, True)
 
         # transmit: each served stream resends its pending block if it
         # has one, otherwise sends a new block at the decided level
@@ -484,7 +476,7 @@ def _run_link(sc: ScenarioConfig, link: _Link) -> tuple[RunMetrics, list[TtiReco
                 )
 
         if not resolve_first and arriving_failed:
-            _queue_retx(arriving_failed, retx, max_retx, False)
+            _queue_retx(arriving_failed, retx, False)
 
         # measurement for the report that arrives delay TTIs from now,
         # taken at the configured power regardless of what was sent

@@ -108,6 +108,21 @@ def test_unknown_key_exits_1(tmp_path, capsys):
     assert "warp_factor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["feedback_delay_ttis", "max_retransmissions",
+                                 "pilot_window_s", "dual_shift_factor", "pair_tol_db"])
+def test_fixed_engine_constants_are_unknown_keys(tmp_path, capsys, key):
+    cfg = write(tmp_path, "bad.ini", f"[scenario]\nduration_ttis = 10\n{key} = 0.001\n")
+    assert main(["run", "--config", cfg]) == EXIT_PARSE
+    assert f"[line 3]: unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_scenario_keys_parse_to_their_field_types(tmp_path):
+    text = "[scenario]\nbaseline_power_dbm = 38\nduration_ttis = 10\ncollect_trace = off\n"
+    sc = load_config(write(tmp_path, "ok.ini", text), "run").scenarios[0][1]
+    assert sc.baseline_power_dbm == 38.0 and type(sc.baseline_power_dbm) is float
+    assert sc.duration_ttis == 10 and sc.collect_trace is False
+
+
 def test_invalid_scenario_exits_2(tmp_path):
     cfg = write(tmp_path, "bad.ini", "[scenario]\nduration_ttis = -1\n")
     assert main(["run", "--config", cfg]) == EXIT_INVALID
@@ -169,6 +184,15 @@ def test_sweep_empty_values_exits_2(tmp_path):
     cfg = write(tmp_path, "sw.ini",
                 "[scenario]\nduration_ttis = 100\n\n[sweep]\nvariable = speed\nvalues =\n")
     assert main(["sweep", "--config", cfg]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("variable, values", [("speed", "3, fast"), ("theta_min", "2.5")])
+def test_malformed_sweep_value_exits_1_with_line(tmp_path, capsys, variable, values):
+    text = f"[scenario]\nduration_ttis = 100\n\n[sweep]\nvariable = {variable}\nvalues = {values}\n"
+    cfg = write(tmp_path, "sw.ini", text)
+    assert main(["sweep", "--config", cfg]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "sw.ini [line 6]" in err and "'values'" in err
 
 
 def test_reps_flag_overrides_config(tmp_path):

@@ -274,8 +274,6 @@ def test_config_validation():
         ControllerConfig(tti_ms=0.0)
     with pytest.raises(ValueError):
         ControllerConfig(min_mcs=0)
-    with pytest.raises(ValueError):
-        ControllerConfig(bler_target=1.0)
 
 
 # ------------------------------------------------------------- offset
@@ -283,7 +281,7 @@ def test_config_validation():
 
 def test_offset_steps_and_clamp():
     cfg = ControllerConfig()
-    st = ControllerState(power_dbm=40.0, mcs=10)
+    st = ControllerState(power_dbm=40.0)
     update_offset(st, False, cfg)
     assert st.offset_db == pytest.approx(0.5, abs=1e-12)
     update_offset(st, True, cfg)
@@ -298,7 +296,7 @@ def test_offset_steps_and_clamp():
 
 def test_offset_symmetric_steps_oscillate():
     cfg = ControllerConfig(offset_step_up_db=0.3, offset_step_down_db=0.3)
-    st = ControllerState(power_dbm=40.0, mcs=10)
+    st = ControllerState(power_dbm=40.0)
     for _ in range(50):
         update_offset(st, False, cfg)
         update_offset(st, True, cfg)
@@ -307,7 +305,7 @@ def test_offset_symmetric_steps_oscillate():
 
 def test_offset_ten_acks_accumulate():
     cfg = ControllerConfig(offset_step_down_db=0.1)
-    st = ControllerState(power_dbm=40.0, mcs=10)
+    st = ControllerState(power_dbm=40.0)
     for _ in range(10):
         update_offset(st, True, cfg)
     assert st.offset_db == pytest.approx(-1.0, abs=1e-12)
@@ -318,7 +316,7 @@ def test_offset_equilibrium_hits_error_target():
     # Gaussian innovation defeats the accumulated offset margin. The
     # asymmetric steps must park the NACK rate at the 10% target.
     cfg = ControllerConfig()
-    st = ControllerState(power_dbm=40.0, mcs=10)
+    st = ControllerState(power_dbm=40.0)
     rng = np.random.default_rng(99)
     nacks = 0
     total = 120_000
@@ -329,7 +327,9 @@ def test_offset_equilibrium_hits_error_target():
         if k >= burn and not ack:
             nacks += 1
     rate = nacks / (total - burn)
-    assert rate == pytest.approx(cfg.bler_target, abs=0.015)
+    target = cfg.offset_step_down_db / (cfg.offset_step_up_db + cfg.offset_step_down_db)
+    assert target == pytest.approx(0.1, abs=1e-12)
+    assert rate == pytest.approx(target, abs=0.015)
 
 
 # --------------------------------------------------------------- on_tti
@@ -343,7 +343,6 @@ def test_on_tti_first_feedback_configures_link():
     assert dec.action == RECONFIGURE
     assert st.timer_ms == 0.0
     assert st.power_dbm == dec.power_dbm
-    assert (st.mcs,) == dec.levels
     want = select_optimal(40.5, 18, 0.0, t, cfg, PM5)
     assert (dec.levels, dec.power_dbm) == ((want.mcs,), want.power_dbm)
 
@@ -353,7 +352,7 @@ def test_on_tti_static_channel_waits_for_periodic():
     t = default_table()
     best = select_optimal(40.5, 18, 0.0, t, cfg, PM5)
     st = ControllerState(
-        power_dbm=best.power_dbm, mcs=best.mcs, ee_smoothed=best.ee, timer_ms=0.0
+        power_dbm=best.power_dbm, ee_smoothed=best.ee, timer_ms=0.0
     )
     # on a frozen channel the report tracks the configured level exactly
     fb = TtiFeedback(
@@ -367,7 +366,7 @@ def test_on_tti_static_channel_waits_for_periodic():
     assert actions[100] == RECONFIGURE  # timer hits 202 ms
     # nothing actually changed, so the new configuration is the old one
     assert st.power_dbm == pytest.approx(best.power_dbm, abs=1e-9)
-    assert st.mcs == best.mcs
+    assert dec.levels == (best.mcs,)
 
 
 def test_on_tti_spacing_bounds_under_noisy_feedback():
@@ -409,7 +408,7 @@ def test_on_tti_amc_follows_offset_backoff():
     t = default_table()  # thresholds -4.5 + (cqi-1)
     best = select_optimal(40.0, 20, 1.2, t, cfg, PM5)
     st = ControllerState(
-        power_dbm=40.0, mcs=20, offset_db=1.2, ee_smoothed=best.ee, timer_ms=0.0
+        power_dbm=40.0, offset_db=1.2, ee_smoothed=best.ee, timer_ms=0.0
     )
     st, dec = on_tti(st, TtiFeedback(cqi=20, measured_power_dbm=40.0), t, cfg, PM5)
     assert dec.action == KEEP
@@ -422,7 +421,7 @@ def test_on_tti_amc_compensates_power_changes():
     t = default_table()
     best = select_optimal(38.0, 20, 0.0, t, cfg, PM5)
     st = ControllerState(
-        power_dbm=40.0, mcs=20, offset_db=0.0, ee_smoothed=best.ee * 2, timer_ms=0.0
+        power_dbm=40.0, offset_db=0.0, ee_smoothed=best.ee * 2, timer_ms=0.0
     )
     st, dec = on_tti(st, TtiFeedback(cqi=20, measured_power_dbm=38.0), t, cfg, PM5)
     assert dec.action == KEEP
@@ -434,7 +433,7 @@ def test_on_tti_serve_respects_min_mcs():
     cfg = ControllerConfig(min_mcs=4)
     t = default_table()
     st = ControllerState(
-        power_dbm=40.0, mcs=4, offset_db=5.9, ee_smoothed=1e12, timer_ms=0.0
+        power_dbm=40.0, offset_db=5.9, ee_smoothed=1e12, timer_ms=0.0
     )
     st, dec = on_tti(st, TtiFeedback(cqi=3, measured_power_dbm=40.0), t, cfg, PM5)
     assert dec.action == KEEP

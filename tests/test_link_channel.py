@@ -68,15 +68,7 @@ def test_channel_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(distance_m=0.0, **good)
     with pytest.raises(ValueError):
-        ChannelParams(pdp_weights=(0.5, 0.4), pdp_delays_ns=(0.0, 100.0), **good)
-
-
-def test_pdp_pairs_view():
-    ch = ChannelParams(i_or_w=1e-10, i_oc_w=0.0)
-    pairs = ch.pdp
-    assert len(pairs) == 4
-    assert pairs[0][0] == 0.0
-    assert sum(w for _, w in pairs) == pytest.approx(1.0, abs=1e-12)
+        ChannelParams(pdp_weights=(0.5, 0.4), **good)
 
 
 def test_make_channel_geometry_split():

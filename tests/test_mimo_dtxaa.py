@@ -17,7 +17,7 @@ from hsdpa_ee.ee_controller import (
     on_tti,
 )
 from hsdpa_ee.link_channel import make_channel
-from hsdpa_ee.mcs_table import cqi_from_sinr, default_table, load_table, make_uniform_table
+from hsdpa_ee.mcs_table import cqi_from_sinr, default_table, make_uniform_table
 from hsdpa_ee.mimo_dtxaa import (
     DUAL,
     SINGLE,
@@ -249,37 +249,17 @@ def test_pair_list_includes_reference():
 def test_pair_list_on_uniform_table_is_diagonal():
     t = default_table()
     i1, i2 = 12, 7
-    got = set(enumerate_equal_delta_pairs(i1, i2, t, tol_db=0.0))
+    got = set(enumerate_equal_delta_pairs(i1, i2, t))
     lo = max(1 - i1, 1 - i2)
     hi = min(30 - i1, 30 - i2)
     want = {(i1 + k, i2 + k) for k in range(lo, hi + 1)}
     assert got == want
 
 
-IRREGULAR_CSV = """cqi,sinr_db,tbs_bits,mod_order,codes
-1,-2.0,137,2,1
-2,0.0,200,2,1
-3,0.5,300,2,2
-4,3.0,500,4,2
-5,3.7,900,4,3
-6,9.0,2000,6,4
-"""
-
-
-def test_pair_list_tolerance_is_monotone():
-    t = load_table(IRREGULAR_CSV)
-    tight = set(enumerate_equal_delta_pairs(2, 4, t, tol_db=0.0))
-    loose = set(enumerate_equal_delta_pairs(2, 4, t, tol_db=0.5))
-    assert tight <= loose
-    assert len(loose) > len(tight)
-
-
 def test_pair_list_validates_inputs():
     t = default_table()
     with pytest.raises(ValueError):
         enumerate_equal_delta_pairs(0, 5, t)
-    with pytest.raises(ValueError):
-        enumerate_equal_delta_pairs(5, 5, t, tol_db=-1.0)
 
 
 # ------------------------------------------------------ dual power shift
@@ -293,9 +273,6 @@ def test_dual_power_identity():
 def test_dual_power_double_shift():
     t = default_table()  # 1 dB per level
     assert estimate_dual_power(40.0, 10, 7, t) == pytest.approx(34.0, abs=1e-12)
-    assert estimate_dual_power(40.0, 10, 7, t, shift_factor=1.0) == pytest.approx(
-        37.0, abs=1e-12
-    )
 
 
 def test_dual_power_stream_symmetric():
@@ -317,18 +294,18 @@ def test_dual_power_validates_index():
 # -------------------------------------------------- dual-pair optimizer
 
 
-def brute_force_dual(p_dbm, i1, i2, delta, table, cfg, pm, tol_db=0.0, factor=2.0):
+def brute_force_dual(p_dbm, i1, i2, delta, table, cfg, pm):
     thr = [table.threshold(j) for j in range(1, len(table.entries) + 1)]
     pairs = []
     for a in range(1, len(thr) + 1):
         for b in range(1, len(thr) + 1):
             d1 = thr[a - 1] - thr[i1 - 1]
             d2 = thr[b - 1] - thr[i2 - 1]
-            if abs(d1 - d2) <= tol_db:
+            if d1 == d2:
                 pairs.append((a, b))
     rows = []
     for j1, j2 in pairs:
-        p = p_dbm + factor * (thr[j1 - 1] - thr[i1 - 1]) + delta
+        p = p_dbm + 2.0 * (thr[j1 - 1] - thr[i1 - 1]) + delta
         w = 10.0 ** ((p - 30.0) / 10.0)
         ee = (table.tbs(j1) + table.tbs(j2)) / (
             (cfg.tti_ms * 1e-3) * (w / pm.eta + pm.overhead_w)
@@ -430,7 +407,7 @@ def test_on_tti_dual_report_configures_both_streams():
 def test_on_tti_dual_report_amc_shifts_both_levels():
     t = default_table()  # thresholds -4.5 + (cqi-1)
     cfg = ControllerConfig()
-    st = ControllerState(power_dbm=41.0, mcs=14, offset_db=-1.5, ee_smoothed=1e12)
+    st = ControllerState(power_dbm=41.0, offset_db=-1.5, ee_smoothed=1e12)
     fb = TtiFeedback(MimoFeedback(DUAL, 0, 14, 9), acks=(True, False),
                      measured_power_dbm=40.0)
     st, dec = on_tti(st, fb, t, cfg, PM2, select_optimal_dual)
@@ -446,7 +423,7 @@ def test_on_tti_always_fire_reconfigures_every_report():
     t = default_table()
     cfg = ControllerConfig()
     report = MimoFeedback(DUAL, 1, 12, 12)
-    st = ControllerState(power_dbm=40.0, mcs=12, ee_smoothed=1e12)
+    st = ControllerState(power_dbm=40.0, ee_smoothed=1e12)
     for _ in range(3):
         st, dec = on_tti(st, TtiFeedback(report, measured_power_dbm=40.0), t, cfg, PM2,
                          select_optimal_dual, always_fire=True)

@@ -69,16 +69,12 @@ def oracle_select_optimal(p_dbm, feedback_cqi, delta_db, table, cfg, pm):
     return OptimalSelection(theta, float(p_each[theta - 1]), float(ee_each[theta - 1]), False)
 
 
-def oracle_select_optimal_dual(
-    p_dbm, feedback, delta_db, table, cfg, pm, tol_db=0.0, shift_factor=2.0
-):
+def oracle_select_optimal_dual(p_dbm, feedback, delta_db, table, cfg, pm):
     if feedback.mode != DUAL:
         raise ValueError("dual-stream selection needs dual-mode feedback")
     i1, i2 = feedback.cqi_primary, feedback.cqi_secondary
-    pairs = enumerate_equal_delta_pairs(i1, i2, table, tol_db)
-    powers = np.array(
-        [estimate_dual_power(p_dbm, i1, j1, table, delta_db, shift_factor) for j1, _ in pairs]
-    )
+    pairs = enumerate_equal_delta_pairs(i1, i2, table)
+    powers = np.array([estimate_dual_power(p_dbm, i1, j1, table, delta_db) for j1, _ in pairs])
     order = np.argsort(powers, kind="stable")
     pairs = [pairs[k] for k in order]
     powers = powers[order]
@@ -309,17 +305,14 @@ def test_sweep_runs_share_one_power_model_per_mode():
 
 
 @SETTINGS
-@given(tables(), power_models, st.one_of(st.just(0.0), st.floats(1e-9, 3.0)),
-       st.sampled_from([1.0, 2.0]), st.integers(0, 2**32 - 1))
-def test_select_optimal_dual_matches_numpy_oracle(table, pm, tol_db, shift_factor, seed):
+@given(tables(), power_models, st.integers(0, 2**32 - 1))
+def test_select_optimal_dual_matches_numpy_oracle(table, pm, seed):
     rng = np.random.default_rng(seed)
     n = len(table)
     for p, i1, delta, cfg in calls(rng, table, 40):
         fb = MimoFeedback(DUAL, 0, i1, int(rng.integers(1, n + 1)))
         call = (p, fb, delta, table, cfg, pm)
-        kwargs = {"tol_db": tol_db, "shift_factor": shift_factor}
-        assert_same(select_optimal_dual(*call, **kwargs),
-                    oracle_select_optimal_dual(*call, **kwargs))
+        assert_same(select_optimal_dual(*call), oracle_select_optimal_dual(*call))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -327,14 +320,11 @@ def test_select_optimal_dual_matches_numpy_oracle(table, pm, tol_db, shift_facto
 def test_select_optimal_dual_on_and_beside_every_breakpoint(table, pm, data):
     n = len(table)
     fb = MimoFeedback(DUAL, 0, data.draw(st.integers(1, n)), data.draw(st.integers(1, n)))
-    tol_db = data.draw(st.sampled_from([0.0, 0.7]))
-    shift_factor = data.draw(st.sampled_from([1.0, 2.0]))
     cfg = ControllerConfig(p_max_dbm=1e4, min_mcs=1)
-    intervals = _pair_search(table, pm, fb.cqi_primary, fb.cqi_secondary, tol_db,
-                             shift_factor).intervals
+    intervals = _pair_search(table, pm, fb.cqi_primary, fb.cqi_secondary).intervals
 
     def select(select_fn, p):
-        return select_fn(p, fb, 0.0, table, cfg, pm, tol_db=tol_db, shift_factor=shift_factor)
+        return select_fn(p, fb, 0.0, table, cfg, pm)
 
     points = list(around(*intervals.starts[1:], *intervals.ends[:-1]))
     for k in range(len(intervals.items) - 1):
@@ -352,20 +342,11 @@ def test_pair_enumeration_is_in_ascending_power_order(table, data):
     # by their power estimate
     n = len(table)
     i1, i2 = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
-    tol_db = data.draw(st.one_of(st.just(0.0), st.floats(1e-9, 5.0)))
-    shift_factor = data.draw(st.sampled_from([1.0, 2.0]))
     p, delta = data.draw(st.floats(-20.0, 70.0)), data.draw(st.floats(-6.0, 6.0))
-    pairs = enumerate_equal_delta_pairs(i1, i2, table, tol_db)
-    powers = [estimate_dual_power(p, i1, j1, table, delta, shift_factor) for j1, _ in pairs]
+    pairs = enumerate_equal_delta_pairs(i1, i2, table)
+    powers = [estimate_dual_power(p, i1, j1, table, delta) for j1, _ in pairs]
     assert (i1, i2) in pairs
     assert all(a <= b for a, b in zip(powers, powers[1:]))
-
-
-def test_select_optimal_dual_rejects_negative_shift_factor():
-    fb = MimoFeedback(DUAL, 0, 10, 12)
-    with pytest.raises(ValueError):
-        select_optimal_dual(40.0, fb, 0.0, reference_table(), ControllerConfig(),
-                            PowerModelParams(m_a=2), shift_factor=-1.0)
 
 
 # ------------------------------------------------- 2x2 hypothesis search
