@@ -11,8 +11,8 @@ import numpy as np
 
 from hsdpa_ee import (
     bessel_j0,
+    cqi_from_sinr,
     dbm_to_watt,
-    decode,
     doppler_hz,
     fading_block,
     hs_sinr_db,
@@ -51,6 +51,6 @@ print()
 for tti in range(5):
     gain = np.sum(np.abs(block[..., tti + 1]) ** 2)  # MRC over taps and rx antennas
     sinr = hs_sinr_db(p_w, ch.path_gain_lin * gain, ch)
-    ok = decode(sinr, 17, table)  # try MCS 17 against this SINR
+    ok = cqi_from_sinr(table, sinr) >= 17  # MCS 17 decodes iff its threshold is met
     print(f"TTI {tti}: fading gain {10 * np.log10(gain):+6.2f} dB, "
           f"SINR {sinr:6.2f} dB, MCS 17 -> {'ACK' if ok else 'NACK'}")

@@ -4,9 +4,9 @@ Subpackage tour:
 
 * power_model   -- consumed-power model, dBm helpers, AWGN SE/EE curves
 * mcs_table     -- CQI/MCS tables, SINR quantiser, synthetic table maker
-* link_channel  -- path loss, Jakes fading synthesis, HS-PDSCH SINR, decode
+* link_channel  -- path loss, Jakes fading synthesis, HS-PDSCH SINR
 * ee_controller -- per-MCS power/EE estimates, optimiser, dual trigger
-* mimo_dtxaa    -- 2x2 precoding codebook, per-stream SINR, mode selection
+* mimo_dtxaa    -- 2x2 precoding codebook, per-stream gains, mode selection
 * sim_engine    -- PDP-weighted fading blocks, TTI-level Monte-Carlo runs,
                    parameter sweeps
 * cli_report    -- `hsdpa-ee` command line front end and preset scenarios
@@ -45,7 +45,6 @@ from hsdpa_ee.link_channel import (
     pa3_profile,
     synth_fading,
     hs_sinr_db,
-    decode,
 )
 from hsdpa_ee.ee_controller import (
     ControllerConfig,
@@ -71,7 +70,6 @@ from hsdpa_ee.mimo_dtxaa import (
     pci_codebook,
     stream_gains,
     stream_gain_series,
-    per_stream_sinr,
     select_mode_and_feedback,
     enumerate_equal_delta_pairs,
     estimate_dual_power,

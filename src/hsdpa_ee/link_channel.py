@@ -1,4 +1,4 @@
-"""Propagation, fading and decode abstractions for the HS-PDSCH link.
+"""Propagation, fading and SINR of the HS-PDSCH link.
 
 The downlink SINR after despreading follows the usual single-cell-plus-
 background form
@@ -39,7 +39,6 @@ __all__ = [
     "bessel_j0",
     "synth_fading",
     "hs_sinr_db",
-    "decode",
 ]
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -248,28 +247,18 @@ def synth_fading(
     return np.ascontiguousarray(x[:, :n_steps])
 
 
-def hs_sinr_db(p_hs_w: float, link_gain: float, params: ChannelParams) -> float:
-    """Post-despreading SINR of the HS-PDSCH in dB.
+def hs_sinr_db(p_hs_w: float, link_gain, params: ChannelParams):
+    """Post-despreading SINR of the HS-PDSCH in dB; -inf at zero gain.
 
     link_gain is the path gain times the receive-combined fading power,
-    or times the spatial gain for one nulled 2x2 stream.
+    or times the spatial gain for one nulled 2x2 stream. Accepts a
+    scalar or an array of gains.
     """
     if p_hs_w < 0.0:
         raise ValueError("transmit power must be >= 0")
-    g_lin = float(link_gain)
-    if g_lin < 0.0:
+    g = np.asarray(link_gain, dtype=float)
+    if np.any(g < 0.0):
         raise ValueError("link gain must be >= 0")
-    num = params.sf * p_hs_w * g_lin
-    if num == 0.0:
-        return -np.inf
-    return 10.0 * np.log10(num / params.denominator_w)
-
-
-def decode(sinr_db: float, used_cqi: int, table, margin_db: float = 0.0) -> bool:
-    """Threshold decode: ACK iff the effective SINR clears the MCS threshold.
-
-    Deterministic given sinr and margin.
-    """
-    if used_cqi < 1:
-        raise ValueError("decode needs a served MCS index >= 1")
-    return bool(sinr_db >= table.threshold(used_cqi) - margin_db)
+    with np.errstate(divide="ignore"):
+        out = 10.0 * np.log10(params.sf * p_hs_w * g / params.denominator_w)
+    return float(out) if out.ndim == 0 else out

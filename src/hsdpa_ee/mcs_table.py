@@ -6,6 +6,7 @@ modulation/code-count columns. The controller only relies on three
 structural properties, which are enforced on construction:
 
   * cqi_index runs 1..N consecutively,
+  * every threshold and block size is finite,
   * sinr_threshold_db is strictly increasing,
   * tbs_bits is positive and non-decreasing.
 
@@ -16,6 +17,7 @@ table for a measured one is a data change, not a code change.
 from __future__ import annotations
 
 import io
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -65,6 +67,11 @@ class McsTable:
                 raise ValueError(
                     f"cqi indices must run 1..N consecutively, "
                     f"found {e.cqi_index} at position {pos}"
+                )
+            if not (math.isfinite(e.sinr_threshold_db) and math.isfinite(e.tbs_bits)):
+                raise ValueError(
+                    f"cqi {e.cqi_index}: sinr threshold and tbs_bits must be finite, "
+                    f"got {e.sinr_threshold_db} and {e.tbs_bits}"
                 )
             if e.tbs_bits <= 0:
                 raise ValueError(f"cqi {e.cqi_index}: tbs_bits must be > 0")

@@ -1,16 +1,18 @@
-"""Dual-stream (2x2) support: precoding codebook, per-stream SINR,
+"""Dual-stream (2x2) support: precoding codebook, per-stream gains,
 user-side mode selection, and sum-efficiency power/MCS optimization.
 
 The terminal evaluates eight hypotheses per TTI: each of the four
 codebook entries in single-stream mode (all power on the primary
 precoder) and in dual-stream mode (power split equally). It reports
-the hypothesis with the largest total transport block size.
+the hypothesis with the largest total transport block size. The engine
+runs that search (sim_engine._mimo_hypothesis); select_mode_and_feedback
+is the same search on one gain stack.
 
 Per-stream SINR uses a linear spatially-nulling receiver: each stream
 sees only the component of its effective channel column orthogonal to
 the other stream's column, accumulated over the delay profile taps,
-and is then scaled by the same spreading-gain/interference structure
-as the single-antenna link. Nulling keeps every stream's SINR exactly
+and its SINR is link_channel.hs_sinr_db of that gain, as for the
+single-antenna link. Nulling keeps every stream's SINR exactly
 linear in transmit power in dB, which the power-shift arithmetic of
 the controller requires; receivers that trade interference against
 noise break that linearity.
@@ -49,8 +51,8 @@ from .ee_controller import (
     _ArgmaxIntervals,
     _ee,
 )
-from .link_channel import ChannelParams, hs_sinr_db
-from .mcs_table import McsTable, cqi_from_sinr
+from .link_channel import ChannelParams
+from .mcs_table import McsTable
 from .power_model import PowerModelParams
 
 __all__ = [
@@ -62,7 +64,6 @@ __all__ = [
     "pci_codebook",
     "stream_gains",
     "stream_gain_series",
-    "per_stream_sinr",
     "select_mode_and_feedback",
     "enumerate_equal_delta_pairs",
     "estimate_dual_power",
@@ -175,50 +176,26 @@ def stream_gain_series(
     return e1.sum(axis=0), e2.sum(axis=0), n1.sum(axis=0)
 
 
-def per_stream_sinr(
-    channel, weights: PrecodingWeights, p_per_stream_w: float, params: ChannelParams
-) -> tuple[float, float]:
-    """Post-receiver SINR of both streams in dB at equal per-stream power."""
-    if p_per_stream_w < 0.0:
-        raise ValueError("per-stream power must be >= 0")
-    e1, e2, _ = stream_gains(channel, weights)
-    g = params.path_gain_lin
-    return (hs_sinr_db(p_per_stream_w, g * e1, params),
-            hs_sinr_db(p_per_stream_w, g * e2, params))
-
-
 def select_mode_and_feedback(
     channel, params: ChannelParams, table: McsTable, p_hs_w: float
 ) -> MimoFeedback:
     """Pick the mode/PCI hypothesis with the largest total TBS for one
-    (n_taps, 2, 2) gain stack.
+    (n_taps, 2, 2) gain stack at transmit power p_hs_w.
 
-    Single-stream hypotheses put all power on the primary precoder with
-    receive combining; dual hypotheses split power equally and null.
-    Ties prefer single mode, then the lower codebook index. The engine
-    reaches the same answers per TTI through sim_engine._mimo_hypothesis;
-    this is its slow per-step reference.
+    This is the engine's 2x2 report on a one-TTI block without the pilot
+    loss: sim_engine._mimo_constants at p_hs_w, searched by
+    sim_engine._mimo_hypothesis at 30 dBm, which adds no power offset.
+    Ties prefer single mode, then the lower codebook index.
     """
-    if p_hs_w < 0.0:
-        raise ValueError("transmit power must be >= 0")
-    g = params.path_gain_lin
-    best = None
-    best_tbs = -1
-    for pci, weights in enumerate(pci_codebook()):
-        e1, e2, combined = stream_gains(channel, weights)
-        cqi_single = cqi_from_sinr(table, hs_sinr_db(p_hs_w, g * combined, params))
-        tbs_single = table.tbs(cqi_single) if cqi_single >= 1 else 0
-        if tbs_single > best_tbs:
-            best = MimoFeedback(SINGLE, pci, cqi_single)
-            best_tbs = tbs_single
-        half = 0.5 * p_hs_w
-        c1 = cqi_from_sinr(table, hs_sinr_db(half, g * e1, params))
-        c2 = cqi_from_sinr(table, hs_sinr_db(half, g * e2, params))
-        tbs_dual = (table.tbs(c1) if c1 >= 1 else 0) + (table.tbs(c2) if c2 >= 1 else 0)
-        if tbs_dual > best_tbs and c1 >= 1 and c2 >= 1:
-            best = MimoFeedback(DUAL, pci, c1, c2)
-            best_tbs = tbs_dual
-    return best
+    # imported here: sim_engine imports this module
+    from .sim_engine import _mimo_constants, _mimo_hypothesis
+
+    block = _tap_stack(channel)[..., None]
+    a1, a2, a_single = _mimo_constants(block, params, p_hs_w, 0.0).tolist()
+    mode, pci, c1, c2 = _mimo_hypothesis(
+        table._thr_list, table._tbs_list, a1, a2, a_single, 0, 30.0
+    )
+    return MimoFeedback(mode, pci, c1, c2 if mode == DUAL else None)
 
 
 def enumerate_equal_delta_pairs(i1: int, i2: int, table: McsTable) -> list[tuple[int, int]]:

@@ -2,9 +2,9 @@
 
 One run is a strict per-TTI loop. The expensive parts are hoisted out:
 fading trajectories are synthesized for the whole run up front, and the
-power-independent part of the SINR is reduced to one dB constant per
-TTI (per precoder and stream for the 2x2 mode), so the loop only adds
-the current transmit power in dB and compares against thresholds.
+SINR is reduced to one dB constant per TTI (per precoder and stream for
+the 2x2 mode): link_channel.hs_sinr_db at 1 W less the pilot loss. The
+loop only adds p_dbm - 30 and compares against thresholds.
 
 Feedback is delayed: the report the transmitter acts on at TTI t was
 measured at t - FEEDBACK_DELAY_TTIS against the power configured then,
@@ -55,7 +55,7 @@ from .ee_controller import (
     select_optimal,
     update_offset,
 )
-from .link_channel import ChannelParams, bessel_j0, doppler_hz, synth_fading
+from .link_channel import ChannelParams, bessel_j0, doppler_hz, hs_sinr_db, synth_fading
 from .mcs_table import McsTable, default_table
 from .mimo_dtxaa import DUAL, SINGLE, MimoFeedback, pci_codebook, select_optimal_dual, stream_gain_series
 from .power_model import PowerModelParams
@@ -203,14 +203,6 @@ def fading_block(
     return block
 
 
-def _gain_to_db_const(gain: np.ndarray, ch: ChannelParams) -> np.ndarray:
-    """dB SINR at 0 dBm for a per-TTI link gain array: the power term is
-    added later as plain dB."""
-    scale = ch.sf * ch.path_gain_lin / ch.denominator_w
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(gain * scale)
-
-
 def estimation_loss_db(f_d_hz: float, window_s: float) -> float:
     """Effective-SINR penalty of pilot-aided channel estimation.
 
@@ -237,10 +229,11 @@ class _Link(NamedTuple):
 
     report(t, p_dbm) is the (mode, pci, cqi1, cqi2, p_dbm) report measured
     at TTI t with p_dbm configured; cqi2 is 0 for a single-stream mode.
-    sinr_db[mode][slot][pci][t] is the dB SINR at 0 dBm of stream slot
-    under a report of that mode, and share_db[mode] how far each stream's
-    power lies below the total. resolve_first selects the retransmission
-    timing (see the module docstring).
+    sinr_db[mode][slot][pci][t] is the dB SINR at 1 W (30 dBm), less the
+    pilot loss, of stream slot under a report of that mode, and
+    share_db[mode] how far each stream's power lies below the total.
+    resolve_first selects the retransmission timing (see the module
+    docstring).
     """
 
     report: Callable[[int, float], tuple]
@@ -260,7 +253,7 @@ def _single_stream_link(sc: ScenarioConfig, rng) -> _Link:
     n_rx = 2 if sc.antenna_mode == SIMO else 1
     block = fading_block(ch, n_rx, 1, sc.duration_ttis, rng)
     gain = np.sum(np.abs(block) ** 2, axis=(0, 1, 2))
-    c_db = (_gain_to_db_const(gain, ch) - _pilot_loss_db(sc)).tolist()
+    c_db = (hs_sinr_db(1.0, ch.path_gain_lin * gain, ch) - _pilot_loss_db(sc)).tolist()
     thr = sc.table._thr_list
 
     def report(t, p_dbm):
@@ -269,22 +262,15 @@ def _single_stream_link(sc: ScenarioConfig, rng) -> _Link:
     return _Link(report, {SINGLE: ((c_db,),)}, {SINGLE: 0.0}, resolve_first=True)
 
 
-def _mimo_constants(sc: ScenarioConfig, rng):
-    """Per-PCI dB constants: nulled stream 1/2 and combined single-stream,
-    each shaped (4, T)."""
-    ch = sc.channel
-    T = sc.duration_ttis
-    block = fading_block(ch, 2, 2, T, rng)
-    loss = _pilot_loss_db(sc)
-    a1 = np.empty((4, T))
-    a2 = np.empty((4, T))
-    a_single = np.empty((4, T))
+def _mimo_constants(block: np.ndarray, ch: ChannelParams, p_w: float, loss_db: float):
+    """dB SINR at p_w per stream, less loss_db, of a (n_taps, 2, 2, T)
+    block, shaped (3, 4, T): nulled stream 1, nulled stream 2 and the
+    combined single stream, each per PCI."""
+    out = np.empty((3, 4, block.shape[-1]))
     for pci, w in enumerate(pci_codebook()):
-        e1, e2, comb = stream_gain_series(block, w)
-        a1[pci] = _gain_to_db_const(e1, ch) - loss
-        a2[pci] = _gain_to_db_const(e2, ch) - loss
-        a_single[pci] = _gain_to_db_const(comb, ch) - loss
-    return a1, a2, a_single
+        for k, gain in enumerate(stream_gain_series(block, w)):
+            out[k, pci] = hs_sinr_db(p_w, ch.path_gain_lin * gain, ch) - loss_db
+    return out
 
 
 _HALF_DB = float(10.0 * np.log10(2.0))
@@ -317,7 +303,10 @@ def _mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm):
 def _mimo_link(sc: ScenarioConfig, rng) -> _Link:
     """2x2: the terminal reports its best mode/PCI hypothesis, and a
     dual-stream TTI splits the power equally over the two streams."""
-    a1, a2, a_single = (a.tolist() for a in _mimo_constants(sc, rng))
+    ch = sc.channel
+    a1, a2, a_single = _mimo_constants(
+        fading_block(ch, 2, 2, sc.duration_ttis, rng), ch, 1.0, _pilot_loss_db(sc)
+    ).tolist()
     thr, tbs = sc.table._thr_list, sc.table._tbs_list
 
     def report(t, p_dbm):

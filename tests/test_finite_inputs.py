@@ -1,4 +1,5 @@
-"""Configs and the channel constructor reject NaN and infinite numbers.
+"""Configs, MCS tables and the channel constructor reject NaN and
+infinite numbers.
 
 Without these checks a NaN slips through every range comparison (they
 are all false) and a run finishes with NaN energy, while the selectors'
@@ -13,12 +14,20 @@ import pytest
 
 from hsdpa_ee.ee_controller import ControllerConfig
 from hsdpa_ee.link_channel import ChannelParams, make_channel
+from hsdpa_ee.mcs_table import McsEntry, McsTable, load_table
 from hsdpa_ee.power_model import PowerModelParams
 from hsdpa_ee.sim_engine import ScenarioConfig
 
 
 def scenario(**kw):
     return ScenarioConfig(channel=make_channel(435.0, -72.5), **kw)
+
+
+def table_with(**entry):
+    """A three-level table whose second entry takes the given fields."""
+    rows = [McsEntry(k, k - 2.0, 100 * k, 2, 1) for k in (1, 2, 3)]
+    rows[1] = dataclasses.replace(rows[1], **entry)
+    return McsTable(entries=tuple(rows))
 
 
 def float_fields(cls):
@@ -47,6 +56,8 @@ CASES = (
     + [("make_channel.distance_m", lambda v: make_channel(v, -72.5)),
        ("make_channel.i_or_dbm", lambda v: make_channel(435.0, v))]
     + [(f"ScenarioConfig.{f}", lambda v, f=f: scenario(**{f: v})) for f in SCENARIO_FIELDS]
+    + [(f"McsEntry.{f}", lambda v, f=f: table_with(**{f: v}))
+       for f in ("sinr_threshold_db", "tbs_bits")]
 )
 
 
@@ -55,6 +66,19 @@ CASES = (
 def test_non_finite_input_is_rejected(build, value):
     with pytest.raises(ValueError):
         build(value)
+
+
+@pytest.mark.parametrize("field", ["sinr_threshold_db", "tbs_bits"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_table_value_names_its_cqi(field, value):
+    with pytest.raises(ValueError, match="^cqi 2: "):
+        table_with(**{field: value})
+
+
+def test_table_file_with_non_finite_thresholds_is_rejected():
+    text = "cqi,sinr_db,tbs_bits,mod_order,codes\n1,-2.0,100,2,1\n2,nan,200,2,1\n3,inf,300,2,1\n"
+    with pytest.raises(ValueError, match="^cqi 2: "):
+        load_table(text)
 
 
 def test_min_mcs_beyond_the_table_is_rejected():

@@ -5,6 +5,8 @@ distributional oracles (Rayleigh envelope, Jakes autocorrelation, tap
 power split) were sized so the frozen draws sit well inside tolerance.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -12,7 +14,6 @@ from scipy import special, stats
 from hsdpa_ee.link_channel import (
     PA3_DELAYS_NS,
     ChannelParams,
-    decode,
     doppler_hz,
     hs_sinr_db,
     make_channel,
@@ -20,7 +21,7 @@ from hsdpa_ee.link_channel import (
     path_gain_db,
     synth_fading,
 )
-from hsdpa_ee.mcs_table import default_table
+from hsdpa_ee.mcs_table import cqi_from_sinr, default_table
 from hsdpa_ee.power_model import watt_to_dbm
 from hsdpa_ee.sim_engine import fading_block
 
@@ -224,6 +225,20 @@ def test_hs_sinr_edge_cases():
         hs_sinr_db(1.0, -0.5, ch)
 
 
+def test_hs_sinr_array_is_the_scalar_form_elementwise():
+    # the engine's per-TTI constants come from one array call
+    ch = make_channel(500.0, -72.5, speed_kmh=3.0)
+    g = ch.path_gain_lin * np.array([0.0, 1e-3, 0.7, 2.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # zero gain is -inf, not a warning
+        got = hs_sinr_db(1.0, g, ch)
+    assert isinstance(got, np.ndarray) and got[0] == -np.inf
+    assert [x.hex() for x in got] == [hs_sinr_db(1.0, float(x), ch).hex() for x in g]
+    assert type(hs_sinr_db(1.0, g[2], ch)) is float
+    with pytest.raises(ValueError):
+        hs_sinr_db(1.0, np.array([1.0, -1e-30]), ch)
+
+
 def test_power_shift_equals_sinr_shift_exactly():
     # foundation of the controller's power arithmetic: dB-for-dB, to 1e-9
     rng = np.random.default_rng(1234)
@@ -242,26 +257,15 @@ def test_power_shift_equals_sinr_shift_exactly():
         assert abs(lhs - rhs) < 1e-9
 
 
-# ---------------------------------------------------------------- decode
+# ------------------------------------------------------------- ACK test
 
 
-def test_decode_threshold_behavior():
+def test_ack_threshold_behavior():
+    # a block at MCS m decodes iff the SINR meets its threshold, which is
+    # the engine's sinr >= thr[m - 1] and the same predicate as
+    # cqi_from_sinr(table, sinr) >= m
     table = default_table()
-    beta = table.threshold(15)
-    assert decode(beta + 10.0, 15, table) is True
-    assert decode(beta - 10.0, 15, table) is False
-    assert decode(beta, 15, table) is True  # boundary counts as met
-    assert decode(beta - 1e-9, 15, table) is False
-
-
-def test_decode_margin_relaxes_threshold():
-    table = default_table()
-    beta = table.threshold(8)
-    assert decode(beta - 0.5, 8, table, margin_db=1.0) is True
-    assert decode(beta - 1.5, 8, table, margin_db=1.0) is False
-
-
-def test_decode_rejects_idle_index():
-    table = default_table()
-    with pytest.raises(ValueError):
-        decode(10.0, 0, table)
+    for m in range(1, len(table) + 1):
+        beta = table.threshold(m)
+        assert cqi_from_sinr(table, beta) >= m  # boundary counts as met
+        assert cqi_from_sinr(table, np.nextafter(beta, -np.inf)) < m

@@ -16,7 +16,7 @@ from hsdpa_ee.ee_controller import (
     new_controller_state,
     on_tti,
 )
-from hsdpa_ee.link_channel import make_channel
+from hsdpa_ee.link_channel import hs_sinr_db, make_channel
 from hsdpa_ee.mcs_table import cqi_from_sinr, default_table, make_uniform_table
 from hsdpa_ee.mimo_dtxaa import (
     DUAL,
@@ -25,7 +25,6 @@ from hsdpa_ee.mimo_dtxaa import (
     enumerate_equal_delta_pairs,
     estimate_dual_power,
     pci_codebook,
-    per_stream_sinr,
     select_mode_and_feedback,
     select_optimal_dual,
     stream_gain_series,
@@ -46,6 +45,12 @@ def state_with(gains: np.ndarray) -> np.ndarray:
     if g.ndim == 2:
         g = g[None, :, :]
     return g
+
+
+def stream_sinrs(state, weights, p_per_stream_w, params):
+    """dB SINR of both nulled streams at equal per-stream power."""
+    e1, e2, _ = stream_gains(state, weights)
+    return hs_sinr_db(p_per_stream_w, params.path_gain_lin * np.array([e1, e2]), params)
 
 
 # ------------------------------------------------------------- codebook
@@ -79,7 +84,7 @@ def test_identity_channel_gives_equal_streams():
     ch = mimo_channel_params()
     st = state_with(np.eye(2))
     for w in pci_codebook():
-        s1, s2 = per_stream_sinr(st, w, 1.0, ch)
+        s1, s2 = stream_sinrs(st, w, 1.0, ch)
         assert s1 == pytest.approx(s2, abs=1e-9)
 
 
@@ -90,8 +95,8 @@ def test_power_doubling_adds_3db_to_both_streams():
     w = pci_codebook()[2]
     ch = mimo_channel_params()
     for p in (0.05, 1.0, 7.0):
-        a1, a2 = per_stream_sinr(st, w, p, ch)
-        b1, b2 = per_stream_sinr(st, w, 2 * p, ch)
+        a1, a2 = stream_sinrs(st, w, p, ch)
+        b1, b2 = stream_sinrs(st, w, 2 * p, ch)
         assert b1 - a1 == pytest.approx(10 * np.log10(2.0), abs=1e-12)
         assert b2 - a2 == pytest.approx(10 * np.log10(2.0), abs=1e-12)
 
@@ -103,7 +108,7 @@ def test_rank_one_channel_kills_secondary_stream():
     u = np.array([1.0, 0.6 - 0.3j])
     h = np.outer(u, np.conj(w.primary))
     st = state_with(h)
-    s1, s2 = per_stream_sinr(st, w, 2.0, mimo_channel_params())
+    s1, s2 = stream_sinrs(st, w, 2.0, mimo_channel_params())
     assert np.isfinite(s1)
     assert s1 - s2 >= 20.0
 
@@ -128,10 +133,10 @@ def test_stream_gain_series_matches_scalar_path():
         assert stream_gains(block[:, :, :, t], w) == (e1[t], e2[t], comb[t])
 
 
-def test_per_stream_sinr_rejects_negative_power():
+def test_mode_selection_rejects_negative_power():
     st = state_with(np.eye(2))
     with pytest.raises(ValueError):
-        per_stream_sinr(st, pci_codebook()[0], -1.0, mimo_channel_params())
+        select_mode_and_feedback(st, mimo_channel_params(), default_table(), -1.0)
 
 
 # ------------------------------------------------------- mode selection
@@ -193,6 +198,7 @@ def test_faded_second_eigenmode_selects_single():
     st = state_with(h)
     fb = select_mode_and_feedback(st, mimo_channel_params(), default_table(), 5.0)
     assert fb.mode == SINGLE
+    assert fb.cqi_primary >= 1 and fb.cqi_secondary is None
 
 
 def test_strong_well_conditioned_channel_selects_dual():

@@ -276,11 +276,16 @@ def test_select_optimal_rejects_min_mcs_beyond_table():
 
 
 def test_estimate_ee_is_the_selectors_formula():
+    # select_optimal writes both estimates out inline; its power and EE
+    # must be theirs bit for bit, which ties criterion 03 to the selector
     table = reference_table()
     cfg = ControllerConfig(p_max_dbm=1e4)
     pm = PowerModelParams()
     for p in np.linspace(10.0, 45.0, 71):
         got = select_optimal(float(p), 12, 0.0, table, cfg, pm)
+        assert not got.infeasible
+        want_p = ee_controller.estimate_power_for_mcs(float(p), 12, got.mcs, table, 0.0)
+        assert got.power_dbm.hex() == want_p.hex()
         assert got.ee == ee_controller.estimate_ee(got.power_dbm, table.tbs(got.mcs), pm)
 
 

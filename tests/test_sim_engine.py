@@ -377,15 +377,19 @@ def test_sweep_single_mode_label_is_plain():
 
 
 def test_sweep_pairs_seeds_across_cells():
-    # common random numbers: the same repetition index must see the same
-    # channel in every cell, so FixedBaseline EE at equal fixed power is
-    # identical across strategy labels
-    template = make_scenario(duration_ttis=800, collect_trace=False)
-    a = sweep(template, "fixed_power", [38.0], strategies=[FIXED_BASELINE],
-              repetitions=3)
-    b = sweep(template, "fixed_power", [38.0], strategies=[FIXED_BASELINE],
-              repetitions=3)
-    assert a[0].ee_samples == b[0].ee_samples
+    # common random numbers: repetition r runs on the same seed in every
+    # cell. FixedBaseline never reads min_mcs, so its two theta_min cells
+    # must match sample for sample, while the repetitions differ
+    template = make_scenario(
+        channel=make_channel(1100.0, -72.5, geometry_db=0.0, alpha=0.995, speed_kmh=3.0),
+        duration_ttis=800,
+        collect_trace=False,
+    )
+    lo, hi = sweep(template, "theta_min", [1, 30], strategies=[FIXED_BASELINE],
+                   repetitions=3)
+    assert (lo.value, hi.value) == (1, 30)
+    assert lo.ee_samples == hi.ee_samples
+    assert len(set(lo.ee_samples)) == 3
 
 
 def test_sweep_theta_min_applies_constraint():
