@@ -448,12 +448,16 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+_AS_IS = (str, int, float)  # csv writes these exactly as _fmt formats them
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(
+            [v if type(v) in _AS_IS else _fmt(v) for v in row] for row in rows
+        )
 
 
 def _analytic_rows(pm_base: PowerModelParams):
@@ -492,10 +496,11 @@ def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
     if spec.kind != "run":
         raise ValueError(f"{spec.name} is a {spec.kind} preset; use the {spec.kind} command")
 
-    trace_rows = []
+    traces = []
     metric_rows = []
     for label, sc in spec.scenarios:
         metrics, trace = run(sc)
+        traces.append((label, sc.antenna_mode, trace))
         metric_rows.append(
             (label, sc.antenna_mode,
              metrics.avg_ee_bits_per_joule, metrics.throughput_bps,
@@ -503,12 +508,6 @@ def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
              metrics.delivered_bits, metrics.consumed_energy_j,
              metrics.duration_ttis)
         )
-        for r in trace:
-            trace_rows.append(
-                (label, sc.antenna_mode, r.tti_index, r.p_tx_dbm,
-                 r.mcs_index, r.mcs_secondary, r.outcome,
-                 r.delivered_bits, r.consumed_energy_j, r.reconfigured)
-            )
         print(
             f"{label}/{sc.antenna_mode}: ee={metrics.avg_ee_bits_per_joule:.0f} bits/J  "
             f"throughput={metrics.throughput_bps / 1e6:.2f} Mbps  "
@@ -522,7 +521,12 @@ def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
         ["strategy", "antenna_mode", "tti_index", "p_tx_dbm", "mcs_index",
          "mcs_secondary", "outcome", "delivered_bits", "consumed_energy_j",
          "reconfigured"],
-        trace_rows,
+        (
+            (label, mode, r.tti_index, r.p_tx_dbm, r.mcs_index, r.mcs_secondary,
+             r.outcome, r.delivered_bits, r.consumed_energy_j, r.reconfigured)
+            for label, mode, trace in traces
+            for r in trace
+        ),
     )
     _write_csv(
         metrics_path,
@@ -531,7 +535,8 @@ def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
          "duration_ttis"],
         metric_rows,
     )
-    print(f"{spec.name}: wrote {trace_path} ({len(trace_rows)} rows), {metrics_path}")
+    n_rows = sum(len(trace) for _, _, trace in traces)
+    print(f"{spec.name}: wrote {trace_path} ({n_rows} rows), {metrics_path}")
     return [trace_path, metrics_path]
 
 

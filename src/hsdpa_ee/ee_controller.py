@@ -80,6 +80,11 @@ __all__ = [
 KEEP = "keep"
 RECONFIGURE = "reconfigure"
 
+# MimoFeedback modes, here so that on_tti can check a report's mode;
+# mimo_dtxaa exports them
+SINGLE = "single"
+DUAL = "dual"
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -141,7 +146,9 @@ class ControllerDecision(NamedTuple):
     transmit nothing); power_dbm the transmit power. estimated_ee
     carries the optimizer's view for tracing, infeasible flags
     configurations where even the lowest allowed level exceeds the
-    power budget.
+    power budget. A KEEP decision inside the minimum interval is not
+    evaluated: no selection is made there, and estimated_ee = 0.0 and
+    infeasible = False say only that.
     """
 
     action: str
@@ -406,6 +413,24 @@ def amc_level(table: McsTable, cqi: int, shift_db: float, min_mcs: int) -> int:
     return min(max(bisect_right(thr, thr[cqi - 1] + shift_db), min_mcs), len(thr))
 
 
+def _check_unselected_step(report, reported, timer_ms, table, cfg) -> None:
+    """The ValueErrors of the select_optimal/select_optimal_dual and
+    should_trigger calls that on_tti skips inside the minimum interval."""
+    n = len(table._thr_list)
+    if timer_ms < 0.0:
+        raise ValueError("timer must be >= 0")
+    if isinstance(report, int):
+        if report > n:
+            raise ValueError("feedback_cqi must be a valid table index")
+        if cfg.min_mcs > n:
+            raise ValueError("min_mcs must be a valid table index")
+        return
+    if report.mode != DUAL:
+        raise ValueError("dual-stream selection needs dual-mode feedback")
+    if max(reported) > n:
+        raise ValueError("reference indices must be valid table entries")
+
+
 def on_tti(
     state: ControllerState,
     feedback: TtiFeedback,
@@ -425,6 +450,9 @@ def on_tti(
 
     Out-of-range CQI serves nothing and skips trigger evaluation; the
     timer still runs and late ACK/NACK outcomes still adapt the offset.
+    While the timer is within the minimum interval (and always_fire is
+    off) the trigger cannot fire, so select is not called and the step
+    serves plain AMC.
     """
     state.timer_ms += cfg.tti_ms
     for ack in feedback.acks:
@@ -445,19 +473,26 @@ def on_tti(
         if feedback.measured_power_dbm is None
         else feedback.measured_power_dbm
     )
-    best = select(measured_p, report, state.offset_db, table, cfg, pm)
-
-    if always_fire or should_trigger(
-        relative_ee_difference(best.ee, state.ee_smoothed), state.timer_ms, cfg
-    ):
-        state.power_dbm = best.power_dbm
-        state.timer_ms = 0.0
-        return state, ControllerDecision(
-            RECONFIGURE, best.power_dbm, best.levels, best.ee, best.infeasible
-        )
+    if always_fire or state.timer_ms > cfg.min_reconfig_interval_ms:
+        best = select(measured_p, report, state.offset_db, table, cfg, pm)
+        if always_fire or should_trigger(
+            relative_ee_difference(best.ee, state.ee_smoothed), state.timer_ms, cfg
+        ):
+            state.power_dbm = best.power_dbm
+            state.timer_ms = 0.0
+            return state, ControllerDecision(
+                RECONFIGURE, best.power_dbm, best.levels, best.ee, best.infeasible
+            )
+        ee, infeasible = best.ee, best.infeasible
+    else:
+        # inside the minimum interval should_trigger is false for any
+        # gap, so the selection could change nothing and is not made;
+        # the step still rejects what select and should_trigger reject
+        _check_unselected_step(report, reported, state.timer_ms, table, cfg)
+        ee, infeasible = 0.0, False
 
     # plain AMC at held power: follow the report, compensated for any
     # power change since the measurement, backed off by the offset
     shift = (state.power_dbm - measured_p) - state.offset_db
     levels = tuple(amc_level(table, c, shift, cfg.min_mcs) for c in reported)
-    return state, ControllerDecision(KEEP, state.power_dbm, levels, best.ee, best.infeasible)
+    return state, ControllerDecision(KEEP, state.power_dbm, levels, ee, infeasible)

@@ -45,6 +45,8 @@ import numpy as np
 
 from .ee_controller import (
     _CACHE_LIMIT,
+    DUAL,
+    SINGLE,
     ControllerConfig,
     _argmax_at,
     _argmax_intervals,
@@ -69,9 +71,6 @@ __all__ = [
     "estimate_dual_power",
     "select_optimal_dual",
 ]
-
-SINGLE = "single"
-DUAL = "dual"
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 

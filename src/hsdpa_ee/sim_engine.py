@@ -30,6 +30,17 @@ is queued differs by antenna mode:
 Out-of-range report TTIs send nothing but still burn the circuit
 overhead.
 
+What a run cannot change is computed once. A link (_build_link: the
+fading block and the per-TTI constants) depends only on the channel,
+the antenna mode, the run length, the seed and the table, so sweep
+builds one per channel realization and runs every cell that shares it
+on that link: the powers of a fixed_power sweep, or FixedBaseline and
+SemiStatic at one point. A FixedBaseline run never changes its power,
+so on a 2x2 link its reports (the 8-hypothesis search) are computed
+for every TTI in one vectorised call before the loop starts
+(_Link.fixed_reports), with the tie rules of the scalar report the
+other strategies call per TTI.
+
 The feedback delay, the retransmission limit and the pilot averaging
 window are module constants (FEEDBACK_DELAY_TTIS, MAX_RETRANSMISSIONS,
 PILOT_WINDOW_S), not scenario fields: no experiment varies them.
@@ -216,9 +227,19 @@ def estimation_loss_db(f_d_hz: float, window_s: float) -> float:
 
 def run(sc: ScenarioConfig) -> tuple[RunMetrics, list[TtiRecord]]:
     """Simulate one scenario; deterministic for a fixed seed."""
+    return _run_link(sc, _build_link(sc))
+
+
+def _build_link(sc: ScenarioConfig) -> _Link:
+    """The link of sc's channel realization; runs whose _link_key is
+    equal get equal links."""
     rng = np.random.default_rng(sc.seed)
-    link = _mimo_link(sc, rng) if sc.antenna_mode == MIMO else _single_stream_link(sc, rng)
-    return _run_link(sc, link)
+    return _mimo_link(sc, rng) if sc.antenna_mode == MIMO else _single_stream_link(sc, rng)
+
+
+def _link_key(sc: ScenarioConfig) -> tuple:
+    """Everything _build_link reads from sc."""
+    return sc.channel, sc.antenna_mode, sc.duration_ttis, sc.seed, sc.table
 
 
 # ------------------------------------------------------------ link views
@@ -229,6 +250,9 @@ class _Link(NamedTuple):
 
     report(t, p_dbm) is the (mode, pci, cqi1, cqi2, p_dbm) report measured
     at TTI t with p_dbm configured; cqi2 is 0 for a single-stream mode.
+    fixed_reports(p_dbm) is the list of report(t, p_dbm) over every TTI,
+    computed in one vectorised pass, on a 2x2 link; it is None on a
+    single-stream link, whose scalar report is one bisect.
     sinr_db[mode][slot][pci][t] is the dB SINR at 1 W (30 dBm), less the
     pilot loss, of stream slot under a report of that mode, and
     share_db[mode] how far each stream's power lies below the total.
@@ -237,6 +261,7 @@ class _Link(NamedTuple):
     """
 
     report: Callable[[int, float], tuple]
+    fixed_reports: Callable[[float], list] | None
     sinr_db: dict
     share_db: dict
     resolve_first: bool
@@ -259,7 +284,7 @@ def _single_stream_link(sc: ScenarioConfig, rng) -> _Link:
     def report(t, p_dbm):
         return SINGLE, 0, bisect_right(thr, (p_dbm - 30.0) + c_db[t]), 0, p_dbm
 
-    return _Link(report, {SINGLE: ((c_db,),)}, {SINGLE: 0.0}, resolve_first=True)
+    return _Link(report, None, {SINGLE: ((c_db,),)}, {SINGLE: 0.0}, resolve_first=True)
 
 
 def _mimo_constants(block: np.ndarray, ch: ChannelParams, p_w: float, loss_db: float):
@@ -300,20 +325,77 @@ def _mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm):
     return best
 
 
+def _mimo_hypotheses(thr, tbs, a1, a2, a_single, p_dbm):
+    """_mimo_hypothesis at power p_dbm for every TTI at once, as
+    (hypothesis, c1, c2) arrays: hypothesis pci for a single-stream
+    winner and 4 + pci for a dual one. thr and tbs are the table's
+    thresholds and (integer) block sizes as arrays, a1/a2/a_single the
+    per-PCI lists of _mimo_hypothesis. The rows are searched one PCI at
+    a time in _mimo_hypothesis's order with its strict >, so ties
+    resolve alike and temporaries stay O(T)."""
+    T = len(a1[0])
+    best_bits = np.full(T, -2, dtype=np.int64)
+    hyp = np.zeros(T, dtype=np.int64)
+    c1 = np.zeros(T, dtype=np.int64)
+    c2 = np.zeros(T, dtype=np.int64)
+    off = p_dbm - 30.0
+    for pci in range(4):
+        c = np.searchsorted(thr, np.array(a_single[pci]) + off, side="right")
+        bits = np.where(c > 0, tbs[c - 1], 0)
+        better = bits > best_bits
+        best_bits[better] = bits[better]
+        hyp[better] = pci
+        c1[better] = c[better]
+    off -= _HALF_DB
+    for pci in range(4):
+        d1 = np.searchsorted(thr, np.array(a1[pci]) + off, side="right")
+        d2 = np.searchsorted(thr, np.array(a2[pci]) + off, side="right")
+        bits = np.where((d1 > 0) & (d2 > 0), tbs[d1 - 1] + tbs[d2 - 1], -1)
+        better = bits > best_bits
+        best_bits[better] = bits[better]
+        hyp[better] = 4 + pci
+        c1[better] = d1[better]
+        c2[better] = d2[better]
+    return hyp, c1, c2
+
+
 def _mimo_link(sc: ScenarioConfig, rng) -> _Link:
     """2x2: the terminal reports its best mode/PCI hypothesis, and a
     dual-stream TTI splits the power equally over the two streams."""
     ch = sc.channel
-    a1, a2, a_single = _mimo_constants(
+    consts = _mimo_constants(
         fading_block(ch, 2, 2, sc.duration_ttis, rng), ch, 1.0, _pilot_loss_db(sc)
-    ).tolist()
-    thr, tbs = sc.table._thr_list, sc.table._tbs_list
+    )
+    return _mimo_view(sc.table, consts.tolist())
+
+
+def _mimo_view(table: McsTable, consts: list) -> _Link:
+    """The 2x2 link over the constants of _mimo_constants as lists."""
+    a1, a2, a_single = consts
+    thr, tbs = table._thr_list, table._tbs_list
 
     def report(t, p_dbm):
         return _mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm) + (p_dbm,)
 
+    def fixed_reports(p_dbm):
+        hyp, c1, c2 = _mimo_hypotheses(
+            table.thresholds_db, np.array(tbs), a1, a2, a_single, p_dbm
+        )
+        # one tuple per distinct report, shared by its TTIs, so the list
+        # costs a pointer per TTI
+        distinct = {}
+        reports = []
+        for key in zip(hyp.tolist(), c1.tolist(), c2.tolist()):
+            if key not in distinct:
+                h, cqi1, cqi2 = key
+                distinct[key] = (DUAL if h >= 4 else SINGLE, h % 4, cqi1, cqi2, p_dbm)
+            reports.append(distinct[key])
+        return reports
+
     sinr_db = {SINGLE: (a_single,), DUAL: (a1, a2)}
-    return _Link(report, sinr_db, {SINGLE: 0.0, DUAL: _HALF_DB}, resolve_first=False)
+    return _Link(
+        report, fixed_reports, sinr_db, {SINGLE: 0.0, DUAL: _HALF_DB}, resolve_first=False
+    )
 
 
 # -------------------------------------------------------------- TTI loop
@@ -338,7 +420,14 @@ def _run_link(sc: ScenarioConfig, link: _Link) -> tuple[RunMetrics, list[TtiReco
     eta = pm.eta
     strategy = sc.strategy
     always_fire = strategy == PER_TTI_OPTIMAL
-    report, sinr_db, share_db, resolve_first = link
+    report, fixed_reports, sinr_db, share_db, resolve_first = link
+    if strategy == FIXED_BASELINE and fixed_reports is not None:
+        # the power never changes: every 2x2 report is known before TTI 0
+        fixed = fixed_reports(sc.baseline_power_dbm)
+
+        def report(t, p_dbm):
+            return fixed[t]
+
     collect = sc.collect_trace
 
     trace: list[TtiRecord] = []
@@ -534,6 +623,13 @@ def _derive(template: ScenarioConfig, variable, value, strategy, mode, seed):
     )
 
 
+def _run_shared(scs: list[ScenarioConfig]) -> list[RunMetrics]:
+    """Run scenarios of equal _link_key on one link; the link is freed
+    on return, so a sweep holds one at a time."""
+    link = _build_link(scs[0])
+    return [_run_link(sc, link)[0] for sc in scs]
+
+
 def sweep(
     template: ScenarioConfig,
     variable: str,
@@ -545,9 +641,12 @@ def sweep(
     """Run value x strategy x antenna-mode x repetition and aggregate.
 
     Repetition r uses the same derived seed in every cell, so curves
-    share their channel realizations and differences are paired. The
-    strategy label carries the antenna mode when more than one is swept
-    (e.g. "FixedBaseline/MIMO").
+    share their channel realizations and differences are paired. Cells
+    with the same realization (channel, antenna mode, run length, seed
+    and table) run on one link, synthesized once: every power of a
+    fixed_power sweep, every strategy at one value. The strategy label
+    carries the antenna mode when more than one is swept (e.g.
+    "FixedBaseline/MIMO").
     """
     if variable not in _SWEEP_VARS:
         raise ValueError(f"variable must be one of {_SWEEP_VARS}")
@@ -569,9 +668,19 @@ def sweep(
                     sc = _derive(template, variable, value, strat, mode, seeds[rep])
                     jobs.append((value, label, sc))
 
+    # jobs that share a channel realization run on one link, built once
+    # per group; each result goes back to its job's place
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, _, sc) in enumerate(jobs):
+        groups.setdefault(_link_key(sc), []).append(i)
+    results: list[RunMetrics | None] = [None] * len(jobs)
+    for members in groups.values():
+        for i, metrics in zip(members, _run_shared([jobs[i][2] for i in members])):
+            results[i] = metrics
+
     by_cell: dict[tuple, list[RunMetrics]] = {}
-    for value, label, sc in jobs:
-        by_cell.setdefault((value, label), []).append(run(sc)[0])
+    for (value, label, _), metrics in zip(jobs, results):
+        by_cell.setdefault((value, label), []).append(metrics)
 
     points: list[SweepPoint] = []
     for (value, label), ms in by_cell.items():

@@ -385,16 +385,18 @@ def test_criterion_10_mode_choice_ee_equals_sum_tbs():
         fb = select_mode_and_feedback(g, params, table, p_w)  # sum-TBS winner
 
         # independent EE winner over the same eight hypotheses, same
-        # preference order; EE = sum TBS over the shared power cost
+        # preference order: the four single-stream ones first, then the
+        # dual ones, each by PCI; EE = sum TBS over the shared power cost
         cost = p_w / pm2.eta + pm2.overhead_w
         best = None
         best_ee = -1.0
-        for pci, w in enumerate(pci_codebook()):
-            e1, e2, combined = stream_gains(g, w)
+        gains = [stream_gains(g, w) for w in pci_codebook()]
+        for pci, (_, _, combined) in enumerate(gains):
             c_s = cqi_from_sinr(table, hs_sinr_db(p_w, params.path_gain_lin * combined, params))
             tbs_s = table.tbs(c_s) if c_s >= 1 else 0
             if tbs_s / cost > best_ee:
                 best, best_ee = (SINGLE, pci, c_s, None), tbs_s / cost
+        for pci, (e1, e2, _) in enumerate(gains):
             c1 = cqi_from_sinr(table, hs_sinr_db(0.5 * p_w, params.path_gain_lin * e1, params))
             c2 = cqi_from_sinr(table, hs_sinr_db(0.5 * p_w, params.path_gain_lin * e2, params))
             if c1 >= 1 and c2 >= 1:

@@ -17,13 +17,15 @@ from hsdpa_ee.cli_report import (
     EXIT_OK,
     EXIT_PARSE,
     PRESETS,
+    _fmt,
+    _write_csv,
     build_preset,
     cmd_tablegen,
     load_config,
     main,
 )
 from hsdpa_ee.mcs_table import load_table_file
-from hsdpa_ee.sim_engine import ScenarioConfig, power_model_for_mode, run
+from hsdpa_ee.sim_engine import ScenarioConfig, TtiRecord, power_model_for_mode, run
 from dataclasses import replace
 
 
@@ -157,6 +159,44 @@ def test_trace_floats_round_trip(tmp_path):
         for row in csv.DictReader(fh):
             v = float(row["consumed_energy_j"])
             assert repr(v) == row["consumed_energy_j"]
+
+
+def test_csv_writer_matches_per_cell_formatting(tmp_path):
+    # _write_csv hands str, int and float cells to csv unconverted; its
+    # bytes must be what _fmt on every cell writes for the same rows
+    base = replace(build_preset("figure5").scenarios[0][1], duration_ttis=300)
+    # an int power passed through the Python API is written without a point
+    trace = run(replace(base, baseline_power_dbm=40, strategy="FixedBaseline"))[1]
+    semi = run(base)[1]
+    odd = [
+        TtiRecord(0, float("-inf"), 0, 0, "idle", 0, 0.5, False),
+        TtiRecord(1, 40, 7, 3, "mixed", 1234, np.float64(0.25), True),
+        TtiRecord(2, np.float64(39.5), 5, 0, "ack", 99, 1e-05, True),
+        TtiRecord(3, 1e16, 5, 0, "nack", 0, 2.5e-300, False),
+        TtiRecord(4, np.int64(41), 2, 0, "ack", 10, 0.125, False),
+    ]
+    runs = [("FixedBaseline", "SIMO", trace), ('odd, "quoted"', "MIMO", odd),
+            ("SemiStatic", "SIMO", semi)]
+    assert any(type(r.p_tx_dbm) is int for r in trace)
+    assert any(r.p_tx_dbm == float("-inf") for r in trace)
+    rows = [
+        (label, mode, r.tti_index, r.p_tx_dbm, r.mcs_index, r.mcs_secondary,
+         r.outcome, r.delivered_bits, r.consumed_energy_j, r.reconfigured)
+        for label, mode, records in runs for r in records
+    ]
+    header = ["strategy", "antenna_mode", "tti_index", "p_tx_dbm", "mcs_index",
+              "mcs_secondary", "outcome", "delivered_bits", "consumed_energy_j",
+              "reconfigured"]
+
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    _write_csv(str(new), header, iter(rows))
+    with open(old, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+    assert new.read_bytes() == old.read_bytes()
+    assert b'"odd, ""quoted""",MIMO,1,40,7,3,mixed,1234,0.25,1' in new.read_bytes()
 
 
 # ---------------------------------------------------------------- sweep

@@ -26,6 +26,7 @@ from hsdpa_ee.ee_controller import (
 )
 from hsdpa_ee.link_channel import ChannelParams, hs_sinr_db
 from hsdpa_ee.mcs_table import default_table, make_uniform_table
+from hsdpa_ee.mimo_dtxaa import DUAL, SINGLE, MimoFeedback, select_optimal_dual
 from hsdpa_ee.power_model import PowerModelParams, dbm_to_watt
 
 PM5 = PowerModelParams(eta=0.38, p_cir_w=6.0, p_sta_w=6.0, m_a=1)
@@ -401,6 +402,36 @@ def test_on_tti_out_of_range_cqi_serves_nothing():
     assert dec.levels == ()
     assert st.timer_ms == timer_before + cfg.tti_ms  # timer keeps running
     assert st.offset_db == pytest.approx(offset_before + 0.5)  # late NACK counted
+
+
+@pytest.mark.parametrize("timer_ms", [0.0, 30.0])  # next step inside / past 20 ms
+@pytest.mark.parametrize("report, dual, min_mcs", [
+    (31, False, 1),  # CQI above the table
+    ((DUAL, 5, 31), True, 1),
+    ((DUAL, 31, 5), True, 1),
+    ((SINGLE, 5, None), True, 1),  # single-mode report to the dual selector
+    ((SINGLE, 5, 7), True, 1),
+    (5, False, 31),  # min_mcs above the table
+])
+def test_on_tti_rejects_a_cqi_outside_the_table(timer_ms, report, dual, min_mcs):
+    # inside the minimum interval select and should_trigger are not
+    # called, so the step must raise the ValueError they raise past it,
+    # not an IndexError or TypeError out of the AMC path
+    cfg = ControllerConfig(min_mcs=min_mcs)
+    t = default_table()
+    assert len(t) == 30
+    cqi = MimoFeedback(report[0], 0, *report[1:]) if dual else report
+    select = select_optimal_dual if dual else select_optimal
+    st = ControllerState(power_dbm=40.0, timer_ms=timer_ms)
+    with pytest.raises(ValueError):
+        on_tti(st, TtiFeedback(cqi, measured_power_dbm=40.0), t, cfg, PM5, select)
+
+
+def test_on_tti_rejects_a_negative_timer_inside_the_minimum_interval():
+    cfg = ControllerConfig()
+    st = ControllerState(power_dbm=40.0, timer_ms=-10.0)  # -8 ms after the step
+    with pytest.raises(ValueError, match="timer"):
+        on_tti(st, TtiFeedback(5, measured_power_dbm=40.0), default_table(), cfg, PM5)
 
 
 def test_on_tti_amc_follows_offset_backoff():

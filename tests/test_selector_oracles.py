@@ -6,6 +6,12 @@ here, unchanged, as oracles: the scalar searches must return the same
 results bit for bit (floats compared by their hex form) on generated
 tables, power models, clamps and reports, on the exact float where the
 oracle's argmax flips between two levels, and one ulp to either side.
+
+The other way round, the scalar forms are the oracles of what skips
+them: the vectorised report list of a FixedBaseline 2x2 run must
+equal the scalar report at every TTI, and on_tti, which makes no selection
+inside the minimum interval, must step like a controller that always
+selects.
 """
 
 import dataclasses
@@ -19,10 +25,20 @@ from hypothesis import strategies as st
 
 from hsdpa_ee import ee_controller
 from hsdpa_ee.ee_controller import (
+    KEEP,
+    RECONFIGURE,
     ControllerConfig,
+    ControllerDecision,
+    ControllerState,
     OptimalSelection,
+    TtiFeedback,
     _level_search,
+    amc_level,
+    on_tti,
+    relative_ee_difference,
     select_optimal,
+    should_trigger,
+    update_offset,
 )
 from hsdpa_ee.mcs_table import McsEntry, McsTable, reference_table
 from hsdpa_ee.mimo_dtxaa import (
@@ -35,7 +51,14 @@ from hsdpa_ee.mimo_dtxaa import (
     select_optimal_dual,
 )
 from hsdpa_ee.power_model import PowerModelParams
-from hsdpa_ee.sim_engine import _HALF_DB, MIMO, SINGLE, _mimo_hypothesis, power_model_for_mode
+from hsdpa_ee.sim_engine import (
+    _HALF_DB,
+    MIMO,
+    SINGLE,
+    _mimo_hypothesis,
+    _mimo_view,
+    power_model_for_mode,
+)
 
 SETTINGS = settings(
     max_examples=200,
@@ -376,3 +399,120 @@ def test_mimo_hypothesis_matches_numpy_oracle(table, data):
         got = _mimo_hypothesis(table._thr_list, table._tbs_list, *lists, t, p_dbm)
         assert got == want
         assert all(type(v) is type(w) for v, w in zip(got, want))
+
+
+# ------------------------------------------- FixedBaseline report lists
+
+
+def assert_same_reports(got, want):
+    """Equal report lists, with the same Python types field by field."""
+    assert got == want
+    assert all(type(v) is type(w) for g, r in zip(got, want) for v, w in zip(g, r))
+
+
+def at_thresholds(rng, c, table, p_dbm):
+    """Put some constants where (p - 30) + c lands on a threshold, or an
+    ulp beside it, so the searches meet their ties."""
+    hit = rng.random(c.shape) < 0.2
+    c[hit] = rng.choice(table.thresholds_db, size=int(hit.sum())) - (p_dbm - 30.0)
+
+
+fixed_powers = st.one_of(st.floats(0.0, 50.0), st.integers(0, 50))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tables(), fixed_powers, st.data())
+def test_mimo_fixed_reports_match_scalar_report(table, p_dbm, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    T = 60
+    a1 = rng.uniform(-25.0, 35.0, size=(4, T))
+    a2 = a1 - rng.uniform(0.0, 20.0, size=(4, T))
+    a_single = a1 + rng.uniform(0.0, 6.0, size=(4, T))
+    for a in (a1, a2, a_single):
+        at_thresholds(rng, a, table, p_dbm)
+        a[rng.random((4, T)) < 0.05] = -np.inf  # a stream nulled to zero gain
+    link = _mimo_view(table, np.stack([a1, a2, a_single]).tolist())
+    assert_same_reports(link.fixed_reports(p_dbm), [link.report(t, p_dbm) for t in range(T)])
+
+
+# ------------------------------------------- on_tti's skipped selections
+
+
+def reference_on_tti(state, feedback, table, cfg, pm, select, always_fire):
+    """on_tti as a step that calls select on every in-range report."""
+    state.timer_ms += cfg.tti_ms
+    for ack in feedback.acks:
+        update_offset(state, ack, cfg)
+    if feedback.realized_ee is not None:
+        state.ee_smoothed += cfg.ee_smoothing * (feedback.realized_ee - state.ee_smoothed)
+    report = feedback.cqi
+    reported = (report,) if isinstance(report, int) else (
+        report.cqi_primary, report.cqi_secondary)
+    if reported[0] < 1:
+        return state, ControllerDecision(KEEP, state.power_dbm, ())
+    measured_p = (state.power_dbm if feedback.measured_power_dbm is None
+                  else feedback.measured_power_dbm)
+    best = select(measured_p, report, state.offset_db, table, cfg, pm)
+    if always_fire or should_trigger(
+        relative_ee_difference(best.ee, state.ee_smoothed), state.timer_ms, cfg
+    ):
+        state.power_dbm = best.power_dbm
+        state.timer_ms = 0.0
+        return state, ControllerDecision(RECONFIGURE, best.power_dbm, best.levels)
+    shift = (state.power_dbm - measured_p) - state.offset_db
+    levels = tuple(amc_level(table, c, shift, cfg.min_mcs) for c in reported)
+    return state, ControllerDecision(KEEP, state.power_dbm, levels)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(tables(), power_models, st.data())
+def test_on_tti_equals_a_step_that_always_selects(table, pm, data):
+    n = len(table)
+    min_ms = data.draw(st.one_of(st.sampled_from([0.0, 4.0, 20.0]), st.floats(0.0, 60.0)))
+    cfg = ControllerConfig(
+        p_max_dbm=data.draw(st.floats(-10.0, 70.0)),
+        min_mcs=data.draw(st.integers(1, n)),
+        ee_gap_threshold=data.draw(st.floats(0.01, 0.99)),
+        min_reconfig_interval_ms=min_ms,
+        max_reconfig_interval_ms=5.0 * min_ms + data.draw(st.floats(0.0, 100.0)),
+        tti_ms=data.draw(st.sampled_from([2.0, 0.5, 10.0])),
+        ee_smoothing=data.draw(st.floats(0.01, 1.0)),
+    )
+    dual = data.draw(st.booleans())
+    select = select_optimal_dual if dual else select_optimal
+    always_fire = data.draw(st.booleans())
+    state = ControllerState(
+        power_dbm=data.draw(st.floats(0.0, 50.0)),
+        offset_db=data.draw(st.floats(-6.0, 6.0)),
+        timer_ms=data.draw(st.one_of(st.just(0.0), st.floats(0.0, cfg.max_reconfig_interval_ms))),
+        ee_smoothed=data.draw(st.floats(0.0, 1e9)),
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return select(*args)
+
+    for _ in range(40):
+        cqi = int(rng.integers(0, n + 1)) if rng.random() < 0.9 else 0
+        if dual:
+            cqi = MimoFeedback(DUAL, int(rng.integers(0, 4)), cqi, int(rng.integers(1, n + 1)))
+        feedback = TtiFeedback(
+            cqi,
+            tuple(bool(a) for a in rng.random(int(rng.integers(0, 3))) < 0.8),
+            None if rng.random() < 0.3 else float(rng.uniform(0.0, 50.0)),
+            None if rng.random() < 0.3 else float(rng.uniform(0.0, 1e9)),
+        )
+        inside = not always_fire and state.timer_ms + cfg.tti_ms <= min_ms
+        want_state, want = reference_on_tti(
+            dataclasses.replace(state), feedback, table, cfg, pm, select, always_fire
+        )
+        calls.clear()
+        state, got = on_tti(state, feedback, table, cfg, pm, counting, always_fire)
+        assert got[:3] == want[:3]  # action, power_dbm, levels
+        assert state == want_state
+        in_range = (cqi if isinstance(cqi, int) else cqi.cqi_primary) >= 1
+        assert len(calls) == (0 if inside or not in_range else 1)
+        if inside:
+            assert (got.estimated_ee, got.infeasible) == (0.0, False)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from scipy.special import j0 as scipy_j0
 
+from hsdpa_ee import sim_engine
 from hsdpa_ee.ee_controller import ControllerConfig
-from hsdpa_ee.link_channel import doppler_hz, make_channel
+from hsdpa_ee.link_channel import doppler_hz, make_channel, synth_fading
 from hsdpa_ee.mcs_table import cqi_from_sinr, reference_table
 from hsdpa_ee.power_model import PowerModelParams, total_power
 from hsdpa_ee.sim_engine import (
@@ -27,12 +28,13 @@ from hsdpa_ee.sim_engine import (
     SIMO,
     SISO,
     ScenarioConfig,
+    SweepPoint,
     estimation_loss_db,
     power_model_for_mode,
     run,
     sweep,
 )
-from hsdpa_ee.sim_engine import _mimo_hypothesis
+from hsdpa_ee.sim_engine import _derive, _mimo_hypothesis
 
 
 def make_scenario(**over):
@@ -398,3 +400,57 @@ def test_sweep_theta_min_applies_constraint():
     by_theta = {p.value: p.mean_ee for p in pts}
     # forcing the top level burns more power in fades: EE must drop
     assert by_theta[30] < by_theta[1]
+
+
+def per_cell_sweep(template, variable, values, repetitions, strategies, modes):
+    """The sweep as one run(_derive(...)) per job, aggregated cell by
+    cell: what sweep returns, with no link shared between runs."""
+    seeds = [int(s) for s in np.random.SeedSequence(template.seed).generate_state(repetitions)]
+    points = []
+    for value in values:
+        for mode in modes:
+            for strat in strategies:
+                ms = [run(_derive(template, variable, value, strat, mode, s))[0] for s in seeds]
+                ees = np.array([m.avg_ee_bits_per_joule for m in ms])
+                points.append(SweepPoint(
+                    variable=variable,
+                    value=value,
+                    strategy=strat if len(modes) == 1 else f"{strat}/{mode}",
+                    mean_ee=float(ees.mean()),
+                    std_ee=float(ees.std(ddof=1)) if len(ees) > 1 else 0.0,
+                    mean_reconfigs=float(np.mean([m.reconfig_count for m in ms])),
+                    mean_throughput=float(np.mean([m.throughput_bps for m in ms])),
+                    repetitions=len(ms),
+                    ee_samples=tuple(float(x) for x in ees),
+                ))
+    return points
+
+
+@pytest.mark.parametrize("variable, values, modes", [
+    ("fixed_power", [30.0, 36.0, 42.0], (SIMO, MIMO)),
+    ("distance", [435.0, 800.0], (SIMO,)),
+])
+def test_sweep_with_shared_links_equals_one_run_per_cell(variable, values, modes):
+    template = make_scenario(duration_ttis=500, collect_trace=False)
+    strategies = (FIXED_BASELINE, SEMI_STATIC)
+    got = sweep(template, variable, values, repetitions=2, strategies=strategies,
+                antenna_modes=modes)
+    assert got == per_cell_sweep(template, variable, values, 2, strategies, modes)
+
+
+def test_sweep_synthesizes_each_realization_once(monkeypatch):
+    calls = []
+
+    def counting(n_procs, n_steps, *args):
+        calls.append((n_procs, n_steps))
+        return synth_fading(n_procs, n_steps, *args)
+
+    monkeypatch.setattr(sim_engine, "synth_fading", counting)
+    template = make_scenario(duration_ttis=300, collect_trace=False)
+    sweep(template, "fixed_power", [30.0, 36.0, 42.0], repetitions=3,
+          strategies=(FIXED_BASELINE, SEMI_STATIC), antenna_modes=(SIMO, MIMO))
+    assert len(calls) == 2 * 3  # one per (mode, repetition), not per cell
+    calls.clear()
+    sweep(template, "speed", [3.0, 30.0], repetitions=2,
+          strategies=(FIXED_BASELINE, SEMI_STATIC))
+    assert len(calls) == 2 * 2  # one per (speed, repetition)
