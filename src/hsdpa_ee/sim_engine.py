@@ -1,10 +1,18 @@
 """TTI-driven link simulation binding channel, table, and controller.
 
-One run is a strict per-TTI loop. The expensive parts are hoisted out:
-fading trajectories are synthesized for the whole run up front, and the
-SINR is reduced to one dB constant per TTI (per precoder and stream for
+One run is a strict per-TTI loop. The expensive parts are hoisted out
+of it, chunk by chunk: a run is cut into chunks of at most CHUNK_TTIS
+TTIs, drawn in order from the run's one generator, and before the loop
+enters a chunk the chunk's fading trajectories are synthesized and its
+SINR reduced to one dB constant per TTI (per precoder and stream for
 the 2x2 mode): link_channel.hs_sinr_db at 1 W less the pilot loss. The
-loop only adds p_dbm - 30 and compares against thresholds.
+loop only adds p_dbm - 30 and compares against thresholds, and carries
+the controller state, the reports and ACKs in flight and the pending
+retransmissions across chunk boundaries. One chunk is alive at a time,
+so with the trace off a run's memory is bounded whatever its length; a
+run of at most CHUNK_TTIS TTIs is one chunk, synthesized as one block.
+The fading correlation restarts at each chunk boundary, every 262 s of
+simulated time against a coherence time of about 0.1 s at 3 km/h.
 
 Feedback is delayed: the report the transmitter acts on at TTI t was
 measured at t - FEEDBACK_DELAY_TTIS against the power configured then,
@@ -31,19 +39,20 @@ Out-of-range report TTIs send nothing but still burn the circuit
 overhead.
 
 What a run cannot change is computed once. A link (_build_link: the
-fading block and the per-TTI constants) depends only on the channel,
-the antenna mode, the run length, the seed and the table, so sweep
-builds one per channel realization and runs every cell that shares it
-on that link: the powers of a fixed_power sweep, or FixedBaseline and
-SemiStatic at one point. A FixedBaseline run never changes its power,
-so on a 2x2 link its reports (the 8-hypothesis search) are computed
-for every TTI in one vectorised call before the loop starts
-(_Link.fixed_reports), with the tie rules of the scalar report the
-other strategies call per TTI.
+chunks' fading blocks and per-TTI constants) depends only on the
+channel, the antenna mode, the run length, the seed and the table, so
+sweep builds one per channel realization and runs every cell that
+shares it on that link: the powers of a fixed_power sweep, or
+FixedBaseline and SemiStatic at one point. A FixedBaseline run never
+changes its power, so on a 2x2 link its reports (the 8-hypothesis
+search) are computed for every TTI of a chunk in one vectorised call
+before the loop enters it (_Link.fixed_reports), with the tie rules of
+the scalar report the other strategies call per TTI.
 
-The feedback delay, the retransmission limit and the pilot averaging
-window are module constants (FEEDBACK_DELAY_TTIS, MAX_RETRANSMISSIONS,
-PILOT_WINDOW_S), not scenario fields: no experiment varies them.
+The feedback delay, the retransmission limit, the pilot averaging
+window and the chunk length are module constants (FEEDBACK_DELAY_TTIS,
+MAX_RETRANSMISSIONS, PILOT_WINDOW_S, CHUNK_TTIS), not scenario fields:
+no experiment varies them.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -118,6 +127,10 @@ MAX_RETRANSMISSIONS = 3
 # one averaging window of this length, a loss that grows with Doppler and
 # is negligible at walking speed.
 PILOT_WINDOW_S = 1.0 / 1500.0
+# TTIs per chunk of a run (262 s of simulated time). A run holds one
+# chunk's fading block and per-TTI constants at a time, so this bounds
+# its memory; a run of at most this many TTIs is one chunk.
+CHUNK_TTIS = 2**17
 
 
 def power_model_for_mode(mode: str, base: PowerModelParams) -> PowerModelParams:
@@ -157,6 +170,8 @@ class ScenarioConfig:
             raise ValueError(f"antenna_mode must be one of {_MODES}")
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
+        if not isinstance(self.duration_ttis, int) or isinstance(self.duration_ttis, bool):
+            raise ValueError(f"duration_ttis must be an int, got {self.duration_ttis!r}")
         if self.duration_ttis < 1:
             raise ValueError("duration_ttis must be > 0")
         if not math.isfinite(self.baseline_power_dbm):
@@ -203,9 +218,10 @@ def fading_block(
     ch: ChannelParams, n_rx: int, n_tx: int, n_steps: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Fading trajectories (n_taps, n_rx, n_tx, n_steps) with PDP weights
-    folded in, sampled at the TTI rate: every per-TTI link gain of a run
-    comes from one such block. synth_fading is called through this
-    module's name so the benchmark tracer's patch on it takes effect."""
+    folded in, sampled at the TTI rate: every per-TTI link gain of a
+    chunk of a run comes from one such block. synth_fading is called
+    through this module's name so the benchmark tracer's patch on it
+    takes effect."""
     n_taps = len(ch.pdp_weights)
     f_d = doppler_hz(ch.speed_kmh, ch.carrier_hz)
     block = synth_fading(n_taps * n_rx * n_tx, n_steps, 2e-3, f_d, rng)
@@ -226,15 +242,24 @@ def estimation_loss_db(f_d_hz: float, window_s: float) -> float:
 
 
 def run(sc: ScenarioConfig) -> tuple[RunMetrics, list[TtiRecord]]:
-    """Simulate one scenario; deterministic for a fixed seed."""
+    """Simulate one scenario; deterministic for a fixed seed.
+
+    The link is synthesized one chunk of at most CHUNK_TTIS TTIs at a
+    time, as the loop reaches it, so with sc.collect_trace off the
+    memory of a run is bounded whatever its length; the trace holds one
+    TtiRecord per TTI and grows with it."""
     return _run_link(sc, _build_link(sc))
 
 
-def _build_link(sc: ScenarioConfig) -> _Link:
-    """The link of sc's channel realization; runs whose _link_key is
-    equal get equal links."""
+def _build_link(sc: ScenarioConfig) -> Iterator[_Link]:
+    """The link of sc's channel realization, as chunks of at most
+    CHUNK_TTIS TTIs drawn in order from the run's one generator and
+    built as they are asked for; runs whose _link_key is equal get
+    equal chunks."""
     rng = np.random.default_rng(sc.seed)
-    return _mimo_link(sc, rng) if sc.antenna_mode == MIMO else _single_stream_link(sc, rng)
+    chunk_link = _mimo_link if sc.antenna_mode == MIMO else _single_stream_link
+    for start in range(0, sc.duration_ttis, CHUNK_TTIS):
+        yield chunk_link(sc, min(CHUNK_TTIS, sc.duration_ttis - start), rng)
 
 
 def _link_key(sc: ScenarioConfig) -> tuple:
@@ -246,18 +271,19 @@ def _link_key(sc: ScenarioConfig) -> tuple:
 
 
 class _Link(NamedTuple):
-    """What the TTI loop needs to know about one antenna mode.
+    """What the TTI loop needs to know about one chunk of one antenna
+    mode's link; t below counts the chunk's TTIs from 0.
 
     report(t, p_dbm) is the (mode, pci, cqi1, cqi2, p_dbm) report measured
     at TTI t with p_dbm configured; cqi2 is 0 for a single-stream mode.
-    fixed_reports(p_dbm) is the list of report(t, p_dbm) over every TTI,
-    computed in one vectorised pass, on a 2x2 link; it is None on a
-    single-stream link, whose scalar report is one bisect.
+    fixed_reports(p_dbm) is the list of report(t, p_dbm) over every TTI
+    of the chunk, computed in one vectorised pass, on a 2x2 link; it is
+    None on a single-stream link, whose scalar report is one bisect.
     sinr_db[mode][slot][pci][t] is the dB SINR at 1 W (30 dBm), less the
     pilot loss, of stream slot under a report of that mode, and
     share_db[mode] how far each stream's power lies below the total.
     resolve_first selects the retransmission timing (see the module
-    docstring).
+    docstring), and ttis is the chunk's length.
     """
 
     report: Callable[[int, float], tuple]
@@ -265,6 +291,7 @@ class _Link(NamedTuple):
     sinr_db: dict
     share_db: dict
     resolve_first: bool
+    ttis: int
 
 
 def _pilot_loss_db(sc: ScenarioConfig) -> float:
@@ -272,19 +299,27 @@ def _pilot_loss_db(sc: ScenarioConfig) -> float:
     return estimation_loss_db(doppler_hz(ch.speed_kmh, ch.carrier_hz), PILOT_WINDOW_S)
 
 
-def _single_stream_link(sc: ScenarioConfig, rng) -> _Link:
-    """SISO/SIMO: one receive-combined stream, reported by a scalar bisect."""
+def _single_stream_link(sc: ScenarioConfig, n: int, rng) -> _Link:
+    """SISO/SIMO: one receive-combined stream, reported by a scalar
+    bisect; the next n TTIs of rng's fading."""
     ch = sc.channel
     n_rx = 2 if sc.antenna_mode == SIMO else 1
-    block = fading_block(ch, n_rx, 1, sc.duration_ttis, rng)
+    block = fading_block(ch, n_rx, 1, n, rng)
     gain = np.sum(np.abs(block) ** 2, axis=(0, 1, 2))
     c_db = (hs_sinr_db(1.0, ch.path_gain_lin * gain, ch) - _pilot_loss_db(sc)).tolist()
-    thr = sc.table._thr_list
+    return _single_stream_view(sc.table, c_db)
+
+
+def _single_stream_view(table: McsTable, c_db: list) -> _Link:
+    """The single-stream link over the per-TTI dB constants c_db."""
+    thr = table._thr_list
 
     def report(t, p_dbm):
         return SINGLE, 0, bisect_right(thr, (p_dbm - 30.0) + c_db[t]), 0, p_dbm
 
-    return _Link(report, None, {SINGLE: ((c_db,),)}, {SINGLE: 0.0}, resolve_first=True)
+    return _Link(
+        report, None, {SINGLE: ((c_db,),)}, {SINGLE: 0.0}, resolve_first=True, ttis=len(c_db)
+    )
 
 
 def _mimo_constants(block: np.ndarray, ch: ChannelParams, p_w: float, loss_db: float):
@@ -359,13 +394,12 @@ def _mimo_hypotheses(thr, tbs, a1, a2, a_single, p_dbm):
     return hyp, c1, c2
 
 
-def _mimo_link(sc: ScenarioConfig, rng) -> _Link:
+def _mimo_link(sc: ScenarioConfig, n: int, rng) -> _Link:
     """2x2: the terminal reports its best mode/PCI hypothesis, and a
-    dual-stream TTI splits the power equally over the two streams."""
+    dual-stream TTI splits the power equally over the two streams; the
+    next n TTIs of rng's fading."""
     ch = sc.channel
-    consts = _mimo_constants(
-        fading_block(ch, 2, 2, sc.duration_ttis, rng), ch, 1.0, _pilot_loss_db(sc)
-    )
+    consts = _mimo_constants(fading_block(ch, 2, 2, n, rng), ch, 1.0, _pilot_loss_db(sc))
     return _mimo_view(sc.table, consts.tolist())
 
 
@@ -394,7 +428,8 @@ def _mimo_view(table: McsTable, consts: list) -> _Link:
 
     sinr_db = {SINGLE: (a_single,), DUAL: (a1, a2)}
     return _Link(
-        report, fixed_reports, sinr_db, {SINGLE: 0.0, DUAL: _HALF_DB}, resolve_first=False
+        report, fixed_reports, sinr_db, {SINGLE: 0.0, DUAL: _HALF_DB}, resolve_first=False,
+        ttis=len(a1[0]),
     )
 
 
@@ -409,7 +444,9 @@ def _queue_retx(failed, retx, replace: bool) -> None:
             retx[slot] = (m, b, cnt + 1)
 
 
-def _run_link(sc: ScenarioConfig, link: _Link) -> tuple[RunMetrics, list[TtiRecord]]:
+def _run_link(sc: ScenarioConfig, links: Iterable[_Link]) -> tuple[RunMetrics, list[TtiRecord]]:
+    """Run sc over links, the chunks of its link in order, whose lengths
+    sum to sc.duration_ttis."""
     cfg, pm, table = sc.controller, sc.power_model, sc.table
     T = sc.duration_ttis
     delay = FEEDBACK_DELAY_TTIS
@@ -420,14 +457,6 @@ def _run_link(sc: ScenarioConfig, link: _Link) -> tuple[RunMetrics, list[TtiReco
     eta = pm.eta
     strategy = sc.strategy
     always_fire = strategy == PER_TTI_OPTIMAL
-    report, fixed_reports, sinr_db, share_db, resolve_first = link
-    if strategy == FIXED_BASELINE and fixed_reports is not None:
-        # the power never changes: every 2x2 report is known before TTI 0
-        fixed = fixed_reports(sc.baseline_power_dbm)
-
-        def report(t, p_dbm):
-            return fixed[t]
-
     collect = sc.collect_trace
 
     trace: list[TtiRecord] = []
@@ -447,118 +476,136 @@ def _run_link(sc: ScenarioConfig, link: _Link) -> tuple[RunMetrics, list[TtiReco
     p_energy = served_energy = None  # energy of a served TTI, cached per power
     last_sample_ee = 0.0
 
-    for t in range(T):
-        k = t % delay
-        fb = reports[k]
-        arriving_acks = acks_due[k]
-        arriving_failed = failed_due[k]
+    base = 0  # TTIs of the run before the current chunk
+    for link in links:
+        report, fixed_reports, sinr_db, share_db, resolve_first, n = link
+        if strategy == FIXED_BASELINE and fixed_reports is not None:
+            # the power never changes: every 2x2 report of the chunk is
+            # known before its first TTI
+            fixed = fixed_reports(sc.baseline_power_dbm)
 
-        # every applied trigger decision counts as a reconfiguration,
-        # even one that lands on the values already in force: it is the
-        # signaling event that costs, not the numeric delta
-        reconfigured = False
-        if strategy == FIXED_BASELINE:
-            # hold power, conventional link adaptation with the same
-            # ACK/NACK outer loop backing off the served levels
-            for ack in arriving_acks:
-                update_offset(st, ack, cfg)
-            levels = ()
-            if fb is not None and (fb[0] == DUAL or fb[2] >= 1):
-                back = -st.offset_db
-                levels = (amc_level(table, fb[2], back, 1),)
-                if fb[0] == DUAL:
-                    levels += (amc_level(table, fb[3], back, 1),)
-        else:
-            if fb is None:
-                cqi, p_meas, select = 0, None, select_optimal
-            elif fb[0] == SINGLE:
-                cqi, p_meas, select = fb[2], fb[4], select_optimal
+            def report(i, p_dbm):
+                return fixed[i]
+
+        # t counts the run's TTIs and i the chunk's, which index its link
+        for i in range(n):
+            t = base + i
+            k = t % delay
+            fb = reports[k]
+            arriving_acks = acks_due[k]
+            arriving_failed = failed_due[k]
+
+            # every applied trigger decision counts as a reconfiguration,
+            # even one that lands on the values already in force: it is the
+            # signaling event that costs, not the numeric delta
+            reconfigured = False
+            if strategy == FIXED_BASELINE:
+                # hold power, conventional link adaptation with the same
+                # ACK/NACK outer loop backing off the served levels
+                for ack in arriving_acks:
+                    update_offset(st, ack, cfg)
+                levels = ()
+                if fb is not None and (fb[0] == DUAL or fb[2] >= 1):
+                    back = -st.offset_db
+                    levels = (amc_level(table, fb[2], back, 1),)
+                    if fb[0] == DUAL:
+                        levels += (amc_level(table, fb[3], back, 1),)
             else:
-                cqi, p_meas = MimoFeedback(DUAL, fb[1], fb[2], fb[3]), fb[4]
-                select = select_optimal_dual
-            st, dec = on_tti(
-                st,
-                TtiFeedback(cqi, arriving_acks, p_meas, last_sample_ee),
-                table,
-                cfg,
-                pm,
-                select,
-                always_fire,
-            )
-            if dec.action == RECONFIGURE:
-                reconfigured = True
-                reconfigs += 1
-            p_cfg = st.power_dbm
-            levels = dec.levels
-
-        if resolve_first and arriving_failed:
-            _queue_retx(arriving_failed, retx, True)
-
-        # transmit: each served stream resends its pending block if it
-        # has one, otherwise sends a new block at the decided level
-        if levels:
-            pci = fb[1]
-            rows = sinr_db[fb[0]]
-            off = (p_cfg - 30.0) - share_db[fb[0]]
-            if p_cfg != p_energy:
-                p_energy = p_cfg
-                p_w = 10.0 ** ((p_cfg - 30.0) / 10.0)
-                served_energy = ts * (p_w / eta + overhead)
-            energy = served_energy
-            delivered = 0
-            acks = failed = ()
-            m1 = m2 = 0
-            for slot, m in enumerate(levels):
-                pending = retx[slot]
-                if pending is None:
-                    b = tbs[m - 1]
-                    cnt = 0
+                if fb is None:
+                    cqi, p_meas, select = 0, None, select_optimal
+                elif fb[0] == SINGLE:
+                    cqi, p_meas, select = fb[2], fb[4], select_optimal
                 else:
-                    m, b, cnt = pending
-                    retx[slot] = None
-                if rows[slot][pci][t] + off >= thr[m - 1]:
-                    acks += (True,)
-                    delivered += b
-                else:
-                    acks += (False,)
-                    failed += ((slot, m, b, cnt),)
-                if slot == 0:
-                    m1 = m
-                else:
-                    m2 = m
-            acks_due[k] = acks
-            failed_due[k] = failed
-            attempts += len(acks)
-            nacks += len(failed)
-            delivered_bits += delivered
-            energy_j += energy
-            last_sample_ee = delivered / energy
-            if collect:
-                if not failed:
-                    outcome = OUTCOME_ACK
-                elif len(failed) == len(acks):
-                    outcome = OUTCOME_NACK
-                else:
-                    outcome = OUTCOME_MIXED
-                trace.append(
-                    TtiRecord(t, p_cfg, m1, m2, outcome, delivered, energy, reconfigured)
+                    cqi, p_meas = MimoFeedback(DUAL, fb[1], fb[2], fb[3]), fb[4]
+                    select = select_optimal_dual
+                st, dec = on_tti(
+                    st,
+                    TtiFeedback(cqi, arriving_acks, p_meas, last_sample_ee),
+                    table,
+                    cfg,
+                    pm,
+                    select,
+                    always_fire,
                 )
-        else:
-            energy = ts * overhead
-            energy_j += energy
-            last_sample_ee = 0.0
-            acks_due[k] = failed_due[k] = ()
-            if collect:
-                trace.append(
-                    TtiRecord(t, float("-inf"), 0, 0, OUTCOME_IDLE, 0, energy, reconfigured)
-                )
+                if dec.action == RECONFIGURE:
+                    reconfigured = True
+                    reconfigs += 1
+                p_cfg = st.power_dbm
+                levels = dec.levels
 
-        if not resolve_first and arriving_failed:
-            _queue_retx(arriving_failed, retx, False)
+            if resolve_first and arriving_failed:
+                _queue_retx(arriving_failed, retx, True)
 
-        # measurement for the report that arrives delay TTIs from now,
-        # taken at the configured power regardless of what was sent
-        reports[k] = report(t, p_cfg)
+            # transmit: each served stream resends its pending block if it
+            # has one, otherwise sends a new block at the decided level
+            if levels:
+                pci = fb[1]
+                rows = sinr_db[fb[0]]
+                off = (p_cfg - 30.0) - share_db[fb[0]]
+                if p_cfg != p_energy:
+                    p_energy = p_cfg
+                    p_w = 10.0 ** ((p_cfg - 30.0) / 10.0)
+                    served_energy = ts * (p_w / eta + overhead)
+                energy = served_energy
+                delivered = 0
+                acks = failed = ()
+                m1 = m2 = 0
+                for slot, m in enumerate(levels):
+                    pending = retx[slot]
+                    if pending is None:
+                        b = tbs[m - 1]
+                        cnt = 0
+                    else:
+                        m, b, cnt = pending
+                        retx[slot] = None
+                    if rows[slot][pci][i] + off >= thr[m - 1]:
+                        acks += (True,)
+                        delivered += b
+                    else:
+                        acks += (False,)
+                        failed += ((slot, m, b, cnt),)
+                    if slot == 0:
+                        m1 = m
+                    else:
+                        m2 = m
+                acks_due[k] = acks
+                failed_due[k] = failed
+                attempts += len(acks)
+                nacks += len(failed)
+                delivered_bits += delivered
+                energy_j += energy
+                last_sample_ee = delivered / energy
+                if collect:
+                    if not failed:
+                        outcome = OUTCOME_ACK
+                    elif len(failed) == len(acks):
+                        outcome = OUTCOME_NACK
+                    else:
+                        outcome = OUTCOME_MIXED
+                    trace.append(
+                        TtiRecord(t, p_cfg, m1, m2, outcome, delivered, energy, reconfigured)
+                    )
+            else:
+                energy = ts * overhead
+                energy_j += energy
+                last_sample_ee = 0.0
+                acks_due[k] = failed_due[k] = ()
+                if collect:
+                    trace.append(
+                        TtiRecord(t, float("-inf"), 0, 0, OUTCOME_IDLE, 0, energy, reconfigured)
+                    )
+
+            if not resolve_first and arriving_failed:
+                _queue_retx(arriving_failed, retx, False)
+
+            # measurement for the report that arrives delay TTIs from now,
+            # taken at the configured power regardless of what was sent
+            reports[k] = report(i, p_cfg)
+
+        base += n
+        # drop the chunk before the next one is built, so that one is
+        # alive at a time
+        link = report = fixed_reports = sinr_db = rows = fixed = None
 
     span_s = T * cfg.tti_ms * 1e-3
     metrics = RunMetrics(
@@ -624,9 +671,13 @@ def _derive(template: ScenarioConfig, variable, value, strategy, mode, seed):
 
 
 def _run_shared(scs: list[ScenarioConfig]) -> list[RunMetrics]:
-    """Run scenarios of equal _link_key on one link; the link is freed
-    on return, so a sweep holds one at a time."""
-    link = _build_link(scs[0])
+    """Run scenarios of equal _link_key on one link, if it is one chunk;
+    the link is freed on return, so a sweep holds one at a time. A link
+    of several chunks is rebuilt for each run, so that one chunk is
+    alive at a time."""
+    if scs[0].duration_ttis > CHUNK_TTIS:
+        return [_run_link(sc, _build_link(sc))[0] for sc in scs]
+    link = list(_build_link(scs[0]))
     return [_run_link(sc, link)[0] for sc in scs]
 
 
@@ -643,8 +694,10 @@ def sweep(
     Repetition r uses the same derived seed in every cell, so curves
     share their channel realizations and differences are paired. Cells
     with the same realization (channel, antenna mode, run length, seed
-    and table) run on one link, synthesized once: every power of a
-    fixed_power sweep, every strategy at one value. The strategy label
+    and table) run on one link, synthesized once, when the run fits in
+    one chunk of CHUNK_TTIS TTIs: every power of a fixed_power sweep,
+    every strategy at one value. A longer run rebuilds its chunks one at
+    a time, as run does, so memory stays bounded. The strategy label
     carries the antenna mode when more than one is swept (e.g.
     "FixedBaseline/MIMO").
     """

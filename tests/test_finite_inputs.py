@@ -1,19 +1,23 @@
-"""Configs, MCS tables and the channel constructor reject NaN and
-infinite numbers.
+"""Configs, MCS tables, the channel constructor and the fading
+synthesis reject NaN and infinite numbers, and a run length must be an
+int.
 
 Without these checks a NaN slips through every range comparison (they
 are all false) and a run finishes with NaN energy, while the selectors'
-cached interval searches would silently be built from NaN.
+cached interval searches would silently be built from NaN; a NaN time
+step or Doppler would give an all-NaN fading block, and a float run
+length would fail deep inside the synthesis instead of at construction.
 """
 
 import dataclasses
 import math
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 
 from hsdpa_ee.ee_controller import ControllerConfig
-from hsdpa_ee.link_channel import ChannelParams, make_channel
+from hsdpa_ee.link_channel import ChannelParams, make_channel, synth_fading
 from hsdpa_ee.mcs_table import McsEntry, McsTable, load_table
 from hsdpa_ee.power_model import PowerModelParams
 from hsdpa_ee.sim_engine import ScenarioConfig
@@ -58,6 +62,8 @@ CASES = (
     + [(f"ScenarioConfig.{f}", lambda v, f=f: scenario(**{f: v})) for f in SCENARIO_FIELDS]
     + [(f"McsEntry.{f}", lambda v, f=f: table_with(**{f: v}))
        for f in ("sinr_threshold_db", "tbs_bits")]
+    + [("synth_fading.dt_s", lambda v: synth_fading(2, 100, v, 5.56, np.random.default_rng(0))),
+       ("synth_fading.f_d", lambda v: synth_fading(2, 100, 2e-3, v, np.random.default_rng(0)))]
 )
 
 
@@ -79,6 +85,12 @@ def test_table_file_with_non_finite_thresholds_is_rejected():
     text = "cqi,sinr_db,tbs_bits,mod_order,codes\n1,-2.0,100,2,1\n2,nan,200,2,1\n3,inf,300,2,1\n"
     with pytest.raises(ValueError, match="^cqi 2: "):
         load_table(text)
+
+
+@pytest.mark.parametrize("value", [2000.0, True, "2000", None])
+def test_run_length_that_is_not_an_int_is_rejected(value):
+    with pytest.raises(ValueError, match="duration_ttis must be an int"):
+        scenario(duration_ttis=value)
 
 
 def test_min_mcs_beyond_the_table_is_rejected():

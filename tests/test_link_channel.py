@@ -5,15 +5,19 @@ distributional oracles (Rayleigh envelope, Jakes autocorrelation, tap
 power split) were sized so the frozen draws sit well inside tolerance.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from hsdpa_ee.link_channel import (
     PA3_DELAYS_NS,
     ChannelParams,
+    _jakes_bin_energies,
     doppler_hz,
     hs_sinr_db,
     make_channel,
@@ -137,6 +141,60 @@ def test_fading_autocorrelation_tracks_jakes():
         emp = np.mean(np.real(y[:, :-lag] * np.conj(y[:, lag:]))) / den
         ref = special.j0(2 * np.pi * fd * lag * TTI_S)
         assert emp == pytest.approx(ref, abs=0.05)
+
+
+def one_shot_synth(n_procs, n_steps, dt_s, f_d, rng):
+    """synth_fading as one (n_procs, n_fft) spectrum and one batched
+    inverse FFT: the form the per-process synthesis must reproduce."""
+    if f_d * dt_s < 1e-12:
+        g = (rng.standard_normal((n_procs, 1)) + 1j * rng.standard_normal((n_procs, 1)))
+        g *= np.sqrt(0.5)
+        return np.broadcast_to(g, (n_procs, n_steps)).copy()
+    n_fft = 4096
+    while n_fft < n_steps:
+        n_fft *= 2
+    energies = _jakes_bin_energies(n_fft, dt_s, f_d)
+    z = rng.standard_normal((n_procs, n_fft)) + 1j * rng.standard_normal((n_procs, n_fft))
+    z *= np.sqrt(0.5)
+    spectrum = z * (n_fft * np.sqrt(energies))[None, :]
+    x = np.fft.ifft(spectrum, axis=1)
+    return np.ascontiguousarray(x[:, :n_steps])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_procs=st.integers(1, 16),
+    n_steps=st.one_of(st.integers(1, 4095), st.integers(4096, 20_000),
+                      st.sampled_from([4096, 4097, 8191, 8192, 8193, 70_000])),
+    dt_s=st.sampled_from([TTI_S, 1.0 / 1500.0]),
+    f_d=st.one_of(st.just(0.0), st.floats(0.0, 4.9e-10), st.floats(1.0, 300.0)),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(n_procs=8, n_steps=70_000, dt_s=TTI_S, f_d=5.56, seed=0)
+@example(n_procs=16, n_steps=4097, dt_s=TTI_S, f_d=300.0, seed=1)
+def test_synthesis_bit_equals_the_one_shot_block(n_procs, n_steps, dt_s, f_d, seed):
+    # the generator is left where the block form leaves it, so whatever
+    # draws next (the next chunk of a run) sees the same stream
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = synth_fading(n_procs, n_steps, dt_s, f_d, rng)
+    want = one_shot_synth(n_procs, n_steps, dt_s, f_d, ref_rng)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_synthesis_peak_is_output_plus_real_block_plus_a_few_rows():
+    n_procs, n_steps, n_fft = 8, 70_000, 131_072
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        out = synth_fading(n_procs, n_steps, TTI_S, 5.56, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, the real-part block and three complex rows of n_fft;
+    # the whole (n_procs, n_fft) spectrum and its temporaries took 58 MB
+    assert peak <= out.nbytes + n_procs * n_fft * 8 + 3 * n_fft * 16
 
 
 def test_fading_zero_speed_is_constant():

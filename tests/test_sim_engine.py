@@ -15,6 +15,7 @@ from hsdpa_ee import sim_engine
 from hsdpa_ee.ee_controller import ControllerConfig
 from hsdpa_ee.link_channel import doppler_hz, make_channel, synth_fading
 from hsdpa_ee.mcs_table import cqi_from_sinr, reference_table
+from hsdpa_ee.mimo_dtxaa import DUAL, SINGLE
 from hsdpa_ee.power_model import PowerModelParams, total_power
 from hsdpa_ee.sim_engine import (
     FIXED_BASELINE,
@@ -316,8 +317,6 @@ def test_mimo_hypothesis_matches_brute_force():
                 best = (mode_tag, pci, c1, c2)
         return best
 
-    from hsdpa_ee.mimo_dtxaa import SINGLE
-
     for t in range(T):
         for p_dbm in (25.0, 33.0, 40.0):
             mode, pci, c1, c2 = _mimo_hypothesis(
@@ -454,3 +453,63 @@ def test_sweep_synthesizes_each_realization_once(monkeypatch):
     sweep(template, "speed", [3.0, 30.0], repetitions=2,
           strategies=(FIXED_BASELINE, SEMI_STATIC))
     assert len(calls) == 2 * 2  # one per (speed, repetition)
+
+
+# ----------------------------------------------------------------- chunks
+
+CHUNK = 4096
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Runs cut into chunks of CHUNK TTIs, so short runs cross chunk
+    boundaries."""
+    monkeypatch.setattr(sim_engine, "CHUNK_TTIS", CHUNK)
+
+
+def joined_link(sc):
+    """One link over the per-TTI constants of sc's chunks joined end to
+    end: the run without its chunk boundaries."""
+    chunks = list(sim_engine._build_link(sc))
+    if sc.antenna_mode == MIMO:
+        consts = [
+            [[x for c in chunks for x in c.sinr_db[mode][slot][pci]] for pci in range(4)]
+            for mode, slot in ((DUAL, 0), (DUAL, 1), (SINGLE, 0))
+        ]
+        return sim_engine._mimo_view(sc.table, consts)
+    return sim_engine._single_stream_view(
+        sc.table, [x for c in chunks for x in c.sinr_db[SINGLE][0][0]]
+    )
+
+
+@pytest.mark.parametrize("mode", [SIMO, MIMO])
+@pytest.mark.parametrize("strategy", [FIXED_BASELINE, SEMI_STATIC, PER_TTI_OPTIMAL])
+def test_chunked_run_equals_the_run_on_its_joined_link(small_chunks, mode, strategy):
+    # the controller state, the reports and ACKs in flight and the
+    # pending retransmissions cross each chunk boundary unchanged
+    sc = make_scenario(antenna_mode=mode, strategy=strategy, duration_ttis=3 * CHUNK + 1000)
+    assert [c.ttis for c in sim_engine._build_link(sc)] == [CHUNK] * 3 + [1000]
+    metrics, trace = run(sc)
+    assert len(trace) == sc.duration_ttis
+    assert (metrics, trace) == sim_engine._run_link(sc, [joined_link(sc)])
+
+
+def test_each_chunk_is_synthesized_once(small_chunks, monkeypatch):
+    calls = []
+
+    def counting(n_procs, n_steps, *args):
+        calls.append(n_steps)
+        return synth_fading(n_procs, n_steps, *args)
+
+    monkeypatch.setattr(sim_engine, "synth_fading", counting)
+    run(make_scenario(antenna_mode=MIMO, duration_ttis=3 * CHUNK + 1000, collect_trace=False))
+    assert calls == [CHUNK] * 3 + [1000]
+
+
+def test_sweep_cell_longer_than_a_chunk_is_its_own_run(small_chunks):
+    template = make_scenario(duration_ttis=2 * CHUNK + 500, collect_trace=False)
+    strategies = (FIXED_BASELINE, SEMI_STATIC)
+    got = sweep(template, "fixed_power", [36.0, 42.0], repetitions=1, strategies=strategies,
+                antenna_modes=(SIMO, MIMO))
+    assert got == per_cell_sweep(template, "fixed_power", [36.0, 42.0], 1, strategies,
+                                 (SIMO, MIMO))
