@@ -523,7 +523,7 @@ def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
          "reconfigured"],
         (
             (label, mode, r.tti_index, r.p_tx_dbm, r.mcs_index, r.mcs_secondary,
-             r.outcome, r.delivered_bits, r.consumed_energy_j, r.reconfigured)
+             r.outcome, r.delivered_bits, r.consumed_energy_j, int(r.reconfigured))
             for label, mode, trace in traces
             for r in trace
         ),

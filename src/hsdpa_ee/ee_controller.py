@@ -494,5 +494,9 @@ def on_tti(
     # plain AMC at held power: follow the report, compensated for any
     # power change since the measurement, backed off by the offset
     shift = (state.power_dbm - measured_p) - state.offset_db
-    levels = tuple(amc_level(table, c, shift, cfg.min_mcs) for c in reported)
+    first = amc_level(table, reported[0], shift, cfg.min_mcs)
+    if len(reported) == 1:
+        levels = (first,)
+    else:
+        levels = (first, amc_level(table, reported[1], shift, cfg.min_mcs))
     return state, ControllerDecision(KEEP, state.power_dbm, levels, ee, infeasible)

@@ -44,10 +44,13 @@ channel, the antenna mode, the run length, the seed and the table, so
 sweep builds one per channel realization and runs every cell that
 shares it on that link: the powers of a fixed_power sweep, or
 FixedBaseline and SemiStatic at one point. A FixedBaseline run never
-changes its power, so on a 2x2 link its reports (the 8-hypothesis
-search) are computed for every TTI of a chunk in one vectorised call
-before the loop enters it (_Link.fixed_reports), with the tie rules of
-the scalar report the other strategies call per TTI.
+changes its power, so on every link its reports (the threshold bisect
+of a single stream, the 8-hypothesis search of 2x2) are computed for
+every TTI of a chunk in one vectorised call before the loop enters it
+(_Link.fixed_reports), with the tie rules of the scalar report that
+serves the controller strategies, one call per TTI. Its outer loop and
+plain AMC are ee_controller.update_offset and amc_level at min_mcs 1,
+written out in the loop on a local offset.
 
 The feedback delay, the retransmission limit, the pilot averaging
 window and the chunk length are module constants (FEEDBACK_DELAY_TTIS,
@@ -69,11 +72,9 @@ from .ee_controller import (
     RECONFIGURE,
     ControllerConfig,
     TtiFeedback,
-    amc_level,
     new_controller_state,
     on_tti,
     select_optimal,
-    update_offset,
 )
 from .link_channel import ChannelParams, bessel_j0, doppler_hz, hs_sinr_db, synth_fading
 from .mcs_table import McsTable, default_table
@@ -276,9 +277,10 @@ class _Link(NamedTuple):
 
     report(t, p_dbm) is the (mode, pci, cqi1, cqi2, p_dbm) report measured
     at TTI t with p_dbm configured; cqi2 is 0 for a single-stream mode.
-    fixed_reports(p_dbm) is the list of report(t, p_dbm) over every TTI
-    of the chunk, computed in one vectorised pass, on a 2x2 link; it is
-    None on a single-stream link, whose scalar report is one bisect.
+    It serves the controller strategies, whose power moves. A
+    FixedBaseline run reads fixed_reports(p_dbm) instead: the list of
+    report(t, p_dbm) over every TTI of the chunk, computed in one
+    vectorised pass.
     sinr_db[mode][slot][pci][t] is the dB SINR at 1 W (30 dBm), less the
     pilot loss, of stream slot under a report of that mode, and
     share_db[mode] how far each stream's power lies below the total.
@@ -287,7 +289,7 @@ class _Link(NamedTuple):
     """
 
     report: Callable[[int, float], tuple]
-    fixed_reports: Callable[[float], list] | None
+    fixed_reports: Callable[[float], list]
     sinr_db: dict
     share_db: dict
     resolve_first: bool
@@ -317,9 +319,27 @@ def _single_stream_view(table: McsTable, c_db: list) -> _Link:
     def report(t, p_dbm):
         return SINGLE, 0, bisect_right(thr, (p_dbm - 30.0) + c_db[t]), 0, p_dbm
 
+    def fixed_reports(p_dbm):
+        cqi = np.searchsorted(table.thresholds_db, (p_dbm - 30.0) + np.array(c_db), side="right")
+        return _shared_reports(cqi.tolist(), lambda c: (SINGLE, 0, c, 0, p_dbm))
+
     return _Link(
-        report, None, {SINGLE: ((c_db,),)}, {SINGLE: 0.0}, resolve_first=True, ttis=len(c_db)
+        report, fixed_reports, {SINGLE: ((c_db,),)}, {SINGLE: 0.0}, resolve_first=True,
+        ttis=len(c_db),
     )
+
+
+def _shared_reports(keys: Iterable, make) -> list:
+    """[make(key) for key in keys] with one report per distinct key,
+    shared by its TTIs, so the list costs a pointer per TTI."""
+    distinct = {}
+    reports = []
+    for key in keys:
+        report = distinct.get(key)
+        if report is None:
+            report = distinct[key] = make(key)
+        reports.append(report)
+    return reports
 
 
 def _mimo_constants(block: np.ndarray, ch: ChannelParams, p_w: float, loss_db: float):
@@ -415,16 +435,10 @@ def _mimo_view(table: McsTable, consts: list) -> _Link:
         hyp, c1, c2 = _mimo_hypotheses(
             table.thresholds_db, np.array(tbs), a1, a2, a_single, p_dbm
         )
-        # one tuple per distinct report, shared by its TTIs, so the list
-        # costs a pointer per TTI
-        distinct = {}
-        reports = []
-        for key in zip(hyp.tolist(), c1.tolist(), c2.tolist()):
-            if key not in distinct:
-                h, cqi1, cqi2 = key
-                distinct[key] = (DUAL if h >= 4 else SINGLE, h % 4, cqi1, cqi2, p_dbm)
-            reports.append(distinct[key])
-        return reports
+        return _shared_reports(
+            zip(hyp.tolist(), c1.tolist(), c2.tolist()),
+            lambda key: (DUAL if key[0] >= 4 else SINGLE, key[0] % 4, key[1], key[2], p_dbm),
+        )
 
     sinr_db = {SINGLE: (a_single,), DUAL: (a1, a2)}
     return _Link(
@@ -456,6 +470,7 @@ def _run_link(sc: ScenarioConfig, links: Iterable[_Link]) -> tuple[RunMetrics, l
     overhead = pm.overhead_w
     eta = pm.eta
     strategy = sc.strategy
+    baseline = strategy == FIXED_BASELINE
     always_fire = strategy == PER_TTI_OPTIMAL
     collect = sc.collect_trace
 
@@ -473,20 +488,20 @@ def _run_link(sc: ScenarioConfig, links: Iterable[_Link]) -> tuple[RunMetrics, l
 
     st = new_controller_state(cfg, sc.baseline_power_dbm)
     p_cfg = sc.baseline_power_dbm
+    # FixedBaseline's outer-loop offset and update_offset's constants
+    offset = st.offset_db
+    step_up, step_down = cfg.offset_step_up_db, cfg.offset_step_down_db
+    clamp = cfg.offset_clamp_db
+    neg_clamp = -clamp
     p_energy = served_energy = None  # energy of a served TTI, cached per power
     last_sample_ee = 0.0
 
     base = 0  # TTIs of the run before the current chunk
     for link in links:
         report, fixed_reports, sinr_db, share_db, resolve_first, n = link
-        if strategy == FIXED_BASELINE and fixed_reports is not None:
-            # the power never changes: every 2x2 report of the chunk is
-            # known before its first TTI
-            fixed = fixed_reports(sc.baseline_power_dbm)
-
-            def report(i, p_dbm):
-                return fixed[i]
-
+        # the baseline's power never changes: every report of the chunk
+        # is known before its first TTI
+        fixed = fixed_reports(p_cfg) if baseline else None
         # t counts the run's TTIs and i the chunk's, which index its link
         for i in range(n):
             t = base + i
@@ -499,17 +514,25 @@ def _run_link(sc: ScenarioConfig, links: Iterable[_Link]) -> tuple[RunMetrics, l
             # even one that lands on the values already in force: it is the
             # signaling event that costs, not the numeric delta
             reconfigured = False
-            if strategy == FIXED_BASELINE:
+            if baseline:
                 # hold power, conventional link adaptation with the same
-                # ACK/NACK outer loop backing off the served levels
+                # ACK/NACK outer loop backing off the served levels:
+                # update_offset, then amc_level(table, cqi, -offset, 1),
+                # written out (bisect_right never exceeds the table)
                 for ack in arriving_acks:
-                    update_offset(st, ack, cfg)
+                    if ack:
+                        offset -= step_down
+                    else:
+                        offset += step_up
+                    if offset > clamp:
+                        offset = clamp
+                    elif offset < neg_clamp:
+                        offset = neg_clamp
                 levels = ()
                 if fb is not None and (fb[0] == DUAL or fb[2] >= 1):
-                    back = -st.offset_db
-                    levels = (amc_level(table, fb[2], back, 1),)
+                    levels = (bisect_right(thr, thr[fb[2] - 1] - offset) or 1,)
                     if fb[0] == DUAL:
-                        levels += (amc_level(table, fb[3], back, 1),)
+                        levels += (bisect_right(thr, thr[fb[3] - 1] - offset) or 1,)
             else:
                 if fb is None:
                     cqi, p_meas, select = 0, None, select_optimal
@@ -600,7 +623,7 @@ def _run_link(sc: ScenarioConfig, links: Iterable[_Link]) -> tuple[RunMetrics, l
 
             # measurement for the report that arrives delay TTIs from now,
             # taken at the configured power regardless of what was sent
-            reports[k] = report(i, p_cfg)
+            reports[k] = fixed[i] if baseline else report(i, p_cfg)
 
         base += n
         # drop the chunk before the next one is built, so that one is

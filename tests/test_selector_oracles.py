@@ -8,10 +8,10 @@ tables, power models, clamps and reports, on the exact float where the
 oracle's argmax flips between two levels, and one ulp to either side.
 
 The other way round, the scalar forms are the oracles of what skips
-them: the vectorised report list of a FixedBaseline 2x2 run must
-equal the scalar report at every TTI, and on_tti, which makes no selection
-inside the minimum interval, must step like a controller that always
-selects.
+them: the vectorised report list of a FixedBaseline run, single-stream
+or 2x2, must equal the scalar report at every TTI, and on_tti, which
+makes no selection inside the minimum interval, must step like a
+controller that always selects.
 """
 
 import dataclasses
@@ -57,6 +57,7 @@ from hsdpa_ee.sim_engine import (
     SINGLE,
     _mimo_hypothesis,
     _mimo_view,
+    _single_stream_view,
     power_model_for_mode,
 )
 
@@ -432,6 +433,18 @@ def test_mimo_fixed_reports_match_scalar_report(table, p_dbm, data):
         at_thresholds(rng, a, table, p_dbm)
         a[rng.random((4, T)) < 0.05] = -np.inf  # a stream nulled to zero gain
     link = _mimo_view(table, np.stack([a1, a2, a_single]).tolist())
+    assert_same_reports(link.fixed_reports(p_dbm), [link.report(t, p_dbm) for t in range(T)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tables(), fixed_powers, st.data())
+def test_single_stream_fixed_reports_match_scalar_report(table, p_dbm, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    T = 60
+    c = rng.uniform(-25.0, 35.0, size=T)
+    at_thresholds(rng, c, table, p_dbm)
+    c[rng.random(T) < 0.05] = -np.inf  # a deep fade, out of range
+    link = _single_stream_view(table, c.tolist())
     assert_same_reports(link.fixed_reports(p_dbm), [link.report(t, p_dbm) for t in range(T)])
 
 

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import j0 as scipy_j0
 
 from hsdpa_ee import sim_engine
-from hsdpa_ee.ee_controller import ControllerConfig
+from hsdpa_ee.ee_controller import ControllerConfig, amc_level, new_controller_state, update_offset
 from hsdpa_ee.link_channel import doppler_hz, make_channel, synth_fading
 from hsdpa_ee.mcs_table import cqi_from_sinr, reference_table
 from hsdpa_ee.mimo_dtxaa import DUAL, SINGLE
@@ -513,3 +513,138 @@ def test_sweep_cell_longer_than_a_chunk_is_its_own_run(small_chunks):
                 antenna_modes=(SIMO, MIMO))
     assert got == per_cell_sweep(template, "fixed_power", [36.0, 42.0], 1, strategies,
                                  (SIMO, MIMO))
+
+
+# ------------------------------------------------- FixedBaseline oracle
+
+
+def reference_fixed_baseline(sc, chunks):
+    """FixedBaseline as a slow step over the whole run, built on the
+    controller's own functions: the outer loop is update_offset, the
+    served levels amc_level at min_mcs 1, and every report the chunk's
+    scalar report(t, p). Returns the run's (metrics, trace) and the
+    number of outer-loop updates that ended on the clamp."""
+    cfg, pm, table = sc.controller, sc.power_model, sc.table
+    delay = sim_engine.FEEDBACK_DELAY_TTIS
+    ts = cfg.tti_ms * 1e-3
+    p = sc.baseline_power_dbm
+    served_energy = ts * (10.0 ** ((p - 30.0) / 10.0) / pm.eta + pm.overhead_w)
+    idle_energy = ts * pm.overhead_w
+    state = new_controller_state(cfg, p)
+    steps = [(link, i) for link in chunks for i in range(link.ttis)]
+    # the report measured at TTI t, and the (acks, failed blocks) of t,
+    # each acted on at t + delay
+    measured = [link.report(i, p) for link, i in steps]
+    outcomes = [((), ())] * len(steps)
+    retx = [None, None]
+    trace = []
+    bits = attempts = nacks = clamped = 0
+    energy_j = 0.0
+
+    def queue(failed, replace):
+        for slot, m, b, cnt in failed:
+            if cnt < sim_engine.MAX_RETRANSMISSIONS and (replace or retx[slot] is None):
+                retx[slot] = (m, b, cnt + 1)
+
+    for t, (link, i) in enumerate(steps):
+        fb = measured[t - delay] if t >= delay else None
+        acks_in, failed_in = outcomes[t - delay] if t >= delay else ((), ())
+        for ack in acks_in:
+            update_offset(state, ack, cfg)
+            clamped += abs(state.offset_db) == cfg.offset_clamp_db
+        levels = ()
+        if fb is not None and (fb[0] == DUAL or fb[2] >= 1):
+            cqis = fb[2:4] if fb[0] == DUAL else fb[2:3]
+            levels = tuple(amc_level(table, c, -state.offset_db, 1) for c in cqis)
+        if link.resolve_first:
+            queue(failed_in, True)
+        if levels:
+            off = (p - 30.0) - link.share_db[fb[0]]
+            sent = []
+            acks, failed, delivered = [], [], 0
+            for slot, m in enumerate(levels):
+                if retx[slot] is None:
+                    b, cnt = table.tbs(m), 0
+                else:
+                    (m, b, cnt), retx[slot] = retx[slot], None
+                sent.append(m)
+                ok = link.sinr_db[fb[0]][slot][fb[1]][i] + off >= table.threshold(m)
+                acks.append(ok)
+                if ok:
+                    delivered += b
+                else:
+                    failed.append((slot, m, b, cnt))
+            outcomes[t] = (tuple(acks), tuple(failed))
+            attempts += len(acks)
+            nacks += len(failed)
+            bits += delivered
+            energy_j += served_energy
+            outcome = (OUTCOME_ACK if not failed
+                       else OUTCOME_NACK if len(failed) == len(acks) else OUTCOME_MIXED)
+            m1, m2 = (sent + [0])[:2]  # mcs_secondary is 0 on one stream
+            trace.append(sim_engine.TtiRecord(
+                t, p, m1, m2, outcome, delivered, served_energy, False))
+        else:
+            energy_j += idle_energy
+            trace.append(sim_engine.TtiRecord(
+                t, float("-inf"), 0, 0, OUTCOME_IDLE, 0, idle_energy, False))
+        if not link.resolve_first:
+            queue(failed_in, False)
+
+    metrics = sim_engine.RunMetrics(
+        avg_ee_bits_per_joule=bits / energy_j,
+        throughput_bps=bits / (len(steps) * ts),
+        reconfig_count=0,
+        nack_rate=nacks / attempts if attempts else 0.0,
+        delivered_bits=bits,
+        consumed_energy_j=energy_j,
+        duration_ttis=len(steps),
+        strategy=FIXED_BASELINE,
+        antenna_mode=sc.antenna_mode,
+    )
+    return metrics, trace, clamped
+
+
+def assert_same_run(got, want):
+    """Equal metrics and traces, row by row, with the power's type."""
+    (got_m, got_trace), (want_m, want_trace) = got, want
+    assert got_m == want_m
+    assert len(got_trace) == len(want_trace)
+    for g, w in zip(got_trace, want_trace):
+        assert g == w
+        assert type(g.p_tx_dbm) is type(w.p_tx_dbm)
+
+
+@pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])
+@pytest.mark.parametrize("power, ttis", [(40, 2000), (40.5, 2000), (21.0, 6000)])
+def test_fixed_baseline_equals_a_step_through_the_controller_functions(mode, power, ttis):
+    sc = make_scenario(antenna_mode=mode, strategy=FIXED_BASELINE, baseline_power_dbm=power,
+                       duration_ttis=ttis)
+    chunks = list(sim_engine._build_link(sc))
+    metrics, trace, clamped = reference_fixed_baseline(sc, chunks)
+    assert_same_run(sim_engine._run_link(sc, chunks), (metrics, trace))
+    if power == 21.0:
+        # at a low power the NACKs drive the offset into its clamp
+        assert clamped > 0
+
+
+@pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])
+def test_fixed_baseline_ignores_the_controllers_floor(mode):
+    sc = make_scenario(antenna_mode=mode, strategy=FIXED_BASELINE, baseline_power_dbm=21.0,
+                       controller=ControllerConfig(ee_smoothing=0.01, min_mcs=12))
+    chunks = list(sim_engine._build_link(sc))
+    metrics, trace, _ = reference_fixed_baseline(sc, chunks)
+    assert_same_run(sim_engine._run_link(sc, chunks), (metrics, trace))
+    assert any(0 < r.mcs_index < 12 for r in trace)
+
+
+@pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])
+def test_chunked_fixed_baseline_equals_a_step_through_the_controller_functions(
+    small_chunks, mode
+):
+    sc = make_scenario(antenna_mode=mode, strategy=FIXED_BASELINE, duration_ttis=2 * CHUNK + 700,
+                       baseline_power_dbm=36.0)
+    chunks = list(sim_engine._build_link(sc))
+    assert [c.ttis for c in chunks] == [CHUNK, CHUNK, 700]
+    metrics, trace, _ = reference_fixed_baseline(sc, chunks)
+    assert_same_run(run(sc), (metrics, trace))
