@@ -23,21 +23,27 @@ by delta.
 The same step drives the 2x2 mode: a dual-stream report goes through
 select_optimal_dual instead of select_optimal and yields two levels.
 
-The argmax is not searched level by level. Write x = P - beta_i + delta,
-so level j costs x + beta_j. Its efficiency is TBS_j / (a 10^((x +
-beta_j)/10) + c), and the log ratio of any two levels' efficiencies is
-monotone in x: two levels cross at most once and the optimum is a step
-function of x (the ratio structure of Dinkelbach-style fractional
-programming). Once per (table, power model) the x intervals on which
-one level beats every other by a relative margin of at least
-_TIE_MARGIN are derived in closed form; tti_ms scales every level's
-energy alike and drops out. A call bisects those intervals for the
-optimum and the thresholds for the power ceiling. Outside every
-interval, within the margin of a crossing where rounding could decide
-the order, it evaluates every level instead, so the result is always
-the first maximum of the per-level efficiencies as evaluated below.
+The argmax is not searched candidate by candidate. Write x = P -
+beta_i + delta, so level j costs x + beta_j. Its efficiency is TBS_j /
+(a 10^((x + beta_j)/10) + c), and the log ratio of any two levels'
+efficiencies is monotone in x: two levels cross at most once and the
+optimum is a step function of x (the ratio structure of
+Dinkelbach-style fractional programming). One search serves both
+selectors: its candidates are the levels at offsets beta_j for a
+single stream, and for 2x2 the equal-shift MCS pairs of a report at
+the offsets of their shared power (mimo_dtxaa). Candidates at one
+offset form a group whose best is its first with the most bits. Once
+per (table, power model, and for 2x2 the reported pair) the search is
+built and cached, with the x intervals on which one group beats every
+other by a relative margin of at least _TIE_MARGIN, derived in closed
+form; tti_ms scales every candidate's energy alike and drops out. A
+call bisects those intervals for the optimum and the offsets for the
+power ceiling. Outside every interval, within the margin of a crossing
+where rounding could decide the order, it evaluates every candidate
+instead, so the result is always the first maximum of the
+per-candidate efficiencies as evaluated below.
 
-The chosen level's efficiency is evaluated with numpy's power ufunc,
+The chosen candidate's efficiency is evaluated with numpy's power ufunc,
 not Python's ** or math.pow. numpy dispatches its own SIMD kernel (on
 AVX-512 hosts a vector pow that differs from libm's in the last bit
 for a few percent of arguments) and applies the same kernel to a
@@ -48,8 +54,9 @@ ones a whole-table evaluation gives, bit for bit.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -107,6 +114,8 @@ class ControllerConfig:
     ee_smoothing: float = 0.05
 
     def __post_init__(self):
+        if not isinstance(self.min_mcs, int) or isinstance(self.min_mcs, bool):
+            raise ValueError(f"min_mcs must be an int, got {self.min_mcs!r}")
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
@@ -285,36 +294,102 @@ def _argmax_intervals(offsets_db, bits, pm: PowerModelParams) -> _ArgmaxInterval
     return _ArgmaxIntervals(lo[items].tolist(), hi[items].tolist(), items.tolist())
 
 
-def _argmax_at(intervals: _ArgmaxIntervals, x: float) -> int | None:
-    """The candidate that wins at x with room to spare, else None."""
-    k = bisect_right(intervals.starts, x) - 1
-    if k >= 0 and x <= intervals.ends[k]:
-        return intervals.items[k]
-    return None
+class _Search(NamedTuple):
+    """One selector's candidates, per position k in ascending power order
+    and per group g of positions at one power."""
 
-
-class _LevelSearch(NamedTuple):
-    bits: list[float]  # per level, as floats
-    intervals: _ArgmaxIntervals  # over levels, with offsets beta_j
+    items: list  # k: what a selection returns, a level or a pair
+    bits: list[float]  # k: block size, or block-size sum
+    group: list[int]  # k: its group
+    floor: list[int]  # k: max over positions <= k of the candidate's lowest level
+    offsets: list[float]  # g: power above the reported level's, ascending
+    ends: list[int]  # g: one past its last position
+    intervals: _ArgmaxIntervals  # over groups; items map to best[g]
+    best: list[int]  # g: its first position with the largest bits
     owners: tuple  # the table and power model, keeping their ids unique
 
 
 # Searches keyed on the ids of the table and power model they were built
-# for (plus the report, for pairs). Each entry holds both objects, so an
-# id cannot be reused by another object while its entry exists; hashing
-# the frozen table's rows on every call would cost more than the search
-# saves. Cleared when full: a run uses one table and power model.
+# for (plus the reported pair, for two streams). Each entry holds both
+# objects, so an id cannot be reused by another object while its entry
+# exists; hashing the frozen table's rows on every call would cost more
+# than the search saves. Cleared when full: a run uses one table and
+# power model.
 _CACHE_LIMIT = 512
-_level_searches: dict = {}
+_searches: dict = {}
 
 
-def _level_search(table: McsTable, pm: PowerModelParams) -> _LevelSearch:
-    if len(_level_searches) >= _CACHE_LIMIT:
-        _level_searches.clear()
-    bits = [float(v) for v in table.tbs_bits]
-    search = _LevelSearch(bits, _argmax_intervals(table.thresholds_db, bits, pm), (table, pm))
-    _level_searches[(id(table), id(pm))] = search
+def _build_search(key, table, pm, items, bits, offsets, lowest) -> _Search:
+    """The search over candidates items at ascending power offsets, with
+    block sizes bits and lowest levels lowest (for the min_mcs floor),
+    cached under key."""
+    group, g_offsets, ends, best = [], [], [], []
+    for k, offset in enumerate(offsets):
+        if not g_offsets or offset != g_offsets[-1]:
+            g_offsets.append(offset)
+            ends.append(k)
+            best.append(k)
+        elif bits[k] > bits[best[-1]]:
+            best[-1] = k
+        ends[-1] = k + 1
+        group.append(len(g_offsets) - 1)
+    floor = list(accumulate(lowest, max))
+    intervals = _argmax_intervals(g_offsets, [bits[k] for k in best], pm)
+    search = _Search(items, bits, group, floor, g_offsets, ends, intervals, best, (table, pm))
+    if len(_searches) >= _CACHE_LIMIT:
+        _searches.clear()
+    _searches[key] = search
     return search
+
+
+def _level_search(table: McsTable, pm: PowerModelParams) -> _Search:
+    """The levels 1..N at the thresholds."""
+    levels = list(range(1, len(table) + 1))
+    bits = [float(v) for v in table.tbs_bits]
+    return _build_search((id(table), id(pm)), table, pm, levels, bits, table._thr_list, levels)
+
+
+def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, result):
+    """The constrained EE argmax of search's candidates, candidate k at
+    p_dbm + offsets[group[k]] - ref + delta_db, as result(item, power,
+    ee, infeasible)."""
+    items, bits, group, floor, offsets, ends, intervals, best, _ = search
+    x = p_dbm - ref + delta_db
+
+    # the affordable positions: the groups whose power fits the budget.
+    # Powers rise with the offset, so the bisect lands next to the last
+    # one and the loops settle what rounding decides.
+    p_max = cfg.p_max_dbm
+    n_groups = len(offsets)
+    g = bisect_right(offsets, p_max - x)
+    while g < n_groups and p_dbm + offsets[g] - ref + delta_db <= p_max:
+        g += 1
+    while g > 0 and p_dbm + offsets[g - 1] - ref + delta_db > p_max:
+        g -= 1
+    affordable = ends[g - 1] if g else 0
+
+    tti_s = cfg.tti_ms * 1e-3
+    pos_min = bisect_left(floor, cfg.min_mcs)
+    if pos_min >= affordable:  # no admissible candidate fits the budget
+        pos = max(affordable - 1, 0)
+        p_pos = p_dbm + offsets[group[pos]] - ref + delta_db
+        return result(items[pos], p_max, _ee(p_pos, bits[pos], tti_s, pm), True)
+
+    # the group whose interval holds x wins with room to spare; outside
+    # every interval, evaluate every candidate
+    starts, stops, winners = intervals
+    i = bisect_right(starts, x) - 1
+    if i >= 0 and x <= stops[i]:
+        pos_star = best[winners[i]]
+    else:
+        ees = [
+            _ee(p_dbm + offsets[group[k]] - ref + delta_db, bits[k], tti_s, pm)
+            for k in range(len(items))
+        ]
+        pos_star = ees.index(max(ees))
+    pos = min(max(pos_star, pos_min), affordable - 1)
+    p_pos = p_dbm + offsets[group[pos]] - ref + delta_db
+    return result(items[pos], p_pos, _ee(p_pos, bits[pos], tti_s, pm), False)
 
 
 def select_optimal(
@@ -328,51 +403,22 @@ def select_optimal(
     """Constrained EE argmax over every table level.
 
     Picks the level whose efficiency at its power estimate is highest
-    (found by the interval search of the module docstring), then applies
-    the index clamp [min_mcs, theta_max] where theta_max is the highest
+    (found by the search of the module docstring), then applies the
+    index clamp [min_mcs, theta_max] where theta_max is the highest
     level affordable within p_max. Ties go to the lower level (lower
     power). When even min_mcs does not fit in the power budget the
     selection is flagged infeasible and falls back to the best
-    affordable level at full power.
+    affordable level at full power. Level j's power is p_dbm + beta_j -
+    beta_feedback + delta_db, the expression of estimate_power_for_mcs.
     """
     thr = table._thr_list
     n = len(thr)
     if feedback_cqi < 1 or feedback_cqi > n:
         raise ValueError("feedback_cqi must be a valid table index")
-    min_mcs = cfg.min_mcs
-    if min_mcs > n:
+    if cfg.min_mcs > n:
         raise ValueError("min_mcs must be a valid table index")
-    search = _level_searches.get((id(table), id(pm))) or _level_search(table, pm)
-    bits = search.bits
-    # level j's power estimate is p_dbm + thr[j - 1] - ref + delta_db,
-    # the expression of estimate_power_for_mcs, written out in full
-    # wherever a level's figures are returned
-    ref = thr[feedback_cqi - 1]
-    x = p_dbm - ref + delta_db
-
-    # theta_max: the levels whose estimate fits the budget. Estimates
-    # rise with the level, so the bisect on the thresholds lands next to
-    # it and the loops settle what rounding decides.
-    p_max = cfg.p_max_dbm
-    theta_max = bisect_right(thr, p_max - x)
-    while theta_max < n and p_dbm + thr[theta_max] - ref + delta_db <= p_max:
-        theta_max += 1
-    while theta_max > 0 and p_dbm + thr[theta_max - 1] - ref + delta_db > p_max:
-        theta_max -= 1
-
-    tti_s = cfg.tti_ms * 1e-3
-    if min_mcs > theta_max:
-        theta = max(theta_max, 1)
-        p_theta = p_dbm + thr[theta - 1] - ref + delta_db
-        return OptimalSelection(theta, p_max, _ee(p_theta, bits[theta - 1], tti_s, pm), True)
-
-    j_star = _argmax_at(search.intervals, x)
-    if j_star is None:
-        ees = [_ee(p_dbm + thr[j] - ref + delta_db, bits[j], tti_s, pm) for j in range(n)]
-        j_star = ees.index(max(ees))
-    theta = min(max(j_star + 1, min_mcs), theta_max)
-    p_theta = p_dbm + thr[theta - 1] - ref + delta_db
-    return OptimalSelection(theta, p_theta, _ee(p_theta, bits[theta - 1], tti_s, pm), False)
+    search = _searches.get((id(table), id(pm))) or _level_search(table, pm)
+    return _select(search, p_dbm, thr[feedback_cqi - 1], delta_db, cfg, pm, OptimalSelection)
 
 
 def relative_ee_difference(xi_opt: float, xi: float) -> float:
@@ -422,13 +468,12 @@ def _check_unselected_step(report, reported, timer_ms, table, cfg) -> None:
     if isinstance(report, int):
         if report > n:
             raise ValueError("feedback_cqi must be a valid table index")
-        if cfg.min_mcs > n:
-            raise ValueError("min_mcs must be a valid table index")
-        return
-    if report.mode != DUAL:
+    elif report.mode != DUAL:
         raise ValueError("dual-stream selection needs dual-mode feedback")
-    if max(reported) > n:
+    elif max(reported) > n:
         raise ValueError("reference indices must be valid table entries")
+    if cfg.min_mcs > n:
+        raise ValueError("min_mcs must be a valid table index")
 
 
 def on_tti(

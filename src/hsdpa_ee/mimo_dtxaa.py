@@ -20,39 +20,24 @@ noise break that linearity.
 The dual-stream optimizer walks MCS pairs that move both streams by
 exactly the same threshold shift, so one power value serves both; the
 total power update applies that per-stream shift twice
-(DUAL_SHIFT_FACTOR).
-
-The pair list, its block-size sums and the admissible floor depend only
-on the table and the report, so they are built once per (table, power
-model, reported pair) and cached. The enumeration is row-major in the
+(DUAL_SHIFT_FACTOR). It is select_optimal's rule over these pairs, run
+by the one candidate search of ee_controller: the pairs of a report
+are its candidates, at power DUAL_SHIFT_FACTOR * (beta_j1 - beta_i1)
+above the reported pair's, with the lower level of a pair as its
+level for the min_mcs floor. The enumeration is row-major in the
 stream-1 level, on which alone the power depends, so with
-DUAL_SHIFT_FACTOR positive the list is already in ascending power order
-and needs no sort. Pairs at one power form a group whose best is its first pair with
-the largest sum; the groups are candidates at offsets DUAL_SHIFT_FACTOR
-* (beta_j1 - beta_i1) for the closed-form interval search of
-ee_controller, with the same near-tie fallback to evaluating every pair
-and the same EE evaluation (numpy's power ufunc, for bit-exact figures).
+DUAL_SHIFT_FACTOR positive the list is already in ascending power
+order and needs no sort.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .ee_controller import (
-    _CACHE_LIMIT,
-    DUAL,
-    SINGLE,
-    ControllerConfig,
-    _argmax_at,
-    _argmax_intervals,
-    _ArgmaxIntervals,
-    _ee,
-)
+from .ee_controller import DUAL, SINGLE, ControllerConfig, _build_search, _searches, _select
 from .link_channel import ChannelParams
 from .mcs_table import McsTable
 from .power_model import PowerModelParams
@@ -223,8 +208,7 @@ def estimate_dual_power(
     return p_dbm + DUAL_SHIFT_FACTOR * shift + delta_db
 
 
-@dataclass(frozen=True)
-class DualSelection:
+class DualSelection(NamedTuple):
     pair: tuple[int, int]
     power_dbm: float
     ee: float
@@ -235,48 +219,16 @@ class DualSelection:
         return self.pair
 
 
-class _PairSearch(NamedTuple):
-    """What select_optimal_dual needs of one reported pair, per pair
-    position k in enumeration order and per equal-power group g."""
-
-    pairs: list[tuple[int, int]]
-    bits: list[float]  # k: block-size sum
-    group: list[int]  # k: its group
-    floor: list[int]  # k: max over positions <= k of min(pair)
-    shifts: list[float]  # g: power above p_dbm + delta_db, ascending
-    ends: list[int]  # g: one past its last position
-    intervals: _ArgmaxIntervals  # over groups; items map to best[g]
-    best: list[int]  # g: its first position with the largest sum
-    owners: tuple  # the table and power model, keeping their ids unique
-
-
-_pair_searches: dict = {}  # see ee_controller._level_searches
-
-
-def _pair_search(table, pm, i1, i2) -> _PairSearch:
+def _pair_search(table, pm, i1, i2):
+    """The equal-shift pairs of the report (i1, i2), at their power above
+    the reported pair's: exactly the shift term, so that p_dbm + shift -
+    0.0 + delta_db rounds like estimate_dual_power(p_dbm, ..., delta_db)."""
     pairs = enumerate_equal_delta_pairs(i1, i2, table)
     tbs = table._tbs_list
     bits = [float(tbs[a - 1] + tbs[b - 1]) for a, b in pairs]
-    group, shifts, ends, best = [], [], [], []
-    for k, (j1, _) in enumerate(pairs):
-        # exactly the shift term: p_dbm + shift + delta_db rounds like
-        # estimate_dual_power(p_dbm, ..., delta_db)
-        shift = estimate_dual_power(0.0, i1, j1, table)
-        if not shifts or shift != shifts[-1]:
-            shifts.append(shift)
-            ends.append(k)
-            best.append(k)
-        elif bits[k] > bits[best[-1]]:
-            best[-1] = k
-        ends[-1] = k + 1
-        group.append(len(shifts) - 1)
-    floor = list(accumulate((min(pair) for pair in pairs), max))
-    intervals = _argmax_intervals(shifts, [bits[k] for k in best], pm)
-    search = _PairSearch(pairs, bits, group, floor, shifts, ends, intervals, best, (table, pm))
-    if len(_pair_searches) >= _CACHE_LIMIT:
-        _pair_searches.clear()
-    _pair_searches[(id(table), id(pm), i1, i2)] = search
-    return search
+    shifts = [estimate_dual_power(0.0, i1, j1, table) for j1, _ in pairs]
+    lowest = [min(pair) for pair in pairs]
+    return _build_search((id(table), id(pm), i1, i2), table, pm, pairs, bits, shifts, lowest)
 
 
 def select_optimal_dual(
@@ -289,7 +241,7 @@ def select_optimal_dual(
 ) -> DualSelection:
     """Sum-efficiency argmax over the equal-shift MCS pair list.
 
-    Mirrors the single-stream clamp logic on the power-sorted pair
+    The single-stream rule of select_optimal on the power-sorted pair
     list: the minimum-level constraint sets the floor (first pair with
     both streams admissible), the power budget the ceiling, and an
     empty admissible window is flagged infeasible with a full-power
@@ -299,39 +251,7 @@ def select_optimal_dual(
     if feedback.mode != DUAL:
         raise ValueError("dual-stream selection needs dual-mode feedback")
     i1, i2 = feedback.cqi_primary, feedback.cqi_secondary
-    search = _pair_searches.get((id(table), id(pm), i1, i2)) or _pair_search(
-        table, pm, i1, i2
-    )
-    pairs, bits, group, floor, shifts, ends, intervals, best, _ = search
-
-    # affordable: the pairs whose power p_dbm + shift + delta_db (the
-    # expression of estimate_dual_power) fits the budget, found on the
-    # ascending group shifts and corrected for rounding
-    p_max = cfg.p_max_dbm
-    n_groups = len(shifts)
-    g = bisect_right(shifts, p_max - p_dbm - delta_db)
-    while g < n_groups and p_dbm + shifts[g] + delta_db <= p_max:
-        g += 1
-    while g > 0 and p_dbm + shifts[g - 1] + delta_db > p_max:
-        g -= 1
-    affordable = ends[g - 1] if g else 0
-
-    tti_s = cfg.tti_ms * 1e-3
-    pos_min = bisect_left(floor, cfg.min_mcs)
-    if pos_min >= affordable:  # no admissible pair fits the budget
-        pos = affordable - 1 if affordable >= 1 else 0
-        p_pos = p_dbm + shifts[group[pos]] + delta_db
-        return DualSelection(pairs[pos], p_max, _ee(p_pos, bits[pos], tti_s, pm), True)
-
-    g_star = _argmax_at(intervals, p_dbm + delta_db)
-    if g_star is None:
-        ees = [
-            _ee(p_dbm + shifts[group[k]] + delta_db, bits[k], tti_s, pm)
-            for k in range(len(pairs))
-        ]
-        pos_star = ees.index(max(ees))
-    else:
-        pos_star = best[g_star]
-    pos = min(max(pos_star, pos_min), affordable - 1)
-    p_pos = p_dbm + shifts[group[pos]] + delta_db
-    return DualSelection(pairs[pos], p_pos, _ee(p_pos, bits[pos], tti_s, pm), False)
+    search = _searches.get((id(table), id(pm), i1, i2)) or _pair_search(table, pm, i1, i2)
+    if cfg.min_mcs > len(table):
+        raise ValueError("min_mcs must be a valid table index")
+    return _select(search, p_dbm, 0.0, delta_db, cfg, pm, DualSelection)

@@ -412,6 +412,7 @@ def test_on_tti_out_of_range_cqi_serves_nothing():
     ((SINGLE, 5, None), True, 1),  # single-mode report to the dual selector
     ((SINGLE, 5, 7), True, 1),
     (5, False, 31),  # min_mcs above the table
+    ((DUAL, 5, 7), True, 31),
 ])
 def test_on_tti_rejects_a_cqi_outside_the_table(timer_ms, report, dual, min_mcs):
     # inside the minimum interval select and should_trigger are not

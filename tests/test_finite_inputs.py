@@ -1,12 +1,13 @@
 """Configs, MCS tables, the channel constructor and the fading
-synthesis reject NaN and infinite numbers, and a run length must be an
-int.
+synthesis reject NaN and infinite numbers, and a run length and an MCS
+floor must be ints.
 
 Without these checks a NaN slips through every range comparison (they
 are all false) and a run finishes with NaN energy, while the selectors'
 cached interval searches would silently be built from NaN; a NaN time
 step or Doppler would give an all-NaN fading block, and a float run
-length would fail deep inside the synthesis instead of at construction.
+length or MCS floor would fail deep inside the synthesis or the TTI
+loop instead of at construction.
 """
 
 import dataclasses
@@ -91,6 +92,13 @@ def test_table_file_with_non_finite_thresholds_is_rejected():
 def test_run_length_that_is_not_an_int_is_rejected(value):
     with pytest.raises(ValueError, match="duration_ttis must be an int"):
         scenario(duration_ttis=value)
+
+
+@pytest.mark.parametrize("value", [25.5, 2.0, True, "2", None])
+def test_min_mcs_that_is_not_an_int_is_rejected(value):
+    # a float floor would index the table deep inside a run's loop
+    with pytest.raises(ValueError, match="min_mcs must be an int"):
+        ControllerConfig(min_mcs=value)
 
 
 def test_min_mcs_beyond_the_table_is_rejected():

@@ -386,6 +386,16 @@ def test_dual_optimizer_requires_dual_feedback():
         )
 
 
+def test_dual_optimizer_rejects_min_mcs_beyond_table():
+    # as select_optimal does, not an infeasible full-power fallback
+    t = default_table()
+    assert len(t) == 30
+    with pytest.raises(ValueError, match="min_mcs"):
+        select_optimal_dual(
+            40.0, MimoFeedback(DUAL, 0, 11, 13), 0.0, t, ControllerConfig(min_mcs=31), PM2
+        )
+
+
 def test_zero_second_stream_never_beats_single_at_same_power():
     # with equal denominators the comparison reduces to total bits
     for tbs1, tbs2 in ((1000.0, 500.0), (5000.0, 137.0)):

@@ -314,13 +314,20 @@ def test_estimate_ee_is_the_selectors_formula():
 
 
 def test_search_cache_is_bounded_and_transparent():
+    # level and pair searches share one cache; a fresh power model per
+    # call fills it past its limit, so it is cleared along the way
     table = reference_table()
     cfg = ControllerConfig()
+    fb = MimoFeedback(DUAL, 0, 15, 12)
     want = select_optimal(40.0, 15, 0.2, table, cfg, PowerModelParams())
+    want_dual = select_optimal_dual(40.0, fb, 0.2, table, cfg, PowerModelParams(m_a=2))
     for _ in range(ee_controller._CACHE_LIMIT + 5):
         got = select_optimal(40.0, 15, 0.2, table, cfg, PowerModelParams())
+        got_dual = select_optimal_dual(40.0, fb, 0.2, table, cfg, PowerModelParams(m_a=2))
         assert got == want
-        assert len(ee_controller._level_searches) <= ee_controller._CACHE_LIMIT
+        assert got_dual == want_dual
+        assert len(ee_controller._searches) <= ee_controller._CACHE_LIMIT
+    assert {len(key) for key in ee_controller._searches} == {2, 4}  # (table, pm[, i1, i2])
 
 
 def test_sweep_runs_share_one_power_model_per_mode():

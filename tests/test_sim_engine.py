@@ -12,10 +12,19 @@ import pytest
 from scipy.special import j0 as scipy_j0
 
 from hsdpa_ee import sim_engine
-from hsdpa_ee.ee_controller import ControllerConfig, amc_level, new_controller_state, update_offset
+from hsdpa_ee.ee_controller import (
+    RECONFIGURE,
+    ControllerConfig,
+    TtiFeedback,
+    amc_level,
+    new_controller_state,
+    on_tti,
+    select_optimal,
+    update_offset,
+)
 from hsdpa_ee.link_channel import doppler_hz, make_channel, synth_fading
 from hsdpa_ee.mcs_table import cqi_from_sinr, reference_table
-from hsdpa_ee.mimo_dtxaa import DUAL, SINGLE
+from hsdpa_ee.mimo_dtxaa import DUAL, SINGLE, MimoFeedback, select_optimal_dual
 from hsdpa_ee.power_model import PowerModelParams, total_power
 from hsdpa_ee.sim_engine import (
     FIXED_BASELINE,
@@ -515,31 +524,39 @@ def test_sweep_cell_longer_than_a_chunk_is_its_own_run(small_chunks):
                                  (SIMO, MIMO))
 
 
-# ------------------------------------------------- FixedBaseline oracle
+# ------------------------------------------------------ reference step
 
 
-def reference_fixed_baseline(sc, chunks):
-    """FixedBaseline as a slow step over the whole run, built on the
-    controller's own functions: the outer loop is update_offset, the
-    served levels amc_level at min_mcs 1, and every report the chunk's
-    scalar report(t, p). Returns the run's (metrics, trace) and the
-    number of outer-loop updates that ended on the clamp."""
+def reference_run(sc, chunks):
+    """Any strategy as a slow step over the whole run, built on the
+    controller's own functions. FixedBaseline's outer loop is
+    update_offset and its served levels amc_level at min_mcs 1;
+    SemiStatic and PerTtiOptimal step on_tti with each report as a
+    TtiFeedback and the previous TTI's EE sample, selecting with
+    select_optimal or select_optimal_dual by the report's mode. Every
+    report is the chunk's scalar report(t, p) at the power configured at
+    t, and every served TTI's energy is computed from its power. Returns
+    the run's (metrics, trace) and counts: outer-loop updates that ended
+    on the clamp, and SemiStatic reconfigurations by the event and by the
+    periodic branch of the trigger."""
     cfg, pm, table = sc.controller, sc.power_model, sc.table
     delay = sim_engine.FEEDBACK_DELAY_TTIS
     ts = cfg.tti_ms * 1e-3
+    baseline = sc.strategy == FIXED_BASELINE
     p = sc.baseline_power_dbm
-    served_energy = ts * (10.0 ** ((p - 30.0) / 10.0) / pm.eta + pm.overhead_w)
     idle_energy = ts * pm.overhead_w
     state = new_controller_state(cfg, p)
     steps = [(link, i) for link in chunks for i in range(link.ttis)]
     # the report measured at TTI t, and the (acks, failed blocks) of t,
     # each acted on at t + delay
-    measured = [link.report(i, p) for link, i in steps]
+    measured = [None] * len(steps)
     outcomes = [((), ())] * len(steps)
     retx = [None, None]
     trace = []
-    bits = attempts = nacks = clamped = 0
+    bits = attempts = nacks = reconfigs = 0
+    counts = {"clamped": 0, "event": 0, "periodic": 0}
     energy_j = 0.0
+    sample_ee = 0.0
 
     def queue(failed, replace):
         for slot, m, b, cnt in failed:
@@ -549,17 +566,38 @@ def reference_fixed_baseline(sc, chunks):
     for t, (link, i) in enumerate(steps):
         fb = measured[t - delay] if t >= delay else None
         acks_in, failed_in = outcomes[t - delay] if t >= delay else ((), ())
-        for ack in acks_in:
-            update_offset(state, ack, cfg)
-            clamped += abs(state.offset_db) == cfg.offset_clamp_db
-        levels = ()
-        if fb is not None and (fb[0] == DUAL or fb[2] >= 1):
-            cqis = fb[2:4] if fb[0] == DUAL else fb[2:3]
-            levels = tuple(amc_level(table, c, -state.offset_db, 1) for c in cqis)
+        reconfigured = False
+        if baseline:
+            for ack in acks_in:
+                update_offset(state, ack, cfg)
+                counts["clamped"] += abs(state.offset_db) == cfg.offset_clamp_db
+            levels = ()
+            if fb is not None and (fb[0] == DUAL or fb[2] >= 1):
+                cqis = fb[2:4] if fb[0] == DUAL else fb[2:3]
+                levels = tuple(amc_level(table, c, -state.offset_db, 1) for c in cqis)
+        else:
+            if fb is None:
+                report, p_meas, select = 0, None, select_optimal
+            elif fb[0] == DUAL:
+                report, p_meas = MimoFeedback(DUAL, fb[1], fb[2], fb[3]), fb[4]
+                select = select_optimal_dual
+            else:
+                report, p_meas, select = fb[2], fb[4], select_optimal
+            timer_ms = state.timer_ms + cfg.tti_ms  # as on_tti advances it
+            state, dec = on_tti(state, TtiFeedback(report, acks_in, p_meas, sample_ee),
+                                table, cfg, pm, select, sc.strategy == PER_TTI_OPTIMAL)
+            reconfigured = dec.action == RECONFIGURE
+            reconfigs += reconfigured
+            if reconfigured and sc.strategy == SEMI_STATIC:
+                branch = "periodic" if timer_ms > cfg.max_reconfig_interval_ms else "event"
+                counts[branch] += 1
+            p = state.power_dbm
+            levels = dec.levels
         if link.resolve_first:
             queue(failed_in, True)
         if levels:
             off = (p - 30.0) - link.share_db[fb[0]]
+            energy = ts * (10.0 ** ((p - 30.0) / 10.0) / pm.eta + pm.overhead_w)
             sent = []
             acks, failed, delivered = [], [], 0
             for slot, m in enumerate(levels):
@@ -578,31 +616,34 @@ def reference_fixed_baseline(sc, chunks):
             attempts += len(acks)
             nacks += len(failed)
             bits += delivered
-            energy_j += served_energy
+            energy_j += energy
+            sample_ee = delivered / energy
             outcome = (OUTCOME_ACK if not failed
                        else OUTCOME_NACK if len(failed) == len(acks) else OUTCOME_MIXED)
             m1, m2 = (sent + [0])[:2]  # mcs_secondary is 0 on one stream
             trace.append(sim_engine.TtiRecord(
-                t, p, m1, m2, outcome, delivered, served_energy, False))
+                t, p, m1, m2, outcome, delivered, energy, reconfigured))
         else:
             energy_j += idle_energy
+            sample_ee = 0.0
             trace.append(sim_engine.TtiRecord(
-                t, float("-inf"), 0, 0, OUTCOME_IDLE, 0, idle_energy, False))
+                t, float("-inf"), 0, 0, OUTCOME_IDLE, 0, idle_energy, reconfigured))
         if not link.resolve_first:
             queue(failed_in, False)
+        measured[t] = link.report(i, p)
 
     metrics = sim_engine.RunMetrics(
         avg_ee_bits_per_joule=bits / energy_j,
         throughput_bps=bits / (len(steps) * ts),
-        reconfig_count=0,
+        reconfig_count=reconfigs,
         nack_rate=nacks / attempts if attempts else 0.0,
         delivered_bits=bits,
         consumed_energy_j=energy_j,
         duration_ttis=len(steps),
-        strategy=FIXED_BASELINE,
+        strategy=sc.strategy,
         antenna_mode=sc.antenna_mode,
     )
-    return metrics, trace, clamped
+    return metrics, trace, counts
 
 
 def assert_same_run(got, want):
@@ -621,11 +662,11 @@ def test_fixed_baseline_equals_a_step_through_the_controller_functions(mode, pow
     sc = make_scenario(antenna_mode=mode, strategy=FIXED_BASELINE, baseline_power_dbm=power,
                        duration_ttis=ttis)
     chunks = list(sim_engine._build_link(sc))
-    metrics, trace, clamped = reference_fixed_baseline(sc, chunks)
+    metrics, trace, counts = reference_run(sc, chunks)
     assert_same_run(sim_engine._run_link(sc, chunks), (metrics, trace))
     if power == 21.0:
         # at a low power the NACKs drive the offset into its clamp
-        assert clamped > 0
+        assert counts["clamped"] > 0
 
 
 @pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])
@@ -633,7 +674,7 @@ def test_fixed_baseline_ignores_the_controllers_floor(mode):
     sc = make_scenario(antenna_mode=mode, strategy=FIXED_BASELINE, baseline_power_dbm=21.0,
                        controller=ControllerConfig(ee_smoothing=0.01, min_mcs=12))
     chunks = list(sim_engine._build_link(sc))
-    metrics, trace, _ = reference_fixed_baseline(sc, chunks)
+    metrics, trace, _ = reference_run(sc, chunks)
     assert_same_run(sim_engine._run_link(sc, chunks), (metrics, trace))
     assert any(0 < r.mcs_index < 12 for r in trace)
 
@@ -646,5 +687,39 @@ def test_chunked_fixed_baseline_equals_a_step_through_the_controller_functions(
                        baseline_power_dbm=36.0)
     chunks = list(sim_engine._build_link(sc))
     assert [c.ttis for c in chunks] == [CHUNK, CHUNK, 700]
-    metrics, trace, _ = reference_fixed_baseline(sc, chunks)
+    metrics, trace, _ = reference_run(sc, chunks)
     assert_same_run(run(sc), (metrics, trace))
+
+
+# a fast cell-edge channel: reports fall out of range between served
+# TTIs, and the fading moves within the feedback delay, so an idle TTI's
+# EE sample of 0 reaches triggers that a served one would not have fired
+CELL_EDGE = make_channel(1100.0, -72.5, geometry_db=0.0, alpha=0.995, speed_kmh=30.0)
+
+
+@pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])
+@pytest.mark.parametrize("strategy", [SEMI_STATIC, PER_TTI_OPTIMAL])
+@pytest.mark.parametrize("edge", [False, True], ids=["3kmh-435m", "30kmh-1100m"])
+def test_controller_run_equals_a_step_through_on_tti(mode, strategy, edge):
+    sc = make_scenario(antenna_mode=mode, strategy=strategy, duration_ttis=3000,
+                       **({"channel": CELL_EDGE} if edge else {}))
+    chunks = list(sim_engine._build_link(sc))
+    metrics, trace, counts = reference_run(sc, chunks)
+    assert_same_run(sim_engine._run_link(sc, chunks), (metrics, trace))
+    if edge:
+        warm = sim_engine.FEEDBACK_DELAY_TTIS
+        assert any(r.outcome == OUTCOME_IDLE for r in trace[warm:])
+    if strategy == SEMI_STATIC:
+        assert counts["event"] > 0 and counts["periodic"] > 0, counts
+    else:
+        assert metrics.reconfig_count == sum(r.outcome != OUTCOME_IDLE for r in trace)
+
+
+@pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])
+def test_chunked_controller_run_equals_a_step_through_on_tti(small_chunks, mode):
+    sc = make_scenario(antenna_mode=mode, strategy=SEMI_STATIC, duration_ttis=2 * CHUNK + 700)
+    chunks = list(sim_engine._build_link(sc))
+    assert [c.ttis for c in chunks] == [CHUNK, CHUNK, 700]
+    metrics, trace, counts = reference_run(sc, chunks)
+    assert_same_run(run(sc), (metrics, trace))
+    assert counts["event"] > 0 and counts["periodic"] > 0, counts
