@@ -17,10 +17,8 @@ from hsdpa_ee import (
     SEMI_STATIC,
     SIMO,
     ControllerConfig,
-    PowerModelParams,
     ScenarioConfig,
     make_channel,
-    power_model_for_mode,
     reference_table,
     run,
 )
@@ -37,7 +35,6 @@ for strategy in (FIXED_BASELINE, PER_TTI_OPTIMAL, SEMI_STATIC):
         seed=5,
         controller=ControllerConfig(ee_smoothing=0.01),
         table=reference_table(),
-        power_model=power_model_for_mode(SIMO, PowerModelParams()),
         collect_trace=True,
     )
     metrics, trace = run(sc)

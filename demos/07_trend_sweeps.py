@@ -17,10 +17,8 @@ from hsdpa_ee import (
     SEMI_STATIC,
     SIMO,
     ControllerConfig,
-    PowerModelParams,
     ScenarioConfig,
     make_channel,
-    power_model_for_mode,
     reference_table,
     sweep,
 )
@@ -34,7 +32,6 @@ template = ScenarioConfig(
     seed=1,
     controller=ControllerConfig(ee_smoothing=0.01),
     table=reference_table(),
-    power_model=power_model_for_mode(SIMO, PowerModelParams()),
 )
 
 strategies = [FIXED_BASELINE, SEMI_STATIC]

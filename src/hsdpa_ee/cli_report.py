@@ -31,6 +31,10 @@ A sweep config adds:
     strategies = FixedBaseline, SemiStatic
     repetitions = 4
 
+No entry of values, strategies or antenna_modes may repeat, and an
+antenna_mode sweep takes its modes from values, not antenna_modes. The
+chain count m_a is not a key: it follows antenna_mode.
+
 `run` writes trace.csv and metrics.csv, `sweep` writes series.csv, and
 all floats are emitted with repr so the files re-parse losslessly.
 Exit codes: 0 success, 1 config parse failure, 2 invalid experiment,
@@ -67,9 +71,7 @@ from .sim_engine import (
     PER_TTI_OPTIMAL,
     SEMI_STATIC,
     SIMO,
-    SISO,
     ScenarioConfig,
-    power_model_for_mode,
     run,
     sweep,
 )
@@ -97,11 +99,11 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One executable experiment: labelled runs, or a sweep definition."""
+    """One executable experiment: a run of each strategy on the
+    template, a sweep of the template, or the analytic curves."""
 
     name: str
     kind: str  # "run" | "sweep" | "analytic"
-    scenarios: tuple[tuple[str, ScenarioConfig], ...] = ()
     template: ScenarioConfig | None = None
     variable: str = ""
     values: tuple = ()
@@ -121,8 +123,9 @@ class ExperimentSpec:
 # [scenario] takes make_channel's named arguments, the scalar fields of
 # ScenarioConfig and the label of the table ("default", "reference" or
 # a CSV path)
+_CHANNEL_KEYS = {k: t for k, t in get_type_hints(make_channel).items() if k != "return"}
 _SCENARIO_KEYS = {
-    **{k: t for k, t in get_type_hints(make_channel).items() if k != "return"},
+    **_CHANNEL_KEYS,
     **{k: t for k, t in get_type_hints(ScenarioConfig).items() if t in (int, float, str, bool)},
     "table": str,
 }
@@ -196,23 +199,12 @@ def _scenario_from_config(cp, path: str, text: str) -> ScenarioConfig:
     ctrl_kwargs = _section_dict(cp, "controller", _CONTROLLER_KEYS, path, text)
     pm_kwargs = _section_dict(cp, "power", _POWER_KEYS, path, text)
 
-    channel = make_channel(
-        sc.pop("distance_m", 435.0),
-        sc.pop("i_or_dbm", -72.5),
-        geometry_db=sc.pop("geometry_db", 23.0),
-        alpha=sc.pop("alpha", 0.995),
-        noise_figure_db=sc.pop("noise_figure_db", 9.0),
-        speed_kmh=sc.pop("speed_kmh", 3.0),
-    )
-    mode = sc.pop("antenna_mode", SIMO)
-    table = _resolve_table(sc.pop("table", "reference"))
-    base_pm = PowerModelParams(**pm_kwargs)
     return ScenarioConfig(
-        channel=channel,
-        antenna_mode=mode,
-        table=table,
+        channel=_preset_channel(**{k: sc.pop(k) for k in list(sc) if k in _CHANNEL_KEYS}),
+        antenna_mode=sc.pop("antenna_mode", SIMO),
+        table=_resolve_table(sc.pop("table", "reference")),
         controller=ControllerConfig(**ctrl_kwargs),
-        power_model=power_model_for_mode(mode, base_pm),
+        power_model=PowerModelParams(**pm_kwargs),
         **sc,
     )
 
@@ -246,7 +238,7 @@ def load_config(path: str, kind: str) -> ExperimentSpec:
 
     if kind == "run":
         return ExperimentSpec(
-            name=name, kind="run", scenarios=((scenario.strategy, scenario),)
+            name=name, kind="run", template=scenario, strategies=(scenario.strategy,)
         )
 
     if not cp.has_section("sweep"):
@@ -275,6 +267,9 @@ _PRESET_SEED = 20210 + 8
 
 
 def _preset_channel(**over):
+    """The reference link, 435 m from the cell at 3 km/h, with over's
+    make_channel arguments in place of its defaults: the presets' channel
+    and the defaults of a config's [scenario]."""
     base = dict(distance_m=435.0, i_or_dbm=-72.5, geometry_db=23.0,
                 alpha=0.995, speed_kmh=3.0)
     base.update(over)
@@ -287,7 +282,6 @@ def _preset_scenario(**over) -> ScenarioConfig:
     kwargs = dict(
         channel=_preset_channel(),
         antenna_mode=SIMO,
-        strategy=SEMI_STATIC,
         duration_ttis=10_000,
         seed=_PRESET_SEED,
         controller=ControllerConfig(ee_smoothing=0.01),
@@ -295,136 +289,82 @@ def _preset_scenario(**over) -> ScenarioConfig:
         collect_trace=False,
     )
     kwargs.update(over)
-    mode = kwargs["antenna_mode"]
-    kwargs.setdefault("power_model", power_model_for_mode(mode, PowerModelParams()))
     return ScenarioConfig(**kwargs)
 
 
-def _figure1() -> ExperimentSpec:
-    return ExperimentSpec(name="figure1", kind="analytic")
-
-
-def _figure2() -> ExperimentSpec:
+def _run_preset(name: str, strategies: tuple[str, ...]) -> ExperimentSpec:
+    """A traced 2000-TTI run of each strategy on the reference link."""
     return ExperimentSpec(
-        name="figure2",
-        kind="sweep",
-        template=_preset_scenario(strategy=FIXED_BASELINE, duration_ttis=3000),
-        variable="fixed_power",
-        values=tuple(float(p) for p in range(21, 45, 2)),
-        strategies=(FIXED_BASELINE,),
-        antenna_modes=(SIMO,),
-        repetitions=3,
+        name=name,
+        kind="run",
+        template=_preset_scenario(strategy=strategies[0], duration_ttis=2000, collect_trace=True),
+        strategies=strategies,
     )
 
 
-def _figure5() -> ExperimentSpec:
-    scs = tuple(
-        (strat, _preset_scenario(strategy=strat, duration_ttis=2000, collect_trace=True))
-        for strat in (FIXED_BASELINE, SEMI_STATIC, PER_TTI_OPTIMAL)
-    )
-    return ExperimentSpec(name="figure5", kind="run", scenarios=scs)
-
-
-def _figure6() -> ExperimentSpec:
-    scs = tuple(
-        (strat, _preset_scenario(strategy=strat, duration_ttis=2000, collect_trace=True))
-        for strat in (SEMI_STATIC, PER_TTI_OPTIMAL)
-    )
-    return ExperimentSpec(name="figure6", kind="run", scenarios=scs)
-
-
-def _figure7() -> ExperimentSpec:
+def _sweep_preset(
+    name: str,
+    variable: str,
+    values: tuple,
+    strategies: tuple[str, ...],
+    repetitions: int,
+    antenna_modes: tuple[str, ...] = (SIMO,),
+    **over,
+) -> ExperimentSpec:
+    """A sweep of the reference scenario with over's fields in place."""
     return ExperimentSpec(
-        name="figure7",
+        name=name,
         kind="sweep",
-        template=_preset_scenario(duration_ttis=8000),
-        variable="speed",
-        values=(3.0, 30.0, 120.0),
-        strategies=(FIXED_BASELINE, SEMI_STATIC),
-        antenna_modes=(SIMO,),
-        repetitions=4,
+        template=_preset_scenario(strategy=strategies[0], **over),
+        variable=variable,
+        values=values,
+        strategies=strategies,
+        antenna_modes=antenna_modes,
+        repetitions=repetitions,
     )
 
 
-def _figure8() -> ExperimentSpec:
-    return ExperimentSpec(
-        name="figure8",
-        kind="sweep",
-        template=_preset_scenario(duration_ttis=6000),
-        variable="distance",
-        values=(400.0, 500.0, 650.0, 800.0, 1100.0, 1500.0),
-        strategies=(FIXED_BASELINE, SEMI_STATIC),
-        antenna_modes=(SIMO,),
-        repetitions=3,
-    )
+_FIXED_POWERS = tuple(float(p) for p in range(21, 45, 2))
+_BASELINE_AND_SEMI = (FIXED_BASELINE, SEMI_STATIC)
 
-
-def _figure9() -> ExperimentSpec:
-    return ExperimentSpec(
-        name="figure9",
-        kind="sweep",
-        template=_preset_scenario(duration_ttis=8000),
-        variable="theta_min",
-        values=(1, 26, 28, 30),
-        strategies=(FIXED_BASELINE, SEMI_STATIC),
-        antenna_modes=(SIMO,),
-        repetitions=3,
-    )
-
-
-def _figure10() -> ExperimentSpec:
-    return ExperimentSpec(
-        name="figure10",
-        kind="sweep",
-        template=_preset_scenario(
-            channel=_preset_channel(distance_m=430.0),
-            strategy=FIXED_BASELINE,
-            duration_ttis=3000,
-        ),
-        variable="fixed_power",
-        values=tuple(float(p) for p in range(21, 45, 2)),
-        strategies=(FIXED_BASELINE,),
-        antenna_modes=(SIMO, MIMO),
-        repetitions=4,
-    )
-
-
-def _figure11() -> ExperimentSpec:
-    return ExperimentSpec(
-        name="figure11",
-        kind="sweep",
-        template=_preset_scenario(duration_ttis=6000),
-        variable="distance",
-        values=(400.0, 430.0, 460.0, 500.0, 550.0, 650.0),
-        strategies=(SEMI_STATIC,),
-        antenna_modes=(SIMO, MIMO),
-        repetitions=3,
-    )
-
-
+# each figure's experiment, built when asked for
 PRESETS = {
-    "figure1": _figure1,
-    "figure2": _figure2,
-    "figure5": _figure5,
-    "figure6": _figure6,
-    "figure7": _figure7,
-    "figure8": _figure8,
-    "figure9": _figure9,
-    "figure10": _figure10,
-    "figure11": _figure11,
+    "figure1": lambda: ExperimentSpec(name="figure1", kind="analytic"),
+    "figure2": lambda: _sweep_preset(
+        "figure2", "fixed_power", _FIXED_POWERS, (FIXED_BASELINE,), 3,
+        duration_ttis=3000,
+    ),
+    "figure5": lambda: _run_preset("figure5", (FIXED_BASELINE, SEMI_STATIC, PER_TTI_OPTIMAL)),
+    "figure6": lambda: _run_preset("figure6", (SEMI_STATIC, PER_TTI_OPTIMAL)),
+    "figure7": lambda: _sweep_preset(
+        "figure7", "speed", (3.0, 30.0, 120.0), _BASELINE_AND_SEMI, 4,
+        duration_ttis=8000,
+    ),
+    "figure8": lambda: _sweep_preset(
+        "figure8", "distance", (400.0, 500.0, 650.0, 800.0, 1100.0, 1500.0),
+        _BASELINE_AND_SEMI, 3, duration_ttis=6000,
+    ),
+    "figure9": lambda: _sweep_preset(
+        "figure9", "theta_min", (1, 26, 28, 30), _BASELINE_AND_SEMI, 3,
+        duration_ttis=8000,
+    ),
+    "figure10": lambda: _sweep_preset(
+        "figure10", "fixed_power", _FIXED_POWERS, (FIXED_BASELINE,), 4,
+        antenna_modes=(SIMO, MIMO),
+        channel=_preset_channel(distance_m=430.0),
+        duration_ttis=3000,
+    ),
+    "figure11": lambda: _sweep_preset(
+        "figure11", "distance", (400.0, 430.0, 460.0, 500.0, 550.0, 650.0),
+        (SEMI_STATIC,), 3, antenna_modes=(SIMO, MIMO), duration_ttis=6000,
+    ),
 }
 
 
 def _override(spec: ExperimentSpec, seed: int | None, reps: int | None) -> ExperimentSpec:
     """Apply the command line's --seed and --reps to an experiment."""
-    if seed is not None:
-        if spec.scenarios:
-            spec = replace(
-                spec,
-                scenarios=tuple((lbl, replace(sc, seed=seed)) for lbl, sc in spec.scenarios),
-            )
-        if spec.template is not None:
-            spec = replace(spec, template=replace(spec.template, seed=seed))
+    if seed is not None and spec.template is not None:
+        spec = replace(spec, template=replace(spec.template, seed=seed))
     if reps is not None and spec.kind == "sweep":
         spec = replace(spec, repetitions=reps)
     return spec
@@ -480,8 +420,8 @@ def _analytic_rows(pm_base: PowerModelParams):
 
 
 def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
-    """Execute labelled runs; write trace.csv + metrics.csv (curves.csv
-    for the analytic preset). Returns the paths written."""
+    """Run each strategy on the template; write trace.csv + metrics.csv
+    (curves.csv for the analytic preset). Returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     if spec.kind == "analytic":
         path = os.path.join(out_dir, "curves.csv")
@@ -498,18 +438,19 @@ def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
 
     traces = []
     metric_rows = []
-    for label, sc in spec.scenarios:
+    for strategy in spec.strategies:
+        sc = replace(spec.template, strategy=strategy)
         metrics, trace = run(sc)
-        traces.append((label, sc.antenna_mode, trace))
+        traces.append((strategy, sc.antenna_mode, trace))
         metric_rows.append(
-            (label, sc.antenna_mode,
+            (strategy, sc.antenna_mode,
              metrics.avg_ee_bits_per_joule, metrics.throughput_bps,
              metrics.reconfig_count, metrics.nack_rate,
              metrics.delivered_bits, metrics.consumed_energy_j,
              metrics.duration_ttis)
         )
         print(
-            f"{label}/{sc.antenna_mode}: ee={metrics.avg_ee_bits_per_joule:.0f} bits/J  "
+            f"{strategy}/{sc.antenna_mode}: ee={metrics.avg_ee_bits_per_joule:.0f} bits/J  "
             f"throughput={metrics.throughput_bps / 1e6:.2f} Mbps  "
             f"nack={metrics.nack_rate:.3f}  reconfigs={metrics.reconfig_count}"
         )

@@ -170,9 +170,9 @@ class ControllerDecision(NamedTuple):
 class TtiFeedback(NamedTuple):
     """Per-TTI uplink report as the controller sees it (already delayed).
 
-    cqi: the report in the form the selector takes: a CQI index (0 = out
-    of range) for select_optimal, a dual-mode MimoFeedback for
-    select_optimal_dual.
+    cqi: the report in the form the selector takes: a CQI index (a
+    Python or numpy integer, 0 = out of range) for select_optimal, a
+    dual-mode MimoFeedback for select_optimal_dual.
     acks: ACK/NACK outcomes arriving this TTI for earlier transmissions,
     one per stream in stream order; empty if none is due.
     measured_power_dbm: transmit power in force when cqi was measured;
@@ -459,13 +459,18 @@ def amc_level(table: McsTable, cqi: int, shift_db: float, min_mcs: int) -> int:
     return min(max(bisect_right(thr, thr[cqi - 1] + shift_db), min_mcs), len(thr))
 
 
+# the types of a single-stream report: Python int first, the engine's
+# own, then numpy integers, as cqi_from_sinr gives for array input
+_CQI_INDEX = (int, np.integer)
+
+
 def _check_unselected_step(report, reported, timer_ms, table, cfg) -> None:
     """The ValueErrors of the select_optimal/select_optimal_dual and
     should_trigger calls that on_tti skips inside the minimum interval."""
     n = len(table._thr_list)
     if timer_ms < 0.0:
         raise ValueError("timer must be >= 0")
-    if isinstance(report, int):
+    if isinstance(report, _CQI_INDEX):
         if report > n:
             raise ValueError("feedback_cqi must be a valid table index")
     elif report.mode != DUAL:
@@ -506,7 +511,7 @@ def on_tti(
         state.ee_smoothed += cfg.ee_smoothing * (feedback.realized_ee - state.ee_smoothed)
 
     report = feedback.cqi
-    if isinstance(report, int):
+    if isinstance(report, _CQI_INDEX):
         reported = (report,)
     else:
         reported = (report.cqi_primary, report.cqi_secondary)

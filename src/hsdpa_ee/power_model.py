@@ -73,6 +73,8 @@ class PowerModelParams:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if self.p_cir_w < 0.0 or self.p_sta_w < 0.0:
             raise ValueError("circuit and static power must be >= 0")
+        if not isinstance(self.m_a, int) or isinstance(self.m_a, bool):
+            raise ValueError(f"m_a must be an int, got {self.m_a!r}")
         if self.m_a < 1:
             raise ValueError(f"m_a must be >= 1, got {self.m_a}")
 

@@ -136,7 +136,9 @@ CHUNK_TTIS = 2**17
 
 def power_model_for_mode(mode: str, base: PowerModelParams) -> PowerModelParams:
     """Same amplifier/overhead figures with the chain count the antenna
-    mode implies: both RF chains stay powered in the 2x2 mode."""
+    mode implies: both RF chains stay powered in the 2x2 mode.
+    ScenarioConfig applies it to its power_model; base itself comes back
+    when its m_a already matches."""
     m_a = 2 if mode == MIMO else 1
     if base.m_a == m_a:
         return base
@@ -152,8 +154,10 @@ def _with_chain_count(base: PowerModelParams, m_a: int) -> PowerModelParams:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one run needs. power_model.m_a must match the antenna
-    mode (2 for MIMO, 1 otherwise); power_model_for_mode builds it."""
+    """Everything one run needs. The antenna mode sets the chain count:
+    power_model is stored as power_model_for_mode(antenna_mode,
+    power_model), so its m_a is 2 for MIMO and 1 otherwise whatever the
+    caller passed."""
 
     channel: ChannelParams
     antenna_mode: str = SISO
@@ -182,12 +186,9 @@ class ScenarioConfig:
                 f"controller.min_mcs {self.controller.min_mcs} exceeds the "
                 f"{len(self.table)}-level table"
             )
-        want_ma = 2 if self.antenna_mode == MIMO else 1
-        if self.power_model.m_a != want_ma:
-            raise ValueError(
-                f"{self.antenna_mode} needs power_model.m_a == {want_ma}; "
-                "use power_model_for_mode"
-            )
+        object.__setattr__(
+            self, "power_model", power_model_for_mode(self.antenna_mode, self.power_model)
+        )
 
 
 @dataclass(slots=True)
@@ -687,7 +688,6 @@ def _derive(template: ScenarioConfig, variable, value, strategy, mode, seed):
         baseline_power_dbm=baseline,
         strategy=strategy,
         antenna_mode=mode,
-        power_model=power_model_for_mode(mode, template.power_model),
         seed=seed,
         collect_trace=False,
     )
@@ -723,9 +723,15 @@ def sweep(
     a time, as run does, so memory stays bounded. The strategy label
     carries the antenna mode when more than one is swept (e.g.
     "FixedBaseline/MIMO").
+
+    An antenna_mode sweep takes its modes from values, so it takes no
+    antenna_modes; and no entry of values, strategies or antenna_modes
+    may repeat, since cells that collide would be merged.
     """
     if variable not in _SWEEP_VARS:
         raise ValueError(f"variable must be one of {_SWEEP_VARS}")
+    if variable == "antenna_mode" and antenna_modes:
+        raise ValueError("an antenna_mode sweep takes its modes from values, not antenna_modes")
     values = list(values)
     if not values:
         raise ValueError("values must be non-empty")
@@ -733,6 +739,10 @@ def sweep(
         raise ValueError("repetitions must be >= 1")
     strategies = strategies or (template.strategy,)
     antenna_modes = antenna_modes or (template.antenna_mode,)
+    for name, entries in (("values", values), ("strategies", strategies),
+                          ("antenna_modes", antenna_modes)):
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"{name} has a repeated entry: {list(entries)}")
     seeds = [int(s) for s in np.random.SeedSequence(template.seed).generate_state(repetitions)]
 
     jobs = []

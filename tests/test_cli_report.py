@@ -95,7 +95,7 @@ def test_controller_keys_parse_to_their_field_types(tmp_path, capsys):
     # min_mcs is the one int field of ControllerConfig
     text = "[scenario]\nduration_ttis = 10\n\n[controller]\nee_smoothing = 0.02\nmin_mcs = {}\n"
     spec = load_config(write(tmp_path, "ok.ini", text.format("26")), "run")
-    cfg = spec.scenarios[0][1].controller
+    cfg = spec.template.controller
     assert cfg.min_mcs == 26 and type(cfg.min_mcs) is int
     assert cfg.ee_smoothing == 0.02 and type(cfg.ee_smoothing) is float
     cfg_path = write(tmp_path, "bad.ini", text.format("2.5"))
@@ -120,9 +120,18 @@ def test_fixed_engine_constants_are_unknown_keys(tmp_path, capsys, key):
 
 def test_scenario_keys_parse_to_their_field_types(tmp_path):
     text = "[scenario]\nbaseline_power_dbm = 38\nduration_ttis = 10\ncollect_trace = off\n"
-    sc = load_config(write(tmp_path, "ok.ini", text), "run").scenarios[0][1]
+    sc = load_config(write(tmp_path, "ok.ini", text), "run").template
     assert sc.baseline_power_dbm == 38.0 and type(sc.baseline_power_dbm) is float
     assert sc.duration_ttis == 10 and sc.collect_trace is False
+
+
+def test_run_config_loads_as_template_and_its_strategy(tmp_path):
+    text = "[scenario]\nstrategy = PerTtiOptimal\nantenna_mode = MIMO\n\n[power]\neta = 0.3\n"
+    spec = load_config(write(tmp_path, "ok.ini", text), "run")
+    assert spec.strategies == ("PerTtiOptimal",)
+    assert spec.template.strategy == "PerTtiOptimal"
+    # the chain count follows antenna_mode; [power] has no m_a key
+    assert (spec.template.power_model.m_a, spec.template.power_model.eta) == (2, 0.3)
 
 
 def test_invalid_scenario_exits_2(tmp_path):
@@ -164,7 +173,7 @@ def test_trace_floats_round_trip(tmp_path):
 def test_csv_writer_matches_per_cell_formatting(tmp_path):
     # _write_csv hands str, int and float cells to csv unconverted; its
     # bytes must be what _fmt on every cell writes for the same rows
-    base = replace(build_preset("figure5").scenarios[0][1], duration_ttis=300)
+    base = replace(build_preset("figure5").template, duration_ttis=300)
     # an int power passed through the Python API is written without a point
     trace = run(replace(base, baseline_power_dbm=40, strategy="FixedBaseline"))[1]
     semi = run(base)[1]
@@ -233,6 +242,18 @@ def test_malformed_sweep_value_exits_1_with_line(tmp_path, capsys, variable, val
     assert main(["sweep", "--config", cfg]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert "sw.ini [line 6]" in err and "'values'" in err
+
+
+@pytest.mark.parametrize("sweep_keys", [
+    "variable = antenna_mode\nvalues = MIMO\nantenna_modes = SIMO, MIMO\n",
+    "variable = speed\nvalues = 3, 3\n",
+    "variable = speed\nvalues = 3\nstrategies = SemiStatic, SemiStatic\n",
+    "variable = speed\nvalues = 3\nantenna_modes = SIMO, SIMO\n",
+])
+def test_sweep_whose_cells_collide_exits_2(tmp_path, capsys, sweep_keys):
+    cfg = write(tmp_path, "sw.ini", f"[scenario]\nduration_ttis = 100\n\n[sweep]\n{sweep_keys}")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
 
 
 def test_reps_flag_overrides_config(tmp_path):

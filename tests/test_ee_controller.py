@@ -428,6 +428,22 @@ def test_on_tti_rejects_a_cqi_outside_the_table(timer_ms, report, dual, min_mcs)
         on_tti(st, TtiFeedback(cqi, measured_power_dbm=40.0), t, cfg, PM5, select)
 
 
+@pytest.mark.parametrize("timer_ms", [0.0, 30.0])  # next step inside / past 20 ms
+def test_on_tti_takes_a_numpy_integer_cqi_as_a_single_stream_report(timer_ms):
+    # cqi_from_sinr returns numpy integers for array input
+    cfg = ControllerConfig()
+    t = default_table()
+    steps = [
+        on_tti(ControllerState(power_dbm=40.0, timer_ms=timer_ms),
+               TtiFeedback(cqi, measured_power_dbm=40.0), t, cfg, PM5)
+        for cqi in (12, np.int64(12), np.int32(12))
+    ]
+    assert steps[1] == steps[0] and steps[2] == steps[0]
+    with pytest.raises(ValueError):
+        on_tti(ControllerState(power_dbm=40.0, timer_ms=timer_ms),
+               TtiFeedback(np.int64(31), measured_power_dbm=40.0), t, cfg, PM5)
+
+
 def test_on_tti_rejects_a_negative_timer_inside_the_minimum_interval():
     cfg = ControllerConfig()
     st = ControllerState(power_dbm=40.0, timer_ms=-10.0)  # -8 ms after the step

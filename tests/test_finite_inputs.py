@@ -101,6 +101,13 @@ def test_min_mcs_that_is_not_an_int_is_rejected(value):
         ControllerConfig(min_mcs=value)
 
 
+@pytest.mark.parametrize("value", [math.nan, 1.5, 2.0, True, "2", None])
+def test_chain_count_that_is_not_an_int_is_rejected(value):
+    # a nan chain count made every EE estimate nan
+    with pytest.raises(ValueError, match="m_a must be an int"):
+        PowerModelParams(m_a=value)
+
+
 def test_min_mcs_beyond_the_table_is_rejected():
     with pytest.raises(ValueError):
         scenario(controller=ControllerConfig(min_mcs=31))

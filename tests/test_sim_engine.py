@@ -7,6 +7,8 @@ trigger spacing bounds are verified on long runs. Trend-level claims
 mechanics and determinism.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import j0 as scipy_j0
@@ -73,9 +75,19 @@ def test_rejects_unknown_mode_and_strategy():
         make_scenario(strategy="Genie")
 
 
-def test_rejects_mismatched_power_model():
-    with pytest.raises(ValueError, match="power_model_for_mode"):
-        make_scenario(antenna_mode=MIMO, power_model=PowerModelParams(m_a=1))
+def test_antenna_mode_sets_the_chain_count():
+    # the scenario stores power_model_for_mode's object, so the
+    # selectors' searches, cached per power-model object, stay shared
+    derived = make_scenario(antenna_mode=MIMO, power_model=PowerModelParams(), duration_ttis=600)
+    explicit = make_scenario(
+        antenna_mode=MIMO,
+        power_model=power_model_for_mode(MIMO, PowerModelParams()),
+        duration_ttis=600,
+    )
+    assert derived.power_model is power_model_for_mode(MIMO, PowerModelParams())
+    assert derived.power_model.m_a == 2
+    assert run(derived) == run(explicit)
+    assert replace(derived, antenna_mode=SIMO).power_model.m_a == 1
 
 
 def test_rejects_bad_durations():
@@ -347,6 +359,29 @@ def test_sweep_rejects_unknown_variable_and_empty_values():
         sweep(sc, "speed", [])
     with pytest.raises(ValueError):
         sweep(sc, "speed", [3.0], repetitions=0)
+
+
+def test_sweep_rejects_cells_that_collide():
+    # an antenna_mode value would overwrite the mode of the loop, and a
+    # repeated entry would merge two cells' runs into one
+    sc = make_scenario(duration_ttis=100, collect_trace=False)
+    with pytest.raises(ValueError, match="antenna_modes"):
+        sweep(sc, "antenna_mode", [MIMO], antenna_modes=(SIMO, MIMO))
+    for values, over in (
+        ([3.0, 3.0], {}),
+        ([3.0], {"strategies": (SEMI_STATIC, SEMI_STATIC)}),
+        ([3.0], {"antenna_modes": (SIMO, SIMO)}),
+    ):
+        with pytest.raises(ValueError, match="repeated"):
+            sweep(sc, "speed", values, **over)
+
+
+def test_antenna_mode_sweep_runs_each_mode():
+    template = make_scenario(duration_ttis=300, collect_trace=False)
+    simo, mimo = sweep(template, "antenna_mode", [SIMO, MIMO], repetitions=2)
+    assert (simo.value, mimo.value) == (SIMO, MIMO)
+    assert simo.strategy == mimo.strategy == SEMI_STATIC
+    assert simo.ee_samples != mimo.ee_samples
 
 
 def test_degenerate_sweep_equals_direct_run():
