@@ -37,6 +37,10 @@ chain count m_a is not a key: it follows antenna_mode.
 
 `run` writes trace.csv and metrics.csv, `sweep` writes series.csv, and
 all floats are emitted with repr so the files re-parse losslessly.
+trace.csv is written row by row as the runs go, into trace.csv.part next
+to it, and renamed into place once every strategy has run, so a traced
+run's memory does not grow with its length and a run that fails leaves
+no trace.csv.
 Exit codes: 0 success, 1 config parse failure, 2 invalid experiment,
 3 I/O failure.
 """
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import os
 import re
@@ -71,6 +76,7 @@ from .sim_engine import (
     PER_TTI_OPTIMAL,
     SEMI_STATIC,
     SIMO,
+    RunMetrics,
     ScenarioConfig,
     run,
     sweep,
@@ -391,13 +397,15 @@ def _fmt(value) -> str:
 _AS_IS = (str, int, float)  # csv writes these exactly as _fmt formats them
 
 
+def _cells(row) -> list:
+    return [v if type(v) in _AS_IS else _fmt(v) for v in row]
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(
-            [v if type(v) in _AS_IS else _fmt(v) for v in row] for row in rows
-        )
+        writer.writerows(map(_cells, rows))
 
 
 def _analytic_rows(pm_base: PowerModelParams):
@@ -419,9 +427,43 @@ def _analytic_rows(pm_base: PowerModelParams):
         )
 
 
+_TRACE_HEADER = ["strategy", "antenna_mode", "tti_index", "p_tx_dbm", "mcs_index",
+                 "mcs_secondary", "outcome", "delivered_bits", "consumed_energy_j",
+                 "reconfigured"]
+
+
+def _run_traced(sc: ScenarioConfig, writer) -> tuple[RunMetrics, int]:
+    """Run sc, writing each trace row with writer as the run makes it;
+    returns the run's metrics and the number of rows written."""
+    label, mode = sc.strategy, sc.antenna_mode
+    n_rows = 0
+
+    def write_row(r):
+        nonlocal n_rows
+        n_rows += 1
+        writer.writerow(_cells((
+            label, mode, r.tti_index, r.p_tx_dbm, r.mcs_index, r.mcs_secondary,
+            r.outcome, r.delivered_bits, r.consumed_energy_j, int(r.reconfigured),
+        )))
+
+    # run is looked up in this module, so a wrapper put in its place
+    # (the benchmark's tracer) sees every run
+    metrics, _ = run(sc, write_row)
+    print(
+        f"{label}/{mode}: ee={metrics.avg_ee_bits_per_joule:.0f} bits/J  "
+        f"throughput={metrics.throughput_bps / 1e6:.2f} Mbps  "
+        f"nack={metrics.nack_rate:.3f}  reconfigs={metrics.reconfig_count}"
+    )
+    return metrics, n_rows
+
+
 def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
     """Run each strategy on the template; write trace.csv + metrics.csv
-    (curves.csv for the analytic preset). Returns the paths written."""
+    (curves.csv for the analytic preset). Returns the paths written.
+
+    Each strategy's trace rows are written as its run makes them, into
+    trace.csv.part, which becomes trace.csv when every run is done; a
+    run that raises removes it."""
     os.makedirs(out_dir, exist_ok=True)
     if spec.kind == "analytic":
         path = os.path.join(out_dir, "curves.csv")
@@ -436,47 +478,36 @@ def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
     if spec.kind != "run":
         raise ValueError(f"{spec.name} is a {spec.kind} preset; use the {spec.kind} command")
 
-    traces = []
-    metric_rows = []
-    for strategy in spec.strategies:
-        sc = replace(spec.template, strategy=strategy)
-        metrics, trace = run(sc)
-        traces.append((strategy, sc.antenna_mode, trace))
-        metric_rows.append(
-            (strategy, sc.antenna_mode,
-             metrics.avg_ee_bits_per_joule, metrics.throughput_bps,
-             metrics.reconfig_count, metrics.nack_rate,
-             metrics.delivered_bits, metrics.consumed_energy_j,
-             metrics.duration_ttis)
-        )
-        print(
-            f"{strategy}/{sc.antenna_mode}: ee={metrics.avg_ee_bits_per_joule:.0f} bits/J  "
-            f"throughput={metrics.throughput_bps / 1e6:.2f} Mbps  "
-            f"nack={metrics.nack_rate:.3f}  reconfigs={metrics.reconfig_count}"
-        )
-
     trace_path = os.path.join(out_dir, "trace.csv")
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    _write_csv(
-        trace_path,
-        ["strategy", "antenna_mode", "tti_index", "p_tx_dbm", "mcs_index",
-         "mcs_secondary", "outcome", "delivered_bits", "consumed_energy_j",
-         "reconfigured"],
-        (
-            (label, mode, r.tti_index, r.p_tx_dbm, r.mcs_index, r.mcs_secondary,
-             r.outcome, r.delivered_bits, r.consumed_energy_j, int(r.reconfigured))
-            for label, mode, trace in traces
-            for r in trace
-        ),
-    )
+    part_path = trace_path + ".part"
+    try:
+        with open(part_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(_TRACE_HEADER)
+            results = [
+                _run_traced(replace(spec.template, strategy=strategy), writer)
+                for strategy in spec.strategies
+            ]
+        os.replace(part_path, trace_path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part_path)
+        raise
+
     _write_csv(
         metrics_path,
         ["strategy", "antenna_mode", "avg_ee_bits_per_joule", "throughput_bps",
          "reconfig_count", "nack_rate", "delivered_bits", "consumed_energy_j",
          "duration_ttis"],
-        metric_rows,
+        (
+            (m.strategy, m.antenna_mode, m.avg_ee_bits_per_joule, m.throughput_bps,
+             m.reconfig_count, m.nack_rate, m.delivered_bits, m.consumed_energy_j,
+             m.duration_ttis)
+            for m, _ in results
+        ),
     )
-    n_rows = sum(len(trace) for _, _, trace in traces)
+    n_rows = sum(n for _, n in results)
     print(f"{spec.name}: wrote {trace_path} ({n_rows} rows), {metrics_path}")
     return [trace_path, metrics_path]
 

@@ -9,8 +9,9 @@ the 2x2 mode): link_channel.hs_sinr_db at 1 W less the pilot loss. The
 loop only adds p_dbm - 30 and compares against thresholds, and carries
 the controller state, the reports and ACKs in flight and the pending
 retransmissions across chunk boundaries. One chunk is alive at a time,
-so with the trace off a run's memory is bounded whatever its length; a
-run of at most CHUNK_TTIS TTIs is one chunk, synthesized as one block.
+so a run's memory is bounded whatever its length, unless its trace rows
+are kept (run without a sink); a run of at most CHUNK_TTIS TTIs is one
+chunk, synthesized as one block.
 The fading correlation restarts at each chunk boundary, every 262 s of
 simulated time against a coherence time of about 0.1 s at 3 km/h.
 
@@ -243,14 +244,19 @@ def estimation_loss_db(f_d_hz: float, window_s: float) -> float:
     return -20.0 * np.log10(max(rho, 0.05))
 
 
-def run(sc: ScenarioConfig) -> tuple[RunMetrics, list[TtiRecord]]:
+def run(
+    sc: ScenarioConfig, sink: Callable[[TtiRecord], object] | None = None
+) -> tuple[RunMetrics, list[TtiRecord]]:
     """Simulate one scenario; deterministic for a fixed seed.
 
-    The link is synthesized one chunk of at most CHUNK_TTIS TTIs at a
-    time, as the loop reaches it, so with sc.collect_trace off the
-    memory of a run is bounded whatever its length; the trace holds one
-    TtiRecord per TTI and grows with it."""
-    return _run_link(sc, _build_link(sc))
+    With sc.collect_trace set, each TTI's TtiRecord goes to sink as the
+    loop makes it, in TTI order, and the returned trace is empty; with
+    no sink the records are collected into the returned trace. The link
+    is synthesized one chunk of at most CHUNK_TTIS TTIs at a time, as
+    the loop reaches it, so a run's memory is bounded whatever its
+    length, except for the returned trace, which grows by one TtiRecord
+    per TTI when no sink is given."""
+    return _run_link(sc, _build_link(sc), sink)
 
 
 def _build_link(sc: ScenarioConfig) -> Iterator[_Link]:
@@ -343,14 +349,24 @@ def _shared_reports(keys: Iterable, make) -> list:
     return reports
 
 
+# TTIs per slice of the 2x2 constants step, which bounds the complex
+# temporaries of stream_gain_series to a few MB whatever the chunk length
+_GAIN_SLICE_TTIS = 2**14
+
+
 def _mimo_constants(block: np.ndarray, ch: ChannelParams, p_w: float, loss_db: float):
     """dB SINR at p_w per stream, less loss_db, of a (n_taps, 2, 2, T)
     block, shaped (3, 4, T): nulled stream 1, nulled stream 2 and the
-    combined single stream, each per PCI."""
-    out = np.empty((3, 4, block.shape[-1]))
+    combined single stream, each per PCI. The TTIs are taken
+    _GAIN_SLICE_TTIS at a time; every reduction runs over taps and
+    antennas, so the slicing does not change a value."""
+    T = block.shape[-1]
+    out = np.empty((3, 4, T))
     for pci, w in enumerate(pci_codebook()):
-        for k, gain in enumerate(stream_gain_series(block, w)):
-            out[k, pci] = hs_sinr_db(p_w, ch.path_gain_lin * gain, ch) - loss_db
+        for start in range(0, T, _GAIN_SLICE_TTIS):
+            ttis = slice(start, start + _GAIN_SLICE_TTIS)
+            for k, gain in enumerate(stream_gain_series(block[..., ttis], w)):
+                out[k, pci, ttis] = hs_sinr_db(p_w, ch.path_gain_lin * gain, ch) - loss_db
     return out
 
 
@@ -459,9 +475,11 @@ def _queue_retx(failed, retx, replace: bool) -> None:
             retx[slot] = (m, b, cnt + 1)
 
 
-def _run_link(sc: ScenarioConfig, links: Iterable[_Link]) -> tuple[RunMetrics, list[TtiRecord]]:
+def _run_link(
+    sc: ScenarioConfig, links: Iterable[_Link], sink: Callable[[TtiRecord], object] | None = None
+) -> tuple[RunMetrics, list[TtiRecord]]:
     """Run sc over links, the chunks of its link in order, whose lengths
-    sum to sc.duration_ttis."""
+    sum to sc.duration_ttis; the trace rows go to sink as run's do."""
     cfg, pm, table = sc.controller, sc.power_model, sc.table
     T = sc.duration_ttis
     delay = FEEDBACK_DELAY_TTIS
@@ -476,6 +494,7 @@ def _run_link(sc: ScenarioConfig, links: Iterable[_Link]) -> tuple[RunMetrics, l
     collect = sc.collect_trace
 
     trace: list[TtiRecord] = []
+    emit = trace.append if sink is None else sink
     delivered_bits = attempts = nacks = reconfigs = 0
     energy_j = 0.0
     # reports and decode outcomes in flight, indexed by TTI modulo the
@@ -606,18 +625,14 @@ def _run_link(sc: ScenarioConfig, links: Iterable[_Link]) -> tuple[RunMetrics, l
                         outcome = OUTCOME_NACK
                     else:
                         outcome = OUTCOME_MIXED
-                    trace.append(
-                        TtiRecord(t, p_cfg, m1, m2, outcome, delivered, energy, reconfigured)
-                    )
+                    emit(TtiRecord(t, p_cfg, m1, m2, outcome, delivered, energy, reconfigured))
             else:
                 energy = ts * overhead
                 energy_j += energy
                 last_sample_ee = 0.0
                 acks_due[k] = failed_due[k] = ()
                 if collect:
-                    trace.append(
-                        TtiRecord(t, float("-inf"), 0, 0, OUTCOME_IDLE, 0, energy, reconfigured)
-                    )
+                    emit(TtiRecord(t, float("-inf"), 0, 0, OUTCOME_IDLE, 0, energy, reconfigured))
 
             if not resolve_first and arriving_failed:
                 _queue_retx(arriving_failed, retx, False)

@@ -5,12 +5,15 @@ the python -m entry point.
 """
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hsdpa_ee import cli_report
 from hsdpa_ee.cli_report import (
     EXIT_INVALID,
     EXIT_IO,
@@ -20,6 +23,7 @@ from hsdpa_ee.cli_report import (
     _fmt,
     _write_csv,
     build_preset,
+    cmd_run,
     cmd_tablegen,
     load_config,
     main,
@@ -76,6 +80,38 @@ def test_run_config_happy_path(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 400
     assert rows[0]["strategy"] == "SemiStatic"
+
+
+def test_failed_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
+    spec = build_preset("figure6")
+    spec = replace(spec, template=replace(spec.template, duration_ttis=400))
+    assert len(spec.strategies) == 2
+    started = []
+
+    def second_run_fails(sc, sink=None):
+        started.append(sc.strategy)
+        if len(started) < 2:
+            return run(sc, sink)
+
+        def failing_sink(r):
+            if r.tti_index == 200:
+                raise RuntimeError("run failed part-way")
+            sink(r)
+
+        return run(sc, failing_sink)
+
+    monkeypatch.setattr(cli_report, "run", second_run_fails)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="part-way"):
+        cmd_run(spec, str(out))
+    assert started == list(spec.strategies)
+    assert os.listdir(out) == []
+
+    # the same run unpatched leaves trace.csv in place of the partial file
+    monkeypatch.undo()
+    cmd_run(spec, str(out))
+    assert sorted(os.listdir(out)) == ["metrics.csv", "trace.csv"]
+    assert f"({2 * 400} rows)" in capsys.readouterr().out
 
 
 def test_malformed_config_exits_1_with_line(tmp_path, capsys):
@@ -363,11 +399,17 @@ def test_figure10_matches_direct_run(tmp_path):
     assert float(row["mean_ee"]) == pytest.approx(direct.avg_ee_bits_per_joule, rel=1e-9)
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def test_module_entry_point(tmp_path):
+    # the subprocess finds the package in this checkout's src, installed
+    # or not
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     r = subprocess.run(
         [sys.executable, "-m", "hsdpa_ee", "tablegen",
          "--out", str(tmp_path / "t.csv")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert r.returncode == 0
     assert (tmp_path / "t.csv").is_file()

@@ -550,6 +550,17 @@ def test_each_chunk_is_synthesized_once(small_chunks, monkeypatch):
     assert calls == [CHUNK] * 3 + [1000]
 
 
+def test_mimo_constants_are_equal_bit_for_bit_over_slices(monkeypatch):
+    # every reduction of the 2x2 constants runs over taps and antennas,
+    # so taking the TTIs a slice at a time changes no value
+    ch = make_channel(435.0, -72.5, geometry_db=23.0, alpha=0.995, speed_kmh=30.0)
+    block = sim_engine.fading_block(ch, 2, 2, 2500, np.random.default_rng(3))
+    whole = sim_engine._mimo_constants(block, ch, 1.0, 0.5)
+    monkeypatch.setattr(sim_engine, "_GAIN_SLICE_TTIS", 1000)
+    sliced = sim_engine._mimo_constants(block, ch, 1.0, 0.5)
+    assert sliced.tobytes() == whole.tobytes()
+
+
 def test_sweep_cell_longer_than_a_chunk_is_its_own_run(small_chunks):
     template = make_scenario(duration_ttis=2 * CHUNK + 500, collect_trace=False)
     strategies = (FIXED_BASELINE, SEMI_STATIC)
@@ -758,3 +769,30 @@ def test_chunked_controller_run_equals_a_step_through_on_tti(small_chunks, mode)
     metrics, trace, counts = reference_run(sc, chunks)
     assert_same_run(run(sc), (metrics, trace))
     assert counts["event"] > 0 and counts["periodic"] > 0, counts
+
+
+# ------------------------------------------------------------------ sink
+
+
+@pytest.mark.parametrize("mode", [SIMO, MIMO])
+@pytest.mark.parametrize("strategy", [FIXED_BASELINE, SEMI_STATIC])
+@pytest.mark.parametrize("ttis", [2000, 2 * CHUNK + 700], ids=["one-chunk", "three-chunks"])
+def test_sink_gets_the_trace_row_by_row(small_chunks, mode, strategy, ttis):
+    sc = make_scenario(antenna_mode=mode, strategy=strategy, duration_ttis=ttis)
+    rows = []
+    metrics, trace = run(sc, rows.append)
+    assert trace == []
+    assert [r.tti_index for r in rows] == list(range(ttis))
+    assert_same_run((metrics, rows), run(sc))
+
+
+@pytest.mark.parametrize("mode", [SIMO, MIMO])
+@pytest.mark.parametrize("strategy", [FIXED_BASELINE, SEMI_STATIC])
+def test_sink_is_not_called_without_collect_trace(mode, strategy):
+    sc = make_scenario(antenna_mode=mode, strategy=strategy, collect_trace=False)
+
+    def sink(row):
+        raise AssertionError(f"sink called with {row}")
+
+    metrics, trace = run(sc, sink)
+    assert trace == [] and (metrics, trace) == run(sc)
