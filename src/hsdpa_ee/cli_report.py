@@ -31,9 +31,9 @@ A sweep config adds:
     strategies = FixedBaseline, SemiStatic
     repetitions = 4
 
-No entry of values, strategies or antenna_modes may repeat, and an
-antenna_mode sweep takes its modes from values, not antenna_modes. The
-chain count m_a is not a key: it follows antenna_mode.
+variable is speed, distance, fixed_power or theta_min; antenna modes
+are swept with antenna_modes. No entry of values, strategies or
+antenna_modes may repeat, and m_a is not a key: it follows antenna_mode.
 
 `run` writes trace.csv and metrics.csv, `sweep` writes series.csv, and
 all floats are emitted with repr so the files re-parse losslessly.
@@ -76,6 +76,7 @@ from .sim_engine import (
     PER_TTI_OPTIMAL,
     SEMI_STATIC,
     SIMO,
+    _SWEEP_VARS,
     RunMetrics,
     ScenarioConfig,
     run,
@@ -137,7 +138,7 @@ _SCENARIO_KEYS = {
 }
 
 _CONTROLLER_KEYS = get_type_hints(ControllerConfig)
-_POWER_KEYS = {"eta": float, "p_cir_w": float, "p_sta_w": float}
+_POWER_KEYS = {k: t for k, t in get_type_hints(PowerModelParams).items() if k != "m_a"}
 _SWEEP_KEYS = {
     "variable": str,
     "values": str,
@@ -251,7 +252,9 @@ def load_config(path: str, kind: str) -> ExperimentSpec:
         raise ValueError(f"{path}: sweep command needs a [sweep] section")
     sw = _section_dict(cp, "sweep", _SWEEP_KEYS, path, text)
     variable = sw.get("variable", "")
-    typ = {"theta_min": int, "antenna_mode": str}.get(variable, float)
+    if variable not in _SWEEP_VARS:
+        raise ValueError(f"{path}: variable must be one of {tuple(_SWEEP_VARS)}")
+    typ = _SWEEP_VARS[variable]
     values = tuple(
         _coerce(v, typ, path, text, "values") for v in _split_list(sw.get("values", ""))
     )

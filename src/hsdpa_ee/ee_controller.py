@@ -411,14 +411,30 @@ def select_optimal(
     affordable level at full power. Level j's power is p_dbm + beta_j -
     beta_feedback + delta_db, the expression of estimate_power_for_mcs.
     """
-    thr = table._thr_list
-    n = len(thr)
-    if feedback_cqi < 1 or feedback_cqi > n:
+    _check_cqi_report(feedback_cqi, table, cfg)
+    search = _searches.get((id(table), id(pm))) or _level_search(table, pm)
+    ref = table._thr_list[feedback_cqi - 1]
+    return _select(search, p_dbm, ref, delta_db, cfg, pm, OptimalSelection)
+
+
+def _check_cqi_report(cqi, table: McsTable, cfg: ControllerConfig) -> None:
+    """select_optimal's checks of its report and of cfg.min_mcs."""
+    n = len(table._thr_list)
+    if cqi < 1 or cqi > n:
         raise ValueError("feedback_cqi must be a valid table index")
     if cfg.min_mcs > n:
         raise ValueError("min_mcs must be a valid table index")
-    search = _searches.get((id(table), id(pm))) or _level_search(table, pm)
-    return _select(search, p_dbm, thr[feedback_cqi - 1], delta_db, cfg, pm, OptimalSelection)
+
+
+def _check_dual_report(feedback: MimoFeedback, table: McsTable, cfg: ControllerConfig) -> None:
+    """select_optimal_dual's checks of its report and of cfg.min_mcs."""
+    if feedback.mode != DUAL:
+        raise ValueError("dual-stream selection needs dual-mode feedback")
+    n = len(table._thr_list)
+    if not (1 <= feedback.cqi_primary <= n and 1 <= feedback.cqi_secondary <= n):
+        raise ValueError("reference indices must be valid table entries")
+    if cfg.min_mcs > n:
+        raise ValueError("min_mcs must be a valid table index")
 
 
 def relative_ee_difference(xi_opt: float, xi: float) -> float:
@@ -462,23 +478,6 @@ def amc_level(table: McsTable, cqi: int, shift_db: float, min_mcs: int) -> int:
 # the types of a single-stream report: Python int first, the engine's
 # own, then numpy integers, as cqi_from_sinr gives for array input
 _CQI_INDEX = (int, np.integer)
-
-
-def _check_unselected_step(report, reported, timer_ms, table, cfg) -> None:
-    """The ValueErrors of the select_optimal/select_optimal_dual and
-    should_trigger calls that on_tti skips inside the minimum interval."""
-    n = len(table._thr_list)
-    if timer_ms < 0.0:
-        raise ValueError("timer must be >= 0")
-    if isinstance(report, _CQI_INDEX):
-        if report > n:
-            raise ValueError("feedback_cqi must be a valid table index")
-    elif report.mode != DUAL:
-        raise ValueError("dual-stream selection needs dual-mode feedback")
-    elif max(reported) > n:
-        raise ValueError("reference indices must be valid table entries")
-    if cfg.min_mcs > n:
-        raise ValueError("min_mcs must be a valid table index")
 
 
 def on_tti(
@@ -538,7 +537,8 @@ def on_tti(
         # inside the minimum interval should_trigger is false for any
         # gap, so the selection could change nothing and is not made;
         # the step still rejects what select and should_trigger reject
-        _check_unselected_step(report, reported, state.timer_ms, table, cfg)
+        should_trigger(0.0, state.timer_ms, cfg)
+        (_check_cqi_report if len(reported) == 1 else _check_dual_report)(report, table, cfg)
         ee, infeasible = 0.0, False
 
     # plain AMC at held power: follow the report, compensated for any

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ee_controller import DUAL, SINGLE, ControllerConfig, _build_search, _searches, _select
+from .ee_controller import DUAL, SINGLE, ControllerConfig, _build_search, _check_dual_report, _searches, _select
 from .link_channel import ChannelParams
 from .mcs_table import McsTable
 from .power_model import PowerModelParams
@@ -248,10 +248,7 @@ def select_optimal_dual(
     best-affordable fallback. pm should describe the dual-chain
     hardware state (m_a = 2).
     """
-    if feedback.mode != DUAL:
-        raise ValueError("dual-stream selection needs dual-mode feedback")
+    _check_dual_report(feedback, table, cfg)
     i1, i2 = feedback.cqi_primary, feedback.cqi_secondary
     search = _searches.get((id(table), id(pm), i1, i2)) or _pair_search(table, pm, i1, i2)
-    if cfg.min_mcs > len(table):
-        raise ValueError("min_mcs must be a valid table index")
     return _select(search, p_dbm, 0.0, delta_db, cfg, pm, DualSelection)

@@ -62,6 +62,7 @@ no experiment varies them.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -153,6 +154,14 @@ def _with_chain_count(base: PowerModelParams, m_a: int) -> PowerModelParams:
     return PowerModelParams(eta=base.eta, p_cir_w=base.p_cir_w, p_sta_w=base.p_sta_w, m_a=m_a)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a value that is not an int, is a bool or is below least."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one run needs. The antenna mode sets the chain count:
@@ -176,10 +185,8 @@ class ScenarioConfig:
             raise ValueError(f"antenna_mode must be one of {_MODES}")
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
-        if not isinstance(self.duration_ttis, int) or isinstance(self.duration_ttis, bool):
-            raise ValueError(f"duration_ttis must be an int, got {self.duration_ttis!r}")
-        if self.duration_ttis < 1:
-            raise ValueError("duration_ttis must be > 0")
+        _check_count("duration_ttis", self.duration_ttis, 1)
+        _check_count("seed", self.seed, 0)
         if not math.isfinite(self.baseline_power_dbm):
             raise ValueError(f"baseline_power_dbm must be finite, got {self.baseline_power_dbm}")
         if self.controller.min_mcs > len(self.table):
@@ -669,7 +676,7 @@ class SweepPoint:
     """Aggregated metrics of one (value, strategy-label) cell."""
 
     variable: str
-    value: float | str
+    value: float
     strategy: str
     mean_ee: float
     std_ee: float
@@ -679,23 +686,27 @@ class SweepPoint:
     ee_samples: tuple[float, ...]
 
 
-_SWEEP_VARS = ("speed", "distance", "theta_min", "fixed_power", "antenna_mode")
+# the variables a sweep can vary, each with its value type
+_SWEEP_VARS = {"speed": float, "distance": float, "theta_min": int, "fixed_power": float}
 
 
 def _derive(template: ScenarioConfig, variable, value, strategy, mode, seed):
-    ch = template.channel
-    cfg = template.controller
-    baseline = template.baseline_power_dbm
+    if _SWEEP_VARS[variable] is int:
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{variable} values must be integers, got {value!r}") from None
+    else:
+        value = float(value)
+    ch, cfg, baseline = template.channel, template.controller, template.baseline_power_dbm
     if variable == "speed":
-        ch = replace(ch, speed_kmh=float(value))
+        ch = replace(ch, speed_kmh=value)
     elif variable == "distance":
-        ch = replace(ch, distance_m=float(value))
+        ch = replace(ch, distance_m=value)
     elif variable == "theta_min":
-        cfg = replace(cfg, min_mcs=int(value))
+        cfg = replace(cfg, min_mcs=value)
     elif variable == "fixed_power":
-        baseline = float(value)
-    elif variable == "antenna_mode":
-        mode = str(value)
+        baseline = value
     return replace(
         template,
         channel=ch,
@@ -739,19 +750,16 @@ def sweep(
     carries the antenna mode when more than one is swept (e.g.
     "FixedBaseline/MIMO").
 
-    An antenna_mode sweep takes its modes from values, so it takes no
-    antenna_modes; and no entry of values, strategies or antenna_modes
-    may repeat, since cells that collide would be merged.
+    Antenna modes are swept through antenna_modes, not as a variable, and
+    theta_min values must be integers. No entry of values, strategies or
+    antenna_modes may repeat, since cells that collide would be merged.
     """
     if variable not in _SWEEP_VARS:
-        raise ValueError(f"variable must be one of {_SWEEP_VARS}")
-    if variable == "antenna_mode" and antenna_modes:
-        raise ValueError("an antenna_mode sweep takes its modes from values, not antenna_modes")
+        raise ValueError(f"variable must be one of {tuple(_SWEEP_VARS)}")
     values = list(values)
     if not values:
         raise ValueError("values must be non-empty")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    _check_count("repetitions", repetitions, 1)
     strategies = strategies or (template.strategy,)
     antenna_modes = antenna_modes or (template.antenna_mode,)
     for name, entries in (("values", values), ("strategies", strategies),

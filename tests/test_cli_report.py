@@ -350,6 +350,23 @@ def test_preset_wrong_command_exits_2(tmp_path):
     assert main(["sweep", "--preset", "figure5", "--out", str(tmp_path)]) == EXIT_INVALID
 
 
+def test_negative_seed_flag_exits_2_naming_the_seed(tmp_path, capsys):
+    argv = ["run", "--preset", "figure6", "--seed", "-1", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_INVALID
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_sweep_variable_is_checked_before_its_values(tmp_path, capsys):
+    # antenna modes are swept with antenna_modes; the values are not
+    # parsed as floats for a variable that does not exist
+    text = "[scenario]\nduration_ttis = 100\n\n[sweep]\nvariable = antenna_mode\nvalues = MIMO\n"
+    cfg = write(tmp_path, "sw.ini", text)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_INVALID
+    assert "variable must be one of ('speed', 'distance', 'theta_min', 'fixed_power')" in (
+        capsys.readouterr().err
+    )
+
+
 def test_figure1_writes_curves(tmp_path):
     out = tmp_path / "f1"
     assert main(["run", "--preset", "figure1", "--out", str(out)]) == EXIT_OK

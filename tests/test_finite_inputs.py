@@ -1,12 +1,12 @@
 """Configs, MCS tables, the channel constructor and the fading
-synthesis reject NaN and infinite numbers, and a run length and an MCS
-floor must be ints.
+synthesis reject NaN and infinite numbers, and a run length, a seed and
+an MCS floor must be ints.
 
 Without these checks a NaN slips through every range comparison (they
 are all false) and a run finishes with NaN energy, while the selectors'
 cached interval searches would silently be built from NaN; a NaN time
 step or Doppler would give an all-NaN fading block, and a float run
-length or MCS floor would fail deep inside the synthesis or the TTI
+length, seed or MCS floor would fail deep inside the synthesis or the TTI
 loop instead of at construction.
 """
 
@@ -92,6 +92,20 @@ def test_table_file_with_non_finite_thresholds_is_rejected():
 def test_run_length_that_is_not_an_int_is_rejected(value):
     with pytest.raises(ValueError, match="duration_ttis must be an int"):
         scenario(duration_ttis=value)
+
+
+@pytest.mark.parametrize("value, message", [
+    (1.5, "seed must be an int"),
+    ("3", "seed must be an int"),
+    (True, "seed must be an int"),  # ran as seed 1
+    (None, "seed must be an int"),
+    (-1, "seed must be >= 0"),
+])
+def test_seed_that_is_not_a_non_negative_int_is_rejected(value, message):
+    # these used to pass construction and fail inside numpy once the run
+    # started, and True ran as seed 1
+    with pytest.raises(ValueError, match=message):
+        scenario(seed=value)
 
 
 @pytest.mark.parametrize("value", [25.5, 2.0, True, "2", None])

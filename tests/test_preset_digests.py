@@ -1,10 +1,11 @@
 """SHA-256 digests of the CSVs every figure preset writes.
 
 Each preset runs through cli_report.main at its default seed and
-repetitions, and each CSV it writes is compared with the digest in
-preset_digests.json: 11 files over the 9 presets (curves.csv for
-figure1, trace.csv and metrics.csv for the run presets, series.csv for
-the sweeps). All of them together take about 15 s.
+repetitions, and each file it leaves in its out dir is compared with
+the digest in preset_digests.json: 11 CSVs over the 9 presets
+(curves.csv for figure1, trace.csv and metrics.csv for the run presets,
+series.csv for the sweeps), and nothing else, so a stray file such as
+trace.csv.part fails too. All of them together take about 15 s.
 
 A deliberate behaviour change re-records the file and says so in
 CHANGES.md:
@@ -28,13 +29,14 @@ DIGESTS = Path(__file__).with_name("preset_digests.json")
 
 
 def preset_digests(name: str, out_dir: Path) -> dict[str, str]:
-    """Run one preset into out_dir; map 'preset/file.csv' to its SHA-256."""
+    """Run one preset into out_dir; map 'preset/file' to its SHA-256 for
+    every file the run leaves there."""
     command = "sweep" if build_preset(name).kind == "sweep" else "run"
     with redirect_stdout(StringIO()):
         assert main([command, "--preset", name, "--out", str(out_dir)]) == 0
     return {
         f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out_dir.glob("*.csv"))
+        for path in sorted(out_dir.iterdir())
     }
 
 

@@ -353,20 +353,30 @@ def test_mimo_hypothesis_matches_brute_force():
 
 def test_sweep_rejects_unknown_variable_and_empty_values():
     sc = make_scenario(collect_trace=False)
-    with pytest.raises(ValueError):
-        sweep(sc, "bandwidth", [1.0])
+    # antenna modes are swept through antenna_modes, not as a variable
+    for variable in ("bandwidth", "antenna_mode"):
+        with pytest.raises(ValueError, match="variable must be one of"):
+            sweep(sc, variable, [1.0])
     with pytest.raises(ValueError):
         sweep(sc, "speed", [])
-    with pytest.raises(ValueError):
-        sweep(sc, "speed", [3.0], repetitions=0)
+    # 2.5, True and "2" used to fail inside numpy's SeedSequence
+    for repetitions in (0, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="repetitions"):
+            sweep(sc, "speed", [3.0], repetitions=repetitions)
+
+
+def test_sweep_theta_min_values_are_integers():
+    # int() would truncate 2.5 and run min_mcs = 2 under the label 2.5
+    sc = make_scenario(duration_ttis=100, collect_trace=False)
+    with pytest.raises(ValueError, match="theta_min"):
+        sweep(sc, "theta_min", [2.5])
+    (point,) = sweep(sc, "theta_min", [np.int64(3)])
+    assert point == sweep(sc, "theta_min", [3])[0]
 
 
 def test_sweep_rejects_cells_that_collide():
-    # an antenna_mode value would overwrite the mode of the loop, and a
-    # repeated entry would merge two cells' runs into one
+    # a repeated entry would merge two cells' runs into one
     sc = make_scenario(duration_ttis=100, collect_trace=False)
-    with pytest.raises(ValueError, match="antenna_modes"):
-        sweep(sc, "antenna_mode", [MIMO], antenna_modes=(SIMO, MIMO))
     for values, over in (
         ([3.0, 3.0], {}),
         ([3.0], {"strategies": (SEMI_STATIC, SEMI_STATIC)}),
@@ -374,14 +384,6 @@ def test_sweep_rejects_cells_that_collide():
     ):
         with pytest.raises(ValueError, match="repeated"):
             sweep(sc, "speed", values, **over)
-
-
-def test_antenna_mode_sweep_runs_each_mode():
-    template = make_scenario(duration_ttis=300, collect_trace=False)
-    simo, mimo = sweep(template, "antenna_mode", [SIMO, MIMO], repetitions=2)
-    assert (simo.value, mimo.value) == (SIMO, MIMO)
-    assert simo.strategy == mimo.strategy == SEMI_STATIC
-    assert simo.ee_samples != mimo.ee_samples
 
 
 def test_degenerate_sweep_equals_direct_run():
