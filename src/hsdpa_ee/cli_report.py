@@ -40,7 +40,9 @@ all floats are emitted with repr so the files re-parse losslessly.
 trace.csv is written row by row as the runs go, into trace.csv.part next
 to it, and renamed into place once every strategy has run, so a traced
 run's memory does not grow with its length and a run that fails leaves
-no trace.csv.
+no trace.csv. Each trace row is one f-string with the bytes csv.writer
+would write (_trace_sink); its two float cells are formatted once per
+float object, which the engine reuses while the power holds.
 Exit codes: 0 success, 1 config parse failure, 2 invalid experiment,
 3 I/O failure.
 """
@@ -51,9 +53,11 @@ import argparse
 import configparser
 import contextlib
 import csv
+import io
 import os
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import get_type_hints
 
@@ -79,6 +83,8 @@ from .sim_engine import (
     _SWEEP_VARS,
     RunMetrics,
     ScenarioConfig,
+    TtiRecord,
+    _check_count,
     run,
     sweep,
 )
@@ -374,8 +380,10 @@ def _override(spec: ExperimentSpec, seed: int | None, reps: int | None) -> Exper
     """Apply the command line's --seed and --reps to an experiment."""
     if seed is not None and spec.template is not None:
         spec = replace(spec, template=replace(spec.template, seed=seed))
-    if reps is not None and spec.kind == "sweep":
-        spec = replace(spec, repetitions=reps)
+    if reps is not None:
+        _check_count("reps", reps, 1)
+        if spec.kind == "sweep":
+            spec = replace(spec, repetitions=reps)
     return spec
 
 
@@ -435,29 +443,50 @@ _TRACE_HEADER = ["strategy", "antenna_mode", "tti_index", "p_tx_dbm", "mcs_index
                  "reconfigured"]
 
 
-def _run_traced(sc: ScenarioConfig, writer) -> tuple[RunMetrics, int]:
-    """Run sc, writing each trace row with writer as the run makes it;
-    returns the run's metrics and the number of rows written."""
-    label, mode = sc.strategy, sc.antenna_mode
-    n_rows = 0
+def _trace_sink(label: str, mode: str, write) -> Callable[[TtiRecord], None]:
+    """A sink that writes each TtiRecord as one trace.csv row, the bytes
+    csv.writer writes for _cells of the row, with write (a text file's,
+    opened with newline="").
+
+    label,mode, is quoted once by csv's rules; the int cells are written
+    with str and the outcome, always an OUTCOME_* word, as it is. The two
+    float cells go through _fmt, kept for the last value by identity:
+    the engine hands on the same float objects while the power holds,
+    and equal values can print differently (0.0 and -0.0, 40 and 40.0)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(_cells((label, mode, "")))
+    prefix = buf.getvalue()[:-2]  # without csv's \r\n
+    last_p = last_e = object()
+    p_cell = e_cell = ""
 
     def write_row(r):
-        nonlocal n_rows
-        n_rows += 1
-        writer.writerow(_cells((
-            label, mode, r.tti_index, r.p_tx_dbm, r.mcs_index, r.mcs_secondary,
-            r.outcome, r.delivered_bits, r.consumed_energy_j, int(r.reconfigured),
-        )))
+        nonlocal last_p, p_cell, last_e, e_cell
+        p = r.p_tx_dbm
+        if p is not last_p:
+            last_p, p_cell = p, _fmt(p)
+        e = r.consumed_energy_j
+        if e is not last_e:
+            last_e, e_cell = e, _fmt(e)
+        write(
+            f"{prefix}{r.tti_index},{p_cell},{r.mcs_index},{r.mcs_secondary},{r.outcome},"
+            f"{r.delivered_bits},{e_cell},{1 if r.reconfigured else 0}\r\n"
+        )
 
+    return write_row
+
+
+def _run_traced(sc: ScenarioConfig, write) -> RunMetrics:
+    """Run sc, writing each trace row with write as the run makes it."""
+    label, mode = sc.strategy, sc.antenna_mode
     # run is looked up in this module, so a wrapper put in its place
     # (the benchmark's tracer) sees every run
-    metrics, _ = run(sc, write_row)
+    metrics, _ = run(sc, _trace_sink(label, mode, write))
     print(
         f"{label}/{mode}: ee={metrics.avg_ee_bits_per_joule:.0f} bits/J  "
         f"throughput={metrics.throughput_bps / 1e6:.2f} Mbps  "
         f"nack={metrics.nack_rate:.3f}  reconfigs={metrics.reconfig_count}"
     )
-    return metrics, n_rows
+    return metrics
 
 
 def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
@@ -479,17 +508,16 @@ def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
         print(f"{spec.name}: wrote {path}")
         return [path]
     if spec.kind != "run":
-        raise ValueError(f"{spec.name} is a {spec.kind} preset; use the {spec.kind} command")
+        raise ValueError(f"{spec.name} is a sweep; use the sweep command")
 
     trace_path = os.path.join(out_dir, "trace.csv")
     metrics_path = os.path.join(out_dir, "metrics.csv")
     part_path = trace_path + ".part"
     try:
         with open(part_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_TRACE_HEADER)
+            fh.write(",".join(_TRACE_HEADER) + "\r\n")
             results = [
-                _run_traced(replace(spec.template, strategy=strategy), writer)
+                _run_traced(replace(spec.template, strategy=strategy), fh.write)
                 for strategy in spec.strategies
             ]
         os.replace(part_path, trace_path)
@@ -507,10 +535,11 @@ def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
             (m.strategy, m.antenna_mode, m.avg_ee_bits_per_joule, m.throughput_bps,
              m.reconfig_count, m.nack_rate, m.delivered_bits, m.consumed_energy_j,
              m.duration_ttis)
-            for m, _ in results
+            for m in results
         ),
     )
-    n_rows = sum(n for _, n in results)
+    # a traced run hands its sink one row per TTI
+    n_rows = sum(m.duration_ttis for m in results) if spec.template.collect_trace else 0
     print(f"{spec.name}: wrote {trace_path} ({n_rows} rows), {metrics_path}")
     return [trace_path, metrics_path]
 
@@ -518,7 +547,7 @@ def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
 def cmd_sweep(spec: ExperimentSpec, out_dir: str) -> list[str]:
     """Execute a sweep spec; write series.csv. Returns the paths written."""
     if spec.kind != "sweep":
-        raise ValueError(f"{spec.name} is a {spec.kind} preset; use the {spec.kind} command")
+        raise ValueError(f"{spec.name} is not a sweep; use the run command")
     if not spec.values:
         raise ValueError(f"{spec.name}: sweep value list is empty")
     os.makedirs(out_dir, exist_ok=True)

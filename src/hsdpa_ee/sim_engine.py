@@ -521,6 +521,9 @@ def _run_link(
     clamp = cfg.offset_clamp_db
     neg_clamp = -clamp
     p_energy = served_energy = None  # energy of a served TTI, cached per power
+    # an idle TTI's power and energy, one object each for the whole run
+    idle_p = float("-inf")
+    idle_energy = ts * overhead
     last_sample_ee = 0.0
 
     base = 0  # TTIs of the run before the current chunk
@@ -634,12 +637,11 @@ def _run_link(
                         outcome = OUTCOME_MIXED
                     emit(TtiRecord(t, p_cfg, m1, m2, outcome, delivered, energy, reconfigured))
             else:
-                energy = ts * overhead
-                energy_j += energy
+                energy_j += idle_energy
                 last_sample_ee = 0.0
                 acks_due[k] = failed_due[k] = ()
                 if collect:
-                    emit(TtiRecord(t, float("-inf"), 0, 0, OUTCOME_IDLE, 0, energy, reconfigured))
+                    emit(TtiRecord(t, idle_p, 0, 0, OUTCOME_IDLE, 0, idle_energy, reconfigured))
 
             if not resolve_first and arriving_failed:
                 _queue_retx(arriving_failed, retx, False)

@@ -5,6 +5,7 @@ the python -m entry point.
 """
 
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hsdpa_ee import cli_report
 from hsdpa_ee.cli_report import (
@@ -201,9 +204,13 @@ def test_trace_floats_round_trip(tmp_path):
     out = tmp_path / "out"
     main(["run", "--config", cfg, "--out", str(out)])
     with open(out / "trace.csv") as fh:
-        for row in csv.DictReader(fh):
-            v = float(row["consumed_energy_j"])
-            assert repr(v) == row["consumed_energy_j"]
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for col in ("p_tx_dbm", "consumed_energy_j"):
+            assert repr(float(row[col])) == row[col]
+    # idle rows (no report yet) carry the -inf power
+    assert rows[0]["outcome"] == "idle" and rows[0]["p_tx_dbm"] == "-inf"
+    assert any(row["outcome"] != "idle" for row in rows)
 
 
 def test_csv_writer_matches_per_cell_formatting(tmp_path):
@@ -242,6 +249,57 @@ def test_csv_writer_matches_per_cell_formatting(tmp_path):
             writer.writerow([_fmt(v) for v in row])
     assert new.read_bytes() == old.read_bytes()
     assert b'"odd, ""quoted""",MIMO,1,40,7,3,mixed,1234,0.25,1' in new.read_bytes()
+
+
+# floats: shared objects from a small pool, so a cell repeats by identity,
+# next to values equal to them that print differently
+_ZERO, _NEG_ZERO, _FORTY = 0.0, -0.0, 40.0
+_FLOAT_POOL = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False),
+        st.floats(width=32).map(np.float64),
+        st.sampled_from([_ZERO, _NEG_ZERO, 40, _FORTY, float("-inf"), np.int64(41)]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+_INTS = st.integers(0, 2**40) | st.integers(0, 2**31).map(np.int64)
+_LABELS = st.sampled_from(["FixedBaseline", "SIMO", 'odd, "quoted"', "a\r\nb", ""]) | st.text()
+
+
+@st.composite
+def _trace_runs(draw):
+    pool_p, pool_e = st.sampled_from(draw(_FLOAT_POOL)), st.sampled_from(draw(_FLOAT_POOL))
+    records = [
+        TtiRecord(draw(_INTS), draw(pool_p), draw(_INTS), draw(_INTS),
+                  draw(st.sampled_from(["ack", "nack", "mixed", "idle"])), draw(_INTS),
+                  draw(pool_e), draw(st.booleans() | st.just(np.True_)))
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    return draw(_LABELS), draw(_LABELS), records
+
+
+def _rows(*cells):
+    return [TtiRecord(t, p, 5, 0, "ack", 99, e, False) for t, (p, e) in enumerate(cells)]
+
+
+@given(_trace_runs())
+@example(("s", "m", _rows((40, 0.5), (_FORTY, 0.5), (_ZERO, _NEG_ZERO), (_NEG_ZERO, _ZERO))))
+@example(('odd, "quoted"', "MIMO", _rows((float("-inf"), _ZERO), (np.float64(1.5), 1.5))))
+@settings(max_examples=300, deadline=None)
+def test_trace_sink_writes_what_csv_writes(trace_run):
+    # the trace sink's bytes are csv.writer's for _fmt of every cell,
+    # with the reconfigured flag as an int
+    label, mode, records = trace_run
+    new, old = io.StringIO(newline=""), io.StringIO(newline="")
+    sink = cli_report._trace_sink(label, mode, new.write)
+    writer = csv.writer(old)
+    for r in records:
+        sink(r)
+        writer.writerow([_fmt(v) for v in (
+            label, mode, r.tti_index, r.p_tx_dbm, r.mcs_index, r.mcs_secondary,
+            r.outcome, r.delivered_bits, r.consumed_energy_j, int(r.reconfigured))])
+    assert new.getvalue() == old.getvalue()
 
 
 # ---------------------------------------------------------------- sweep
@@ -345,9 +403,24 @@ def test_unknown_preset_exits_2(tmp_path):
     assert main(["run", "--preset", "figure99", "--out", str(tmp_path)]) == EXIT_INVALID
 
 
-def test_preset_wrong_command_exits_2(tmp_path):
-    assert main(["run", "--preset", "figure7", "--out", str(tmp_path)]) == EXIT_INVALID
-    assert main(["sweep", "--preset", "figure5", "--out", str(tmp_path)]) == EXIT_INVALID
+def test_preset_wrong_command_exits_2(tmp_path, capsys):
+    for command, preset, right in (
+        ("run", "figure7", "sweep"),
+        ("sweep", "figure5", "run"),
+        ("sweep", "figure1", "run"),  # the analytic curves are written by run
+    ):
+        assert main([command, "--preset", preset, "--out", str(tmp_path)]) == EXIT_INVALID
+        assert f"use the {right} command" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, preset", [("run", "figure5"), ("sweep", "figure7")])
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_reps_below_one_exits_2_naming_it(tmp_path, capsys, command, preset, reps):
+    argv = [command, "--preset", preset, "--reps", reps, "--out", str(tmp_path)]
+    assert main(argv) == EXIT_INVALID
+    assert f"reps must be >= 1, got {reps}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_negative_seed_flag_exits_2_naming_the_seed(tmp_path, capsys):

@@ -209,6 +209,16 @@ def test_warmup_is_idle_until_first_report():
     assert trace[d].outcome != OUTCOME_IDLE
 
 
+def test_idle_rows_share_their_power_and_energy_objects():
+    # so the trace writer's per-object memo hits on idle stretches
+    _, trace = run(make_scenario(duration_ttis=50))
+    idle = [r for r in trace if r.outcome == OUTCOME_IDLE]
+    assert len(idle) >= 3
+    assert idle[0].p_tx_dbm == float("-inf")
+    assert all(r.p_tx_dbm is idle[0].p_tx_dbm for r in idle)
+    assert all(r.consumed_energy_j is idle[0].consumed_energy_j for r in idle)
+
+
 # ------------------------------------------------------------ baseline
 
 
