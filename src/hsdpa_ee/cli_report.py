@@ -378,8 +378,10 @@ PRESETS = {
 
 def _override(spec: ExperimentSpec, seed: int | None, reps: int | None) -> ExperimentSpec:
     """Apply the command line's --seed and --reps to an experiment."""
-    if seed is not None and spec.template is not None:
-        spec = replace(spec, template=replace(spec.template, seed=seed))
+    if seed is not None:
+        _check_count("seed", seed, 0)
+        if spec.template is not None:
+            spec = replace(spec, template=replace(spec.template, seed=seed))
     if reps is not None:
         _check_count("reps", reps, 1)
         if spec.kind == "sweep":
@@ -398,9 +400,7 @@ def build_preset(name: str, seed: int | None = None, reps: int | None = None) ->
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     return repr(float(value))
 

@@ -525,6 +525,9 @@ def _run_link(
     idle_p = float("-inf")
     idle_energy = ts * overhead
     last_sample_ee = 0.0
+    # one MimoFeedback per distinct (pci, cqi1, cqi2) dual report of the
+    # run: it is immutable, so its TTIs can share it
+    dual_reports: dict[tuple, MimoFeedback] = {}
 
     base = 0  # TTIs of the run before the current chunk
     for link in links:
@@ -569,8 +572,11 @@ def _run_link(
                 elif fb[0] == SINGLE:
                     cqi, p_meas, select = fb[2], fb[4], select_optimal
                 else:
-                    cqi, p_meas = MimoFeedback(DUAL, fb[1], fb[2], fb[3]), fb[4]
-                    select = select_optimal_dual
+                    key = fb[1:4]
+                    cqi = dual_reports.get(key)
+                    if cqi is None:
+                        cqi = dual_reports[key] = MimoFeedback(DUAL, *key)
+                    p_meas, select = fb[4], select_optimal_dual
                 st, dec = on_tti(
                     st,
                     TtiFeedback(cqi, arriving_acks, p_meas, last_sample_ee),

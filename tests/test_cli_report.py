@@ -429,6 +429,19 @@ def test_negative_seed_flag_exits_2_naming_the_seed(tmp_path, capsys):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+def test_negative_seed_on_the_analytic_preset_exits_2(tmp_path, capsys):
+    # figure1 draws nothing, but its seed is checked all the same
+    argv = ["run", "--preset", "figure1", "--seed", "-3", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_INVALID
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("value, text", [(np.True_, "1"), (np.False_, "0")])
+def test_fmt_writes_numpy_bools_as_python_bools(value, text):
+    assert _fmt(value) == text
+
+
 def test_sweep_variable_is_checked_before_its_values(tmp_path, capsys):
     # antenna modes are swept with antenna_modes; the values are not
     # parsed as floats for a variable that does not exist

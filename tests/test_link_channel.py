@@ -161,6 +161,19 @@ def one_shot_synth(n_procs, n_steps, dt_s, f_d, rng):
     return np.ascontiguousarray(x[:, :n_steps])
 
 
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
+def assert_same_state(a, b):
+    # field by field: MT19937's state holds an array
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], dict):
+            assert_same_state(a[key], b[key])
+        else:
+            assert np.array_equal(a[key], b[key]), key
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     n_procs=st.integers(1, 16),
@@ -169,21 +182,25 @@ def one_shot_synth(n_procs, n_steps, dt_s, f_d, rng):
     dt_s=st.sampled_from([TTI_S, 1.0 / 1500.0]),
     f_d=st.one_of(st.just(0.0), st.floats(0.0, 4.9e-10), st.floats(1.0, 300.0)),
     seed=st.integers(0, 2**64 - 1),
+    bit_gen=st.sampled_from(BIT_GENERATORS),
 )
-@example(n_procs=8, n_steps=70_000, dt_s=TTI_S, f_d=5.56, seed=0)
-@example(n_procs=16, n_steps=4097, dt_s=TTI_S, f_d=300.0, seed=1)
-def test_synthesis_bit_equals_the_one_shot_block(n_procs, n_steps, dt_s, f_d, seed):
+@example(n_procs=8, n_steps=70_000, dt_s=TTI_S, f_d=5.56, seed=0, bit_gen=np.random.PCG64)
+@example(n_procs=16, n_steps=4097, dt_s=TTI_S, f_d=300.0, seed=1, bit_gen=np.random.PCG64)
+@example(n_procs=3, n_steps=5000, dt_s=TTI_S, f_d=5.56, seed=2, bit_gen=np.random.MT19937)
+@example(n_procs=3, n_steps=5000, dt_s=TTI_S, f_d=5.56, seed=3, bit_gen=np.random.Philox)
+@example(n_procs=3, n_steps=5000, dt_s=TTI_S, f_d=5.56, seed=4, bit_gen=np.random.SFC64)
+def test_synthesis_bit_equals_the_one_shot_block(n_procs, n_steps, dt_s, f_d, seed, bit_gen):
     # the generator is left where the block form leaves it, so whatever
     # draws next (the next chunk of a run) sees the same stream
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng, ref_rng = (np.random.Generator(bit_gen(seed)) for _ in range(2))
     got = synth_fading(n_procs, n_steps, dt_s, f_d, rng)
     want = one_shot_synth(n_procs, n_steps, dt_s, f_d, ref_rng)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert_same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
-def test_synthesis_peak_is_output_plus_real_block_plus_a_few_rows():
+def test_synthesis_peak_is_output_plus_a_few_rows():
     n_procs, n_steps, n_fft = 8, 70_000, 131_072
     rng = np.random.default_rng(5)
     tracemalloc.start()
@@ -192,9 +209,22 @@ def test_synthesis_peak_is_output_plus_real_block_plus_a_few_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the output, the real-part block and three complex rows of n_fft;
-    # the whole (n_procs, n_fft) spectrum and its temporaries took 58 MB
-    assert peak <= out.nbytes + n_procs * n_fft * 8 + 3 * n_fft * 16
+    # the output and a few complex rows of n_fft, no real-part block:
+    # holding that block took 6.6 rows beyond the output, the whole
+    # (n_procs, n_fft) spectrum and its temporaries 58 MB
+    assert peak <= out.nbytes + 4 * n_fft * 16
+
+
+@pytest.mark.parametrize("n_procs, n_steps, name", [
+    (2, 100.0, "n_steps"), (2.0, 100, "n_procs"), (True, 100, "n_procs"),
+])
+@pytest.mark.parametrize("f_d", [0.0, 5.56])
+def test_synthesis_rejects_a_non_int_count_before_any_draw(n_procs, n_steps, name, f_d):
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        synth_fading(n_procs, n_steps, TTI_S, f_d, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_fading_zero_speed_is_constant():
