@@ -41,10 +41,15 @@ overhead.
 
 What a run cannot change is computed once. A link (_build_link: the
 chunks' fading blocks and per-TTI constants) depends only on the
-channel, the antenna mode, the run length, the seed and the table, so
-sweep builds one per channel realization and runs every cell that
-shares it on that link: the powers of a fixed_power sweep, or
-FixedBaseline and SemiStatic at one point. A FixedBaseline run never
+channel, the antenna mode, the run length, the seed and the table
+(_link_key). run keeps the link of the last run that fit in one chunk,
+and a run of an equal key reuses it: strategies of one realization run
+back to back, and the cells of a sweep, which runs each realization's
+cells in a row (the powers of a fixed_power sweep, or FixedBaseline and
+SemiStatic at one point). A run of another key drops the kept link
+before it builds its own, so one link is alive at a time; between runs
+the engine holds that link, up to about 50 MB for a full 2x2 chunk. A
+run longer than one chunk keeps none. A FixedBaseline run never
 changes its power, so on every link its reports (the threshold bisect
 of a single stream, the 8-hypothesis search of 2x2) are computed for
 every TTI of a chunk in one vectorised call before the loop enters it
@@ -181,6 +186,11 @@ class ScenarioConfig:
     collect_trace: bool = True
 
     def __post_init__(self):
+        for name, kind in (("channel", ChannelParams), ("table", McsTable),
+                           ("collect_trace", bool)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         if self.antenna_mode not in _MODES:
             raise ValueError(f"antenna_mode must be one of {_MODES}")
         if self.strategy not in _STRATEGIES:
@@ -251,6 +261,10 @@ def estimation_loss_db(f_d_hz: float, window_s: float) -> float:
     return -20.0 * np.log10(max(rho, 0.05))
 
 
+# (_link_key, chunk list) of the last run that fit in one chunk, or None
+_link_memo: tuple[tuple, list[_Link]] | None = None
+
+
 def run(
     sc: ScenarioConfig, sink: Callable[[TtiRecord], object] | None = None
 ) -> tuple[RunMetrics, list[TtiRecord]]:
@@ -258,12 +272,33 @@ def run(
 
     With sc.collect_trace set, each TTI's TtiRecord goes to sink as the
     loop makes it, in TTI order, and the returned trace is empty; with
-    no sink the records are collected into the returned trace. The link
-    is synthesized one chunk of at most CHUNK_TTIS TTIs at a time, as
-    the loop reaches it, so a run's memory is bounded whatever its
-    length, except for the returned trace, which grows by one TtiRecord
-    per TTI when no sink is given."""
-    return _run_link(sc, _build_link(sc), sink)
+    no sink the records are collected into the returned trace.
+
+    A run of at most CHUNK_TTIS TTIs reuses the link of the run before
+    it when their _link_key values are equal, so the strategies of one
+    realization, run back to back, synthesize it once. Otherwise it
+    drops the kept link first, builds its own and keeps that one; after
+    it returns the engine holds that one link, up to about 50 MB for a
+    full 2x2 chunk. A longer run drops the kept link and synthesizes one
+    chunk at a time, as the loop reaches it, keeping none, so a run's
+    memory is bounded whatever its length, except for the returned
+    trace, which grows by one TtiRecord per TTI when no sink is given."""
+    global _link_memo
+    if sc.duration_ttis > CHUNK_TTIS:
+        _link_memo = None
+        return _run_link(sc, _build_link(sc), sink)
+    key = _link_key(sc)
+    # one read of the entry, so a concurrent run cannot change it
+    # between the check and the use
+    memo = _link_memo
+    if memo is not None and memo[0] == key:
+        chunks = memo[1]
+    else:
+        # drop the kept link before building, so one is alive at a time
+        memo = _link_memo = None
+        chunks = list(_build_link(sc))
+        _link_memo = key, chunks
+    return _run_link(sc, chunks, sink)
 
 
 def _build_link(sc: ScenarioConfig) -> Iterator[_Link]:
@@ -278,7 +313,9 @@ def _build_link(sc: ScenarioConfig) -> Iterator[_Link]:
 
 
 def _link_key(sc: ScenarioConfig) -> tuple:
-    """Everything _build_link reads from sc."""
+    """Everything _build_link reads from sc. Runs of equal keys,
+    compared by value, have equal links: run reuses its kept link for
+    them, and sweep runs them back to back."""
     return sc.channel, sc.antenna_mode, sc.duration_ttis, sc.seed, sc.table
 
 
@@ -727,17 +764,6 @@ def _derive(template: ScenarioConfig, variable, value, strategy, mode, seed):
     )
 
 
-def _run_shared(scs: list[ScenarioConfig]) -> list[RunMetrics]:
-    """Run scenarios of equal _link_key on one link, if it is one chunk;
-    the link is freed on return, so a sweep holds one at a time. A link
-    of several chunks is rebuilt for each run, so that one chunk is
-    alive at a time."""
-    if scs[0].duration_ttis > CHUNK_TTIS:
-        return [_run_link(sc, _build_link(sc))[0] for sc in scs]
-    link = list(_build_link(scs[0]))
-    return [_run_link(sc, link)[0] for sc in scs]
-
-
 def sweep(
     template: ScenarioConfig,
     variable: str,
@@ -751,12 +777,12 @@ def sweep(
     Repetition r uses the same derived seed in every cell, so curves
     share their channel realizations and differences are paired. Cells
     with the same realization (channel, antenna mode, run length, seed
-    and table) run on one link, synthesized once, when the run fits in
-    one chunk of CHUNK_TTIS TTIs: every power of a fixed_power sweep,
-    every strategy at one value. A longer run rebuilds its chunks one at
-    a time, as run does, so memory stays bounded. The strategy label
-    carries the antenna mode when more than one is swept (e.g.
-    "FixedBaseline/MIMO").
+    and table) run back to back through run, which builds their link
+    once when the run fits in one chunk of CHUNK_TTIS TTIs: every power
+    of a fixed_power sweep, every strategy at one value. A longer run
+    rebuilds its chunks one at a time, so memory stays bounded. The
+    strategy label carries the antenna mode when more than one is swept
+    (e.g. "FixedBaseline/MIMO").
 
     Antenna modes are swept through antenna_modes, not as a variable, and
     theta_min values must be integers. No entry of values, strategies or
@@ -785,15 +811,16 @@ def sweep(
                     sc = _derive(template, variable, value, strat, mode, seeds[rep])
                     jobs.append((value, label, sc))
 
-    # jobs that share a channel realization run on one link, built once
-    # per group; each result goes back to its job's place
+    # jobs that share a channel realization run back to back, so run
+    # builds its link once per group; each result goes back to its job's
+    # place
     groups: dict[tuple, list[int]] = {}
     for i, (_, _, sc) in enumerate(jobs):
         groups.setdefault(_link_key(sc), []).append(i)
     results: list[RunMetrics | None] = [None] * len(jobs)
     for members in groups.values():
-        for i, metrics in zip(members, _run_shared([jobs[i][2] for i in members])):
-            results[i] = metrics
+        for i in members:
+            results[i] = run(jobs[i][2])[0]
 
     by_cell: dict[tuple, list[RunMetrics]] = {}
     for (value, label, _), metrics in zip(jobs, results):

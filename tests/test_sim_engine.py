@@ -7,6 +7,8 @@ trigger spacing bounds are verified on long runs. Trend-level claims
 mechanics and determinism.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -93,6 +95,18 @@ def test_antenna_mode_sets_the_chain_count():
 def test_rejects_bad_durations():
     with pytest.raises(ValueError):
         make_scenario(duration_ttis=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("channel", None),
+    ("table", None),
+    ("collect_trace", "no"),
+])
+def test_rejects_a_field_of_the_wrong_type(name, value):
+    # "no" is truthy: it would trace silently; None would fail only
+    # when the run first reads the field
+    with pytest.raises(ValueError, match=name):
+        make_scenario(**{name: value})
 
 
 def test_power_model_for_mode_sets_chain_count():
@@ -580,6 +594,104 @@ def test_sweep_cell_longer_than_a_chunk_is_its_own_run(small_chunks):
                 antenna_modes=(SIMO, MIMO))
     assert got == per_cell_sweep(template, "fixed_power", [36.0, 42.0], 1, strategies,
                                  (SIMO, MIMO))
+
+
+# ------------------------------------------------------------ link memo
+
+STRATEGIES = (FIXED_BASELINE, SEMI_STATIC, PER_TTI_OPTIMAL)
+
+
+def fresh_run(sc):
+    """run(sc) on a link built for it, not a kept one."""
+    sim_engine._link_memo = None
+    return run(sc)
+
+
+def counting_synthesis(monkeypatch):
+    """Patch synth_fading to log the kept entry at each call; returns
+    the log."""
+    entries = []
+
+    def counting(*args):
+        entries.append(sim_engine._link_memo)
+        return synth_fading(*args)
+
+    monkeypatch.setattr(sim_engine, "synth_fading", counting)
+    return entries
+
+
+@pytest.mark.parametrize("mode", [SIMO, MIMO])
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_runs_on_the_kept_link_equal_runs_on_their_own(mode, order):
+    scs = [make_scenario(antenna_mode=mode, strategy=s, duration_ttis=1500)
+           for s in STRATEGIES[::order]]
+    want = [repr(fresh_run(sc)) for sc in scs]
+    sim_engine._link_memo = None
+    for sc, w in zip(scs, want):
+        rows = []
+        metrics, _ = run(sc, rows.append)
+        assert repr((metrics, rows)) == w
+        assert repr(run(sc)) == w
+
+
+def test_each_realization_is_synthesized_once_and_after_the_entry_is_dropped(monkeypatch):
+    entries = counting_synthesis(monkeypatch)
+    for mode in (SIMO, MIMO):
+        for strategy in STRATEGIES:
+            run(make_scenario(antenna_mode=mode, strategy=strategy, collect_trace=False))
+    # one link per mode, each built only after the other's was dropped
+    assert entries == [None, None]
+
+
+def test_a_kept_link_replaced_by_another_is_rebuilt_alike(monkeypatch):
+    entries = counting_synthesis(monkeypatch)
+    a = make_scenario(antenna_mode=MIMO, seed=5)
+    b = make_scenario(antenna_mode=MIMO, seed=6)
+    first = repr(run(a))
+    run(b)
+    assert repr(run(a)) == first
+    assert entries == [None] * 3
+
+
+def test_a_run_longer_than_a_chunk_neither_reads_nor_keeps_the_entry(small_chunks):
+    sc = make_scenario(duration_ttis=CHUNK + 500, collect_trace=False)
+    want = fresh_run(sc)
+    # a stale entry under sc's own key, which would fail if read
+    sim_engine._link_memo = sim_engine._link_key(sc), None
+    assert run(sc) == want
+    assert sim_engine._link_memo is None
+
+
+def test_threads_alternating_two_realizations_equal_serial_runs():
+    jobs = [make_scenario(seed=seed, strategy=strategy, duration_ttis=800, collect_trace=False)
+            for strategy in STRATEGIES for _ in range(2) for seed in (11, 12)]
+    want = [fresh_run(sc)[0] for sc in jobs]
+    sim_engine._link_memo = None
+    # switch threads often, so each run's check and use of the entry
+    # interleave with the other thread's replacing it
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda sc: run(sc)[0], jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_sweep_calls_run_once_per_cell(monkeypatch):
+    calls = []
+    original = sim_engine.run
+
+    def counting(sc, sink=None):
+        calls.append(sc)
+        return original(sc, sink)
+
+    monkeypatch.setattr(sim_engine, "run", counting)
+    template = make_scenario(duration_ttis=300, collect_trace=False)
+    sweep(template, "fixed_power", [30.0, 36.0], repetitions=2,
+          strategies=(FIXED_BASELINE, SEMI_STATIC))
+    assert len(calls) == 2 * 2 * 2
 
 
 # ------------------------------------------------------ reference step
