@@ -15,10 +15,13 @@ are synthesised in the frequency domain (white complex Gaussians shaped
 by the per-bin Jakes energies, then an inverse FFT), so the marginals
 are exactly complex Gaussian at any sample count, and tap energy across
 the synthesis block matches the power-delay profile in expectation.
-synth_fading draws unit-power processes, one inverse FFT per process;
-sim_engine.fading_block folds in the power-delay profile and shapes one
-block per chunk of a run (up to sim_engine.CHUNK_TTIS TTIs), so the
-Doppler correlation holds across every TTI of a chunk.
+synth_fading draws unit-power processes, one inverse FFT per process,
+one synthesis per chunk of a run (up to sim_engine.CHUNK_TTIS TTIs), so
+the Doppler correlation holds across every TTI of a chunk. For the 2x2
+mode sim_engine.fading_block folds the power-delay profile into the
+block of processes; a single-stream link needs only their summed power,
+so synth_fading, given each process's amplitude, adds each row's power
+into one gain row as it is made and returns that row, without a block.
 """
 
 from __future__ import annotations
@@ -220,10 +223,12 @@ def synth_fading(
     dt_s: float,
     f_d: float,
     rng: np.random.Generator,
+    amps: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Unit-power Rayleigh trajectories, shape (n_procs, n_steps).
+    """Unit-power Rayleigh trajectories, shape (n_procs, n_steps), or
+    with amps the row sum_p |amps[p] * h_p|^2 of n_steps floats.
 
-    Each row is an independent complex Gaussian process with Jakes
+    Each row h_p is an independent complex Gaussian process with Jakes
     Doppler autocorrelation J0(2 pi f_d tau). Zero Doppler degenerates
     to a constant draw per process.
 
@@ -233,12 +238,22 @@ def synth_fading(
     n_steps), but the spectrum is shaped and transformed one process at
     a time. A copy of rng replays the real parts row by row, while rng,
     first advanced past them, draws the imaginary parts; rng is left
-    where the block form leaves it. The peak is the output and three
-    rows of n_fft complex values (the row's spectrum, its inverse FFT,
-    and one row of draws and the bin scale, n_fft floats each): 15.3 MB
-    under tracemalloc for 8 processes of 70 000 steps, where the
-    real-part block took 22.7 MB and the whole spectrum 58.4 MB. The
-    skip pass costs n_procs x n_fft extra normal draws.
+    where the block form leaves it. The skip pass costs n_procs x n_fft
+    extra normal draws.
+
+    amps, one finite amplitude >= 0 per process, asks for the
+    receive-combined power gain instead of the block: each row is
+    scaled, squared and added into the sum as soon as its inverse FFT is
+    done, in process order, so the result has the bytes of
+    np.sum(np.abs(block * amps[:, None]) ** 2, axis=0) and no block
+    exists. A bad amps raises before anything is drawn.
+
+    Under tracemalloc, for 8 processes of 70 000 steps, the block form
+    peaks at 15.5 MB: its 9.0 MB output and three rows of n_fft complex
+    values (the row's spectrum, its inverse FFT, and one row of draws
+    and the bin scale, n_fft floats each). The real-part block took
+    22.7 MB, the whole spectrum 58.4 MB. The reduced form peaks at
+    7.5 MB: its output, one float temporary and the same rows.
     """
     for name, value in (("n_procs", n_procs), ("n_steps", n_steps)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -251,11 +266,43 @@ def synth_fading(
         raise ValueError("dt_s must be > 0")
     if f_d < 0.0:
         raise ValueError("doppler must be >= 0")
+    if amps is not None:
+        amps = np.asarray(amps, dtype=float)
+        if amps.shape != (n_procs,):
+            raise ValueError(f"amps must hold one amplitude per process ({n_procs}), "
+                             f"got shape {amps.shape}")
+        if not np.all(np.isfinite(amps) & (amps >= 0.0)):
+            raise ValueError(f"amps must be finite and >= 0, got {amps}")
+    rows = _fading_rows(n_procs, n_steps, dt_s, f_d, rng)
+    if amps is None:
+        out = np.empty((n_procs, n_steps), dtype=complex)
+        for row, h in zip(out, rows):
+            row[:] = h
+        return out
+    gain = np.zeros(n_steps)
+    power = np.empty(n_steps)
+    for amp, h in zip(amps[:, None], rows):
+        # the block form's steps on one row: scale, |.|^2, add (a
+        # static row's one value broadcasts over the steps)
+        h *= amp
+        np.abs(h, out=power)
+        np.square(power, out=power)
+        gain += power
+    return gain
+
+
+def _fading_rows(n_procs, n_steps, dt_s, f_d, rng):
+    """Yield synth_fading's rows in process order: n_steps complex
+    values, or for the static channel one value that stands for all of
+    them. A row is valid until the next is asked for, and the caller
+    may scale it in place. The static channel's draws are all taken
+    before the first row, the spectrum's as each row is made."""
     if f_d * dt_s < 1e-12:
         # static channel: one draw, constant over the block
         g = (rng.standard_normal((n_procs, 1)) + 1j * rng.standard_normal((n_procs, 1)))
         g *= np.sqrt(0.5)
-        return np.broadcast_to(g, (n_procs, n_steps)).copy()
+        yield from g
+        return
     n_fft = 4096
     while n_fft < n_steps:
         n_fft *= 2
@@ -264,16 +311,15 @@ def synth_fading(
     draws = np.empty(n_fft)
     for _ in range(n_procs):
         rng.standard_normal(out=draws)
-    out = np.empty((n_procs, n_steps), dtype=complex)
     z = np.empty(n_fft, dtype=complex)
-    for row in out:
+    x = np.empty(n_fft, dtype=complex)
+    for _ in range(n_procs):
         # the block form's elementwise steps on one row
         np.multiply(1j, rng.standard_normal(out=draws), out=z)
         z += re_rng.standard_normal(out=draws)
         z *= np.sqrt(0.5)
         z *= scale
-        row[:] = np.fft.ifft(z)[:n_steps]
-    return out
+        yield np.fft.ifft(z, out=x)[:n_steps]
 
 
 def hs_sinr_db(p_hs_w: float, link_gain, params: ChannelParams):

@@ -11,7 +11,11 @@ the controller state, the reports and ACKs in flight and the pending
 retransmissions across chunk boundaries. One chunk is alive at a time,
 so a run's memory is bounded whatever its length, unless its trace rows
 are kept (run without a sink); a run of at most CHUNK_TTIS TTIs is one
-chunk, synthesized as one block.
+chunk, synthesized in one pass. A 2x2 chunk's constants need every
+fading process at each TTI, so its trajectories are held as one block
+(fading_block); a SISO/SIMO chunk needs only their receive-combined
+power, which synth_fading sums as it makes each process, so no block
+of it is ever held.
 The fading correlation restarts at each chunk boundary, every 262 s of
 simulated time against a coherence time of about 0.1 s at 3 km/h.
 
@@ -40,7 +44,7 @@ Out-of-range report TTIs send nothing but still burn the circuit
 overhead.
 
 What a run cannot change is computed once. A link (_build_link: the
-chunks' fading blocks and per-TTI constants) depends only on the
+chunks' per-TTI SINR constants, not their fading) depends only on the
 channel, the antenna mode, the run length, the seed and the table
 (_link_key). run keeps the link of the last run that fit in one chunk,
 and a run of an equal key reuses it: strategies of one realization run
@@ -71,6 +75,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from numbers import Real
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -186,7 +191,8 @@ class ScenarioConfig:
     collect_trace: bool = True
 
     def __post_init__(self):
-        for name, kind in (("channel", ChannelParams), ("table", McsTable),
+        for name, kind in (("channel", ChannelParams), ("controller", ControllerConfig),
+                           ("power_model", PowerModelParams), ("table", McsTable),
                            ("collect_trace", bool)):
             value = getattr(self, name)
             if not isinstance(value, kind):
@@ -197,8 +203,11 @@ class ScenarioConfig:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
         _check_count("duration_ttis", self.duration_ttis, 1)
         _check_count("seed", self.seed, 0)
-        if not math.isfinite(self.baseline_power_dbm):
-            raise ValueError(f"baseline_power_dbm must be finite, got {self.baseline_power_dbm}")
+        power = self.baseline_power_dbm
+        if not isinstance(power, Real) or isinstance(power, bool):
+            raise ValueError(f"baseline_power_dbm must be a real number, got {power!r}")
+        if not math.isfinite(power):
+            raise ValueError(f"baseline_power_dbm must be finite, got {power}")
         if self.controller.min_mcs > len(self.table):
             raise ValueError(
                 f"controller.min_mcs {self.controller.min_mcs} exceeds the "
@@ -238,16 +247,26 @@ def fading_block(
     ch: ChannelParams, n_rx: int, n_tx: int, n_steps: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Fading trajectories (n_taps, n_rx, n_tx, n_steps) with PDP weights
-    folded in, sampled at the TTI rate: every per-TTI link gain of a
-    chunk of a run comes from one such block. synth_fading is called
-    through this module's name so the benchmark tracer's patch on it
-    takes effect."""
+    folded in, sampled at the TTI rate: every per-TTI link gain of a 2x2
+    chunk of a run comes from one such block. A SISO/SIMO chunk draws
+    the same processes but asks synth_fading for their summed power
+    alone (_single_stream_link). synth_fading is called through this
+    module's name so the benchmark tracer's patch on it takes effect."""
     n_taps = len(ch.pdp_weights)
-    f_d = doppler_hz(ch.speed_kmh, ch.carrier_hz)
-    block = synth_fading(n_taps * n_rx * n_tx, n_steps, 2e-3, f_d, rng)
-    block = block.reshape(n_taps, n_rx, n_tx, n_steps)
-    block *= np.sqrt(np.asarray(ch.pdp_weights))[:, None, None, None]
-    return block
+    amps = _process_amps(ch, n_rx * n_tx)
+    block = synth_fading(len(amps), n_steps, 2e-3, _doppler(ch), rng)
+    block *= amps[:, None]
+    return block.reshape(n_taps, n_rx, n_tx, n_steps)
+
+
+def _process_amps(ch: ChannelParams, n_ant: int) -> np.ndarray:
+    """The PDP amplitude of each fading process, tap-major: the
+    processes of one tap, one per antenna pair, share its amplitude."""
+    return np.repeat(np.sqrt(np.asarray(ch.pdp_weights)), n_ant)
+
+
+def _doppler(ch: ChannelParams) -> float:
+    return doppler_hz(ch.speed_kmh, ch.carrier_hz)
 
 
 def estimation_loss_db(f_d_hz: float, window_s: float) -> float:
@@ -348,17 +367,17 @@ class _Link(NamedTuple):
 
 
 def _pilot_loss_db(sc: ScenarioConfig) -> float:
-    ch = sc.channel
-    return estimation_loss_db(doppler_hz(ch.speed_kmh, ch.carrier_hz), PILOT_WINDOW_S)
+    return estimation_loss_db(_doppler(sc.channel), PILOT_WINDOW_S)
 
 
 def _single_stream_link(sc: ScenarioConfig, n: int, rng) -> _Link:
     """SISO/SIMO: one receive-combined stream, reported by a scalar
     bisect; the next n TTIs of rng's fading."""
     ch = sc.channel
-    n_rx = 2 if sc.antenna_mode == SIMO else 1
-    block = fading_block(ch, n_rx, 1, n, rng)
-    gain = np.sum(np.abs(block) ** 2, axis=(0, 1, 2))
+    amps = _process_amps(ch, 2 if sc.antenna_mode == SIMO else 1)
+    # the receive-combined power of fading_block's processes, summed as
+    # each is made, so no block is held
+    gain = synth_fading(len(amps), n, 2e-3, _doppler(ch), rng, amps)
     c_db = (hs_sinr_db(1.0, ch.path_gain_lin * gain, ch) - _pilot_loss_db(sc)).tolist()
     return _single_stream_view(sc.table, c_db)
 

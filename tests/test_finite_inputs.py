@@ -64,7 +64,9 @@ CASES = (
     + [(f"McsEntry.{f}", lambda v, f=f: table_with(**{f: v}))
        for f in ("sinr_threshold_db", "tbs_bits")]
     + [("synth_fading.dt_s", lambda v: synth_fading(2, 100, v, 5.56, np.random.default_rng(0))),
-       ("synth_fading.f_d", lambda v: synth_fading(2, 100, 2e-3, v, np.random.default_rng(0)))]
+       ("synth_fading.f_d", lambda v: synth_fading(2, 100, 2e-3, v, np.random.default_rng(0))),
+       ("synth_fading.amps",
+        lambda v: synth_fading(2, 100, 2e-3, 5.56, np.random.default_rng(0), [1.0, v]))]
 )
 
 

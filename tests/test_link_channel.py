@@ -227,6 +227,63 @@ def test_synthesis_rejects_a_non_int_count_before_any_draw(n_procs, n_steps, nam
     assert rng.bit_generator.state == before
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_procs=st.integers(1, 16),
+    n_steps=st.one_of(st.integers(1, 4095), st.integers(4096, 20_000),
+                      st.sampled_from([4096, 4097, 8191, 8192, 8193, 70_000])),
+    f_d=st.one_of(st.just(0.0), st.floats(0.0, 4.9e-10), st.floats(1.0, 300.0)),
+    amps=st.lists(st.floats(1e-3, 10.0), min_size=16, max_size=16),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(n_procs=8, n_steps=70_000, f_d=5.56, amps=list(np.repeat(np.sqrt(pa3_profile()[1]), 4)),
+         seed=0)
+@example(n_procs=4, n_steps=1, f_d=0.0, amps=[1.0] * 16, seed=1)
+def test_reduced_synthesis_bit_equals_the_summed_block(n_procs, n_steps, f_d, amps, seed):
+    # each row is scaled, squared and added in process order, as the
+    # sum over the block's first axis adds them
+    amps = np.array(amps[:n_procs])
+    rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+    got = synth_fading(n_procs, n_steps, TTI_S, f_d, rng, amps)
+    block = synth_fading(n_procs, n_steps, TTI_S, f_d, ref_rng)
+    want = np.sum(np.abs(block * amps[:, None]) ** 2, axis=0)
+    assert got.shape == want.shape == (n_steps,) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert_same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("f_d", [0.0, 5.56])
+def test_reduced_synthesis_peak_is_two_output_rows_plus_a_few_rows(f_d):
+    n_procs, n_steps, n_fft = 8, 70_000, 131_072
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        synth_fading(n_procs, n_steps, TTI_S, f_d, rng, np.ones(n_procs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the gain, one float temporary and a few complex rows of n_fft: the
+    # (n_procs, n_steps) block is never held
+    assert peak <= 2 * n_steps * 8 + 4 * n_fft * 16
+
+
+@pytest.mark.parametrize("amps, what", [
+    ([1.0], "one amplitude per process"),
+    ([1.0, 1.0, 1.0], "one amplitude per process"),
+    ([[1.0, 1.0]], "one amplitude per process"),
+    ([1.0, -0.5], "finite and >= 0"),
+    ([1.0, np.nan], "finite and >= 0"),
+    ([np.inf, 1.0], "finite and >= 0"),
+])
+@pytest.mark.parametrize("f_d", [0.0, 5.56])
+def test_reduced_synthesis_rejects_bad_amps_before_any_draw(amps, what, f_d):
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"amps must .*{what}"):
+        synth_fading(2, 100, TTI_S, f_d, rng, amps)
+    assert rng.bit_generator.state == before
+
+
 def test_fading_zero_speed_is_constant():
     ch = make_channel(500.0, -72.5, speed_kmh=0.0)
     block = fading_block(ch, 1, 1, 50, np.random.default_rng(3))

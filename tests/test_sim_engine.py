@@ -8,6 +8,7 @@ mechanics and determinism.
 """
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -26,7 +27,7 @@ from hsdpa_ee.ee_controller import (
     select_optimal,
     update_offset,
 )
-from hsdpa_ee.link_channel import doppler_hz, make_channel, synth_fading
+from hsdpa_ee.link_channel import doppler_hz, hs_sinr_db, make_channel, synth_fading
 from hsdpa_ee.mcs_table import cqi_from_sinr, reference_table
 from hsdpa_ee.mimo_dtxaa import DUAL, SINGLE, MimoFeedback, select_optimal_dual
 from hsdpa_ee.power_model import PowerModelParams, total_power
@@ -99,12 +100,16 @@ def test_rejects_bad_durations():
 
 @pytest.mark.parametrize("name, value", [
     ("channel", None),
+    ("controller", None),
+    ("power_model", None),
     ("table", None),
+    ("baseline_power_dbm", "40"),
+    ("baseline_power_dbm", True),
     ("collect_trace", "no"),
 ])
 def test_rejects_a_field_of_the_wrong_type(name, value):
-    # "no" is truthy: it would trace silently; None would fail only
-    # when the run first reads the field
+    # "no" is truthy: it would trace silently, and True would run at
+    # 1 dBm; None would fail only when the run first reads the field
     with pytest.raises(ValueError, match=name):
         make_scenario(**{name: value})
 
@@ -523,6 +528,35 @@ def test_sweep_synthesizes_each_realization_once(monkeypatch):
     sweep(template, "speed", [3.0, 30.0], repetitions=2,
           strategies=(FIXED_BASELINE, SEMI_STATIC))
     assert len(calls) == 2 * 2  # one per (speed, repetition)
+
+
+@pytest.mark.parametrize("mode", [SISO, SIMO])
+@pytest.mark.parametrize("speed_kmh", [0.0, 3.0, 120.0])
+def test_single_stream_gain_is_the_fading_blocks_summed_power(mode, speed_kmh):
+    # the link reduces synth_fading's rows as they are made; its
+    # constants are those of summing |h|^2 over fading_block's processes
+    sc = make_scenario(antenna_mode=mode, channel=make_channel(
+        435.0, -72.5, geometry_db=23.0, alpha=0.995, speed_kmh=speed_kmh))
+    ch, n = sc.channel, 5000
+    block = sim_engine.fading_block(ch, 2 if mode == SIMO else 1, 1, n, np.random.default_rng(7))
+    gain = np.sum(np.abs(block) ** 2, axis=(0, 1, 2))
+    want = (hs_sinr_db(1.0, ch.path_gain_lin * gain, ch)
+            - sim_engine._pilot_loss_db(sc)).tolist()
+    link = sim_engine._single_stream_link(sc, n, np.random.default_rng(7))
+    assert np.array(link.sinr_db[SINGLE][0][0]).tobytes() == np.array(want).tobytes()
+
+
+def test_single_stream_link_holds_no_fading_block():
+    sc = make_scenario(antenna_mode=SIMO)
+    n, n_procs = 70_000, 2 * len(sc.channel.pdp_weights)
+    tracemalloc.start()
+    try:
+        sim_engine._single_stream_link(sc, n, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding the complex block alone would take this much
+    assert peak < n_procs * n * 16
 
 
 # ----------------------------------------------------------------- chunks
