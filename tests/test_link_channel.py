@@ -267,6 +267,21 @@ def test_reduced_synthesis_peak_is_two_output_rows_plus_a_few_rows(f_d):
     assert peak <= 2 * n_steps * 8 + 4 * n_fft * 16
 
 
+@pytest.mark.parametrize("amps", [None, np.ones(3)])
+def test_synthesis_needs_only_the_oldest_supported_ifft(monkeypatch, amps):
+    # numpy < 2 has no out= on np.fft.ifft, and pyproject declares
+    # numpy >= 1.24: the synthesis must work with that signature alone
+    full_ifft = np.fft.ifft
+    want = synth_fading(3, 5000, TTI_S, 5.56, np.random.default_rng(4), amps)
+
+    def ifft(a, n=None, axis=-1, norm=None):
+        return full_ifft(a, n, axis, norm)
+
+    monkeypatch.setattr(np.fft, "ifft", ifft)
+    got = synth_fading(3, 5000, TTI_S, 5.56, np.random.default_rng(4), amps)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("amps, what", [
     ([1.0], "one amplitude per process"),
     ([1.0, 1.0, 1.0], "one amplitude per process"),
