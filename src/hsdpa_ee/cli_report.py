@@ -64,7 +64,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .ee_controller import ControllerConfig
-from .link_channel import make_channel, path_gain_db
+from .link_channel import make_channel
 from .mcs_table import (
     McsTable,
     default_table,
@@ -421,9 +421,9 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _analytic_rows(pm_base: PowerModelParams):
     # Shannon EE/SE against transmit power over a flat link with the
-    # preset path loss folded into the effective noise floor
-    g_lin = 10.0 ** (path_gain_db(435.0) / 10.0)
-    n0w = 3.9811e-21 * 10.0 ** 0.9 * 5e6 / g_lin
+    # preset channel's path loss folded into its noise floor
+    ch = _preset_channel()
+    n0w = ch.noise_w / ch.path_gain_lin
     pm1 = replace(pm_base, m_a=1)
     pm2 = replace(pm_base, m_a=2)
     for p_dbm in np.linspace(0.0, 46.0, 461):

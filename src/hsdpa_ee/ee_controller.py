@@ -36,11 +36,10 @@ offset form a group whose best is its first with the most bits. Once
 per (table, power model, and for 2x2 the reported pair) the search is
 built and cached, with the x intervals on which one group beats every
 other by a relative margin of at least _TIE_MARGIN, derived in closed
-form; tti_ms scales every candidate's energy alike and drops out. A
-call bisects those intervals for the optimum and the offsets for the
-power ceiling. Outside every interval, within the margin of a crossing
-where rounding could decide the order, it evaluates every candidate
-instead, so the result is always the first maximum of the
+form. A call bisects those intervals for the optimum and the offsets
+for the power ceiling. Outside every interval, within the margin of a
+crossing where rounding could decide the order, it evaluates every
+candidate instead, so the result is always the first maximum of the
 per-candidate efficiencies as evaluated below.
 
 The chosen candidate's efficiency is evaluated with numpy's power ufunc,
@@ -100,14 +99,20 @@ class ControllerConfig:
     The default offset steps implement the jump algorithm at a 10%
     error target: step_up/step_down = (1 - target)/target, so the
     stationary NACK rate settles at the target. The steps alone set it.
+
+    tti_ms, the HSDPA transmission time interval of 2 ms (3GPP TS
+    25.308), is a class constant, not a field: it sets each TTI's
+    energy, the trigger timers and the span of a run, and the fading
+    is sampled at it.
     """
+
+    tti_ms = 2.0
 
     p_max_dbm: float = 43.0
     min_mcs: int = 1
     ee_gap_threshold: float = 0.2
     min_reconfig_interval_ms: float = 20.0
     max_reconfig_interval_ms: float = 200.0
-    tti_ms: float = 2.0
     offset_step_up_db: float = 0.5
     offset_step_down_db: float = 0.5 / 9.0
     offset_clamp_db: float = 6.0
@@ -119,8 +124,6 @@ class ControllerConfig:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.tti_ms <= 0.0:
-            raise ValueError("tti_ms must be > 0")
         if not 0.0 < self.ee_gap_threshold < 1.0:
             raise ValueError("ee_gap_threshold must be in (0, 1)")
         if self.min_reconfig_interval_ms < 0.0:
@@ -217,17 +220,14 @@ def estimate_power_for_mcs(
     return p_dbm + table.threshold(target_cqi) - table.threshold(feedback_cqi) + delta_db
 
 
-def estimate_ee(
-    p_dbm: float, tbs_bits: float, pm: PowerModelParams, tti_ms: float = 2.0
-) -> float:
-    """Estimated efficiency in bits/J of serving tbs_bits at p_dbm."""
+def estimate_ee(p_dbm: float, tbs_bits: float, pm: PowerModelParams) -> float:
+    """Estimated efficiency in bits/J of serving tbs_bits at p_dbm for
+    one TTI."""
     if tbs_bits <= 0.0:
         raise ValueError("tbs_bits must be > 0")
-    if tti_ms <= 0.0:
-        raise ValueError("tti_ms must be > 0")
     if not math.isfinite(p_dbm):
         raise ValueError("power in dBm must be finite")
-    return _ee(p_dbm, tbs_bits, tti_ms * 1e-3, pm)
+    return _ee(p_dbm, tbs_bits, ControllerConfig.tti_ms * 1e-3, pm)
 
 
 def _ee(p_dbm: float, bits: float, tti_s: float, pm: PowerModelParams) -> float:

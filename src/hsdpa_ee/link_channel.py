@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SPEED_OF_LIGHT_M_S",
-    "PA3_DELAYS_NS",
     "PA3_POWERS_DB",
     "pa3_profile",
     "path_gain_db",
@@ -48,16 +47,15 @@ __all__ = [
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
-# ITU Pedestrian A: tap delays and relative powers
-PA3_DELAYS_NS = (0.0, 110.0, 190.0, 410.0)
+# ITU Pedestrian A: relative tap powers
 PA3_POWERS_DB = (0.0, -9.7, -19.2, -22.8)
 
 
-def pa3_profile() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Pedestrian-A delays (ns) and normalised linear tap weights."""
+def pa3_profile() -> tuple[float, ...]:
+    """Pedestrian-A normalised linear tap weights."""
     lin = np.array([10.0 ** (p / 10.0) for p in PA3_POWERS_DB])
     lin /= lin.sum()
-    return PA3_DELAYS_NS, tuple(float(w) for w in lin)
+    return tuple(float(w) for w in lin)
 
 
 def path_gain_db(distance_m: float) -> float:
@@ -77,46 +75,40 @@ class ChannelParams:
     i_or_w is the total received own-cell power and i_oc_w the received
     other-cell interference, both in watts at the terminal. They are
     held constant over a run; only the numerator of the SINR fades.
-    pdp_weights are the tap powers of the delay profile; the taps fade
-    as independent flat Rayleigh processes, so tap delays never reach a
-    link gain and are not a parameter.
+
+    The HS-PDSCH's spreading factor (16) on a 5 MHz carrier (3GPP TS
+    25.308) at 2 GHz, and the ITU Pedestrian A tap powers, are class
+    constants, not fields: no experiment varies them. The taps fade as
+    independent flat Rayleigh processes, so tap delays never reach a
+    link gain and are not kept.
     """
+
+    sf = 16
+    bandwidth_hz = 5e6
+    carrier_hz = 2e9
+    pdp_weights = pa3_profile()
 
     i_or_w: float
     i_oc_w: float
-    sf: int = 16
     alpha: float = 0.9  # own-cell orthogonality, 1 = perfectly orthogonal
     n0_w_per_hz: float = 3.1623e-20
-    bandwidth_hz: float = 5e6
     speed_kmh: float = 3.0
-    carrier_hz: float = 2e9
     distance_m: float = 1000.0
-    pdp_weights: tuple[float, ...] = field(default_factory=lambda: pa3_profile()[1])
 
     def __post_init__(self):
-        for name in ("i_or_w", "i_oc_w", "alpha", "n0_w_per_hz", "bandwidth_hz",
-                     "speed_kmh", "carrier_hz", "distance_m"):
+        for name in ("i_or_w", "i_oc_w", "alpha", "n0_w_per_hz", "speed_kmh", "distance_m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not all(math.isfinite(v) for v in self.pdp_weights):
-            raise ValueError("pdp weights must be finite")
-        if self.sf < 1:
-            raise ValueError("spreading factor must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.i_or_w < 0.0 or self.i_oc_w < 0.0:
             raise ValueError("interference powers must be >= 0")
-        if self.n0_w_per_hz <= 0.0 or self.bandwidth_hz <= 0.0:
-            raise ValueError("noise density and bandwidth must be > 0")
+        if self.n0_w_per_hz <= 0.0:
+            raise ValueError("noise density must be > 0")
         if self.speed_kmh < 0.0:
             raise ValueError("speed must be >= 0")
-        if self.carrier_hz <= 0.0:
-            raise ValueError("carrier frequency must be > 0")
         if self.distance_m <= 0.0:
             raise ValueError("distance must be > 0")
-        w = np.asarray(self.pdp_weights, dtype=float)
-        if len(w) == 0 or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("pdp weights must be non-negative and sum to 1")
 
     @property
     def noise_w(self) -> float:
@@ -139,7 +131,6 @@ def make_channel(
     alpha: float = 0.9,
     noise_figure_db: float = 9.0,
     speed_kmh: float = 3.0,
-    **kwargs,
 ) -> ChannelParams:
     """Build ChannelParams from a geometry factor.
 
@@ -153,18 +144,15 @@ def make_channel(
             raise ValueError(f"{name} must be finite, got {value}")
     i_or_w = 10.0 ** ((i_or_dbm - 30.0) / 10.0)
     n0 = 3.9811e-21 * 10.0 ** (noise_figure_db / 10.0)  # -174 dBm/Hz + NF
-    bandwidth = kwargs.pop("bandwidth_hz", 5e6)
     denom_target = i_or_w / 10.0 ** (geometry_db / 10.0)
-    i_oc_w = max(0.0, denom_target - n0 * bandwidth)
+    i_oc_w = max(0.0, denom_target - n0 * ChannelParams.bandwidth_hz)
     return ChannelParams(
         i_or_w=i_or_w,
         i_oc_w=i_oc_w,
         alpha=alpha,
         n0_w_per_hz=n0,
-        bandwidth_hz=bandwidth,
         speed_kmh=speed_kmh,
         distance_m=distance_m,
-        **kwargs,
     )
 
 

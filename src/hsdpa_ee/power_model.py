@@ -96,16 +96,13 @@ def total_power(p_tx_w, params: PowerModelParams):
     return float(out) if out.ndim == 0 else out
 
 
-def shannon_se(p_tx_w, n0w_w, bandwidth_hz=5e6):
+def shannon_se(p_tx_w, n0w_w):
     """AWGN spectral efficiency log2(1 + P / (N0 * W)) in bit/s/Hz.
 
-    n0w_w is the total noise power N0 * W in watts; bandwidth_hz only
-    matters for shannon_ee and is accepted here for symmetry.
+    n0w_w is the total noise power N0 * W in watts.
     """
     if n0w_w <= 0.0:
         raise ValueError("noise power must be > 0")
-    if bandwidth_hz <= 0.0:
-        raise ValueError("bandwidth must be > 0")
     p_tx_w = np.asarray(p_tx_w, dtype=float)
     if np.any(p_tx_w < 0.0):
         raise ValueError("transmit power must be >= 0")
@@ -115,7 +112,9 @@ def shannon_se(p_tx_w, n0w_w, bandwidth_hz=5e6):
 
 def shannon_ee(p_tx_w, params: PowerModelParams, n0w_w, bandwidth_hz=5e6):
     """AWGN energy efficiency W * SE / P_total in bits per joule."""
-    rate = bandwidth_hz * shannon_se(p_tx_w, n0w_w, bandwidth_hz)
+    if bandwidth_hz <= 0.0:
+        raise ValueError("bandwidth must be > 0")
+    rate = bandwidth_hz * shannon_se(p_tx_w, n0w_w)
     out = rate / total_power(p_tx_w, params)
     return float(out) if np.ndim(out) == 0 else out
 

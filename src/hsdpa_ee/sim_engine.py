@@ -65,7 +65,11 @@ written out in the loop on a local offset.
 The feedback delay, the retransmission limit, the pilot averaging
 window and the chunk length are module constants (FEEDBACK_DELAY_TTIS,
 MAX_RETRANSMISSIONS, PILOT_WINDOW_S, CHUNK_TTIS), not scenario fields:
-no experiment varies them.
+no experiment varies them. The HSDPA standard's own figures are fixed
+too, as class constants of the configs that read them: the TTI
+(ControllerConfig.tti_ms, 2 ms), at which the fading is also sampled,
+and ChannelParams' spreading factor, bandwidth, carrier and Pedestrian
+A tap powers.
 """
 
 from __future__ import annotations
@@ -254,7 +258,7 @@ def fading_block(
     module's name so the benchmark tracer's patch on it takes effect."""
     n_taps = len(ch.pdp_weights)
     amps = _process_amps(ch, n_rx * n_tx)
-    block = synth_fading(len(amps), n_steps, 2e-3, _doppler(ch), rng)
+    block = synth_fading(len(amps), n_steps, ControllerConfig.tti_ms * 1e-3, _doppler(ch), rng)
     block *= amps[:, None]
     return block.reshape(n_taps, n_rx, n_tx, n_steps)
 
@@ -377,7 +381,7 @@ def _single_stream_link(sc: ScenarioConfig, n: int, rng) -> _Link:
     amps = _process_amps(ch, 2 if sc.antenna_mode == SIMO else 1)
     # the receive-combined power of fading_block's processes, summed as
     # each is made, so no block is held
-    gain = synth_fading(len(amps), n, 2e-3, _doppler(ch), rng, amps)
+    gain = synth_fading(len(amps), n, ControllerConfig.tti_ms * 1e-3, _doppler(ch), rng, amps)
     c_db = (hs_sinr_db(1.0, ch.path_gain_lin * gain, ch) - _pilot_loss_db(sc)).tolist()
     return _single_stream_view(sc.table, c_db)
 

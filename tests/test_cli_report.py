@@ -157,6 +157,12 @@ def test_fixed_engine_constants_are_unknown_keys(tmp_path, capsys, key):
     assert f"[line 3]: unknown key {key!r}" in capsys.readouterr().err
 
 
+def test_tti_is_not_a_controller_key(tmp_path, capsys):
+    cfg = write(tmp_path, "bad.ini", "[scenario]\nduration_ttis = 10\n\n[controller]\ntti_ms = 1\n")
+    assert main(["run", "--config", cfg]) == EXIT_PARSE
+    assert "[line 5]: unknown key 'tti_ms' in [controller]" in capsys.readouterr().err
+
+
 def test_scenario_keys_parse_to_their_field_types(tmp_path):
     text = "[scenario]\nbaseline_power_dbm = 38\nduration_ttis = 10\ncollect_trace = off\n"
     sc = load_config(write(tmp_path, "ok.ini", text), "run").template

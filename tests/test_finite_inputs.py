@@ -1,6 +1,7 @@
 """Configs, MCS tables, the channel constructor and the fading
-synthesis reject NaN and infinite numbers, and a run length, a seed and
-an MCS floor must be ints.
+synthesis reject NaN and infinite numbers, a run length, a seed and an
+MCS floor must be ints, and the HSDPA standard's constants (the TTI,
+spreading factor, bandwidth, carrier and tap powers) cannot be set.
 
 Without these checks a NaN slips through every range comparison (they
 are all false) and a run finishes with NaN energy, while the selectors'
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from hsdpa_ee.ee_controller import ControllerConfig
-from hsdpa_ee.link_channel import ChannelParams, make_channel, synth_fading
+from hsdpa_ee.link_channel import ChannelParams, make_channel, pa3_profile, synth_fading
 from hsdpa_ee.mcs_table import McsEntry, McsTable, load_table
 from hsdpa_ee.power_model import PowerModelParams
 from hsdpa_ee.sim_engine import ScenarioConfig
@@ -54,8 +55,6 @@ CASES = (
     + [(f"ChannelParams.{f}",
         lambda v, f=f: ChannelParams(**{"i_or_w": 1e-10, "i_oc_w": 1e-11, f: v}))
        for f in CHANNEL_FIELDS]
-    + [("ChannelParams.pdp_weights",
-        lambda v: ChannelParams(1e-10, 1e-11, pdp_weights=(1.0, v)))]
     + [(f"make_channel.{f}", lambda v, f=f: make_channel(435.0, -72.5, **{f: v}))
        for f in ("geometry_db", "noise_figure_db", "speed_kmh", "alpha")]
     + [("make_channel.distance_m", lambda v: make_channel(v, -72.5)),
@@ -69,12 +68,46 @@ CASES = (
         lambda v: synth_fading(2, 100, 2e-3, 5.56, np.random.default_rng(0), [1.0, v]))]
 )
 
+# the standard's constants used to be float fields checked here; they are
+# class constants now, so a non-finite value for one is refused as an
+# unknown keyword, a TypeError that names it
+PINNED_CASES = (
+    [("ControllerConfig.tti_ms", lambda v: ControllerConfig(tti_ms=v))]
+    + [(f"ChannelParams.{f}",
+        lambda v, f=f: ChannelParams(**{"i_or_w": 1e-10, "i_oc_w": 1e-11, f: v}))
+       for f in ("bandwidth_hz", "carrier_hz", "pdp_weights")]
+)
 
-@pytest.mark.parametrize("build", [c[1] for c in CASES], ids=[c[0] for c in CASES])
+REJECTIONS = ([(key, build, ValueError, None) for key, build in CASES]
+              + [(key, build, TypeError, key.split(".")[1]) for key, build in PINNED_CASES])
+
+
+@pytest.mark.parametrize("build, error, match", [r[1:] for r in REJECTIONS],
+                         ids=[r[0] for r in REJECTIONS])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_non_finite_input_is_rejected(build, value):
-    with pytest.raises(ValueError):
+def test_non_finite_input_is_rejected(build, error, match, value):
+    with pytest.raises(error, match=match):
         build(value)
+
+
+# the HSDPA standard's figures are class constants, not fields, so no
+# value of theirs, finite or not, can be passed
+PINNED = (
+    (ControllerConfig, "tti_ms", 2.0, 1.0),
+    (ChannelParams, "sf", 16, 8),
+    (ChannelParams, "bandwidth_hz", 5e6, 10e6),
+    (ChannelParams, "carrier_hz", 2e9, 9e8),
+    (ChannelParams, "pdp_weights", pa3_profile(), (1.0,)),
+)
+
+
+@pytest.mark.parametrize("cls, name, standard, other", PINNED,
+                         ids=[f"{c.__name__}.{n}" for c, n, *_ in PINNED])
+def test_pinned_constant_is_not_settable(cls, name, standard, other):
+    args = {"i_or_w": 1e-10, "i_oc_w": 1e-11} if cls is ChannelParams else {}
+    assert getattr(cls(**args), name) == standard
+    with pytest.raises(TypeError, match=name):
+        cls(**args, **{name: other})
 
 
 @pytest.mark.parametrize("field", ["sinr_threshold_db", "tbs_bits"])

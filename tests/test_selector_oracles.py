@@ -184,7 +184,6 @@ def calls(rng, table, count):
         cfg = ControllerConfig(
             p_max_dbm=float(rng.uniform(-10.0, 70.0)),
             min_mcs=int(rng.integers(1, n + 1)),
-            tti_ms=float(rng.choice([2.0, 0.5, 10.0])),
         )
         yield (float(rng.uniform(-20.0, 70.0)), int(rng.integers(1, n + 1)),
                float(rng.uniform(-6.0, 6.0)), cfg)
@@ -495,7 +494,6 @@ def test_on_tti_equals_a_step_that_always_selects(table, pm, data):
         ee_gap_threshold=data.draw(st.floats(0.01, 0.99)),
         min_reconfig_interval_ms=min_ms,
         max_reconfig_interval_ms=5.0 * min_ms + data.draw(st.floats(0.0, 100.0)),
-        tti_ms=data.draw(st.sampled_from([2.0, 0.5, 10.0])),
         ee_smoothing=data.draw(st.floats(0.01, 1.0)),
     )
     dual = data.draw(st.booleans())

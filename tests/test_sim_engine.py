@@ -530,6 +530,19 @@ def test_sweep_synthesizes_each_realization_once(monkeypatch):
     assert len(calls) == 2 * 2  # one per (speed, repetition)
 
 
+@pytest.mark.parametrize("mode", [SIMO, MIMO])
+def test_fading_is_sampled_at_the_tti(monkeypatch, mode):
+    steps = []
+
+    def recording(n_procs, n_steps, dt_s, *args):
+        steps.append(dt_s)
+        return synth_fading(n_procs, n_steps, dt_s, *args)
+
+    monkeypatch.setattr(sim_engine, "synth_fading", recording)
+    fresh_run(make_scenario(antenna_mode=mode, duration_ttis=100, collect_trace=False))
+    assert steps == [ControllerConfig.tti_ms * 1e-3]
+
+
 @pytest.mark.parametrize("mode", [SISO, SIMO])
 @pytest.mark.parametrize("speed_kmh", [0.0, 3.0, 120.0])
 def test_single_stream_gain_is_the_fading_blocks_summed_power(mode, speed_kmh):
