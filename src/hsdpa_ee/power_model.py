@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .link_channel import ChannelParams
+
 __all__ = [
     "PowerModelParams",
     "dbm_to_watt",
@@ -110,11 +112,10 @@ def shannon_se(p_tx_w, n0w_w):
     return float(out) if out.ndim == 0 else out
 
 
-def shannon_ee(p_tx_w, params: PowerModelParams, n0w_w, bandwidth_hz=5e6):
-    """AWGN energy efficiency W * SE / P_total in bits per joule."""
-    if bandwidth_hz <= 0.0:
-        raise ValueError("bandwidth must be > 0")
-    rate = bandwidth_hz * shannon_se(p_tx_w, n0w_w)
+def shannon_ee(p_tx_w, params: PowerModelParams, n0w_w):
+    """AWGN energy efficiency W * SE / P_total in bits per joule, over
+    the HSDPA carrier's bandwidth W (ChannelParams.bandwidth_hz)."""
+    rate = ChannelParams.bandwidth_hz * shannon_se(p_tx_w, n0w_w)
     out = rate / total_power(p_tx_w, params)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -122,7 +123,6 @@ def shannon_ee(p_tx_w, params: PowerModelParams, n0w_w, bandwidth_hz=5e6):
 def optimal_shannon_power(
     params: PowerModelParams,
     n0w_w: float,
-    bandwidth_hz: float = 5e6,
     p_max_w: float = 20.0,
     tol_w: float = 1e-6,
 ) -> float:
@@ -138,7 +138,7 @@ def optimal_shannon_power(
         raise ValueError("tol_w must be > 0")
 
     def ee(p):
-        return shannon_ee(p, params, n0w_w, bandwidth_hz)
+        return shannon_ee(p, params, n0w_w)
 
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, float(p_max_w)

@@ -6,6 +6,8 @@ TTIs, drawn in order from the run's one generator, and before the loop
 enters a chunk the chunk's fading trajectories are synthesized and its
 SINR reduced to one dB constant per TTI (per precoder and stream for
 the 2x2 mode): link_channel.hs_sinr_db at 1 W less the pilot loss. The
+constants are kept as packed doubles (a memoryview of each float64
+row, 8 B a value), which the loop reads as Python floats. The
 loop only adds p_dbm - 30 and compares against thresholds, and carries
 the controller state, the reports and ACKs in flight and the pending
 retransmissions across chunk boundaries. One chunk is alive at a time,
@@ -52,7 +54,8 @@ back to back, and the cells of a sweep, which runs each realization's
 cells in a row (the powers of a fixed_power sweep, or FixedBaseline and
 SemiStatic at one point). A run of another key drops the kept link
 before it builds its own, so one link is alive at a time; between runs
-the engine holds that link, up to about 50 MB for a full 2x2 chunk. A
+the engine holds that link, up to about 12.6 MB for a full 2x2 chunk
+(12 rows of 131072 doubles). A
 run longer than one chunk keeps none. A FixedBaseline run never
 changes its power, so on every link its reports (the threshold bisect
 of a single stream, the 8-hypothesis search of 2x2) are computed for
@@ -301,7 +304,7 @@ def run(
     it when their _link_key values are equal, so the strategies of one
     realization, run back to back, synthesize it once. Otherwise it
     drops the kept link first, builds its own and keeps that one; after
-    it returns the engine holds that one link, up to about 50 MB for a
+    it returns the engine holds that one link, up to about 12.6 MB for a
     full 2x2 chunk. A longer run drops the kept link and synthesizes one
     chunk at a time, as the loop reaches it, keeping none, so a run's
     memory is bounded whatever its length, except for the returned
@@ -356,7 +359,10 @@ class _Link(NamedTuple):
     report(t, p_dbm) over every TTI of the chunk, computed in one
     vectorised pass.
     sinr_db[mode][slot][pci][t] is the dB SINR at 1 W (30 dBm), less the
-    pilot loss, of stream slot under a report of that mode, and
+    pilot loss, of stream slot under a report of that mode, a Python
+    float read from a row of packed doubles (a memoryview of a float64
+    array, 8 B a TTI; indexing the array itself would give np.float64,
+    whose arithmetic could change the trace text); and
     share_db[mode] how far each stream's power lies below the total.
     resolve_first selects the retransmission timing (see the module
     docstring), and ttis is the chunk's length.
@@ -382,20 +388,23 @@ def _single_stream_link(sc: ScenarioConfig, n: int, rng) -> _Link:
     # the receive-combined power of fading_block's processes, summed as
     # each is made, so no block is held
     gain = synth_fading(len(amps), n, ControllerConfig.tti_ms * 1e-3, _doppler(ch), rng, amps)
-    c_db = (hs_sinr_db(1.0, ch.path_gain_lin * gain, ch) - _pilot_loss_db(sc)).tolist()
-    return _single_stream_view(sc.table, c_db)
+    c_db = hs_sinr_db(1.0, ch.path_gain_lin * gain, ch) - _pilot_loss_db(sc)
+    return _single_stream_view(sc.table, memoryview(c_db))
 
 
-def _single_stream_view(table: McsTable, c_db: list) -> _Link:
-    """The single-stream link over the per-TTI dB constants c_db."""
+def _single_stream_view(table: McsTable, c_db) -> _Link:
+    """The single-stream link over the per-TTI dB constants c_db, a
+    sequence of Python floats (a memoryview of doubles in a run)."""
     thr = table._thr_list
 
     def report(t, p_dbm):
         return SINGLE, 0, bisect_right(thr, (p_dbm - 30.0) + c_db[t]), 0, p_dbm
 
     def fixed_reports(p_dbm):
-        cqi = np.searchsorted(table.thresholds_db, (p_dbm - 30.0) + np.array(c_db), side="right")
-        return _shared_reports(cqi.tolist(), lambda c: (SINGLE, 0, c, 0, p_dbm))
+        cqi = np.searchsorted(table.thresholds_db, (p_dbm - 30.0) + np.asarray(c_db), side="right")
+        # one report per CQI, shared by its TTIs
+        distinct = [(SINGLE, 0, c, 0, p_dbm) for c in range(len(thr) + 1)]
+        return list(map(distinct.__getitem__, cqi.tolist()))
 
     return _Link(
         report, fixed_reports, {SINGLE: ((c_db,),)}, {SINGLE: 0.0}, resolve_first=True,
@@ -403,30 +412,20 @@ def _single_stream_view(table: McsTable, c_db: list) -> _Link:
     )
 
 
-def _shared_reports(keys: Iterable, make) -> list:
-    """[make(key) for key in keys] with one report per distinct key,
-    shared by its TTIs, so the list costs a pointer per TTI."""
-    distinct = {}
-    reports = []
-    for key in keys:
-        report = distinct.get(key)
-        if report is None:
-            report = distinct[key] = make(key)
-        reports.append(report)
-    return reports
-
-
-# TTIs per slice of the 2x2 constants step, which bounds the complex
-# temporaries of stream_gain_series to a few MB whatever the chunk length
-_GAIN_SLICE_TTIS = 2**14
+# TTIs per slice of the 2x2 constants step. It bounds the complex
+# temporaries of stream_gain_series, which sit on top of the fading
+# block and the constants at the peak of a 2x2 link build, to about
+# 2 MB whatever the chunk length.
+_GAIN_SLICE_TTIS = 2**12
 
 
 def _mimo_constants(block: np.ndarray, ch: ChannelParams, p_w: float, loss_db: float):
     """dB SINR at p_w per stream, less loss_db, of a (n_taps, 2, 2, T)
     block, shaped (3, 4, T): nulled stream 1, nulled stream 2 and the
     combined single stream, each per PCI. The TTIs are taken
-    _GAIN_SLICE_TTIS at a time; every reduction runs over taps and
-    antennas, so the slicing does not change a value."""
+    _GAIN_SLICE_TTIS at a time, so past the output and the block the
+    step holds one slice's temporaries; every reduction runs over taps
+    and antennas, so the slicing does not change a value."""
     T = block.shape[-1]
     out = np.empty((3, 4, T))
     for pci, w in enumerate(pci_codebook()):
@@ -445,23 +444,62 @@ def _mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm):
     ties prefer single mode, then the lower PCI. thr and tbs are the
     table's thresholds and block sizes, a1/a2/a_single[pci][t] the dB
     constants of _mimo_constants; a dual hypothesis needs both streams
-    in range."""
+    in range.
+
+    The best single-stream hypothesis takes one bisect, on the largest
+    of the four constants: its block size is the best single one, and
+    the winner is the lowest PCI that reaches the lowest level with that
+    block size (tbs may repeat), compared as bisect_right compares."""
     off = p_dbm - 30.0
-    best = None
-    best_bits = -2
-    for pci in range(4):
-        c = bisect_right(thr, a_single[pci][t] + off)
-        bits = tbs[c - 1] if c > 0 else 0
-        if bits > best_bits:
-            best, best_bits = (SINGLE, pci, c, 0), bits
+    s0 = a_single[0][t]
+    s1 = a_single[1][t]
+    s2 = a_single[2][t]
+    s3 = a_single[3][t]
+    c = bisect_right(thr, max(s0, s1, s2, s3) + off)
+    pci = best_bits = 0
+    if c:
+        best_bits = tbs[c - 1]
+        low = c
+        while low > 1 and tbs[low - 2] == best_bits:
+            low -= 1
+        need = thr[low - 1]
+        if s0 + off >= need:
+            s = s0
+        elif s1 + off >= need:
+            pci, s = 1, s1
+        elif s2 + off >= need:
+            pci, s = 2, s2
+        else:
+            pci, s = 3, s3
+        if low < c:
+            c = bisect_right(thr, s + off, low, c)
+    # a dual hypothesis wins only with strictly more bits, so it needs
+    # both streams in range; the PCIs are searched in order
     off -= _HALF_DB
-    for pci in range(4):
-        c1 = bisect_right(thr, a1[pci][t] + off)
-        c2 = bisect_right(thr, a2[pci][t] + off)
-        bits = tbs[c1 - 1] + tbs[c2 - 1] if c1 > 0 and c2 > 0 else -1
-        if bits > best_bits:
-            best, best_bits = (DUAL, pci, c1, c2), bits
-    return best
+    dual = -1
+    c1 = bisect_right(thr, a1[0][t] + off)
+    if c1:
+        c2 = bisect_right(thr, a2[0][t] + off)
+        if c2 and tbs[c1 - 1] + tbs[c2 - 1] > best_bits:
+            dual, d1, d2, best_bits = 0, c1, c2, tbs[c1 - 1] + tbs[c2 - 1]
+    c1 = bisect_right(thr, a1[1][t] + off)
+    if c1:
+        c2 = bisect_right(thr, a2[1][t] + off)
+        if c2 and tbs[c1 - 1] + tbs[c2 - 1] > best_bits:
+            dual, d1, d2, best_bits = 1, c1, c2, tbs[c1 - 1] + tbs[c2 - 1]
+    c1 = bisect_right(thr, a1[2][t] + off)
+    if c1:
+        c2 = bisect_right(thr, a2[2][t] + off)
+        if c2 and tbs[c1 - 1] + tbs[c2 - 1] > best_bits:
+            dual, d1, d2, best_bits = 2, c1, c2, tbs[c1 - 1] + tbs[c2 - 1]
+    c1 = bisect_right(thr, a1[3][t] + off)
+    if c1:
+        c2 = bisect_right(thr, a2[3][t] + off)
+        if c2 and tbs[c1 - 1] + tbs[c2 - 1] > best_bits:
+            dual, d1, d2 = 3, c1, c2
+    if dual < 0:
+        return SINGLE, pci, c, 0
+    return DUAL, dual, d1, d2
 
 
 def _mimo_hypotheses(thr, tbs, a1, a2, a_single, p_dbm):
@@ -469,26 +507,34 @@ def _mimo_hypotheses(thr, tbs, a1, a2, a_single, p_dbm):
     (hypothesis, c1, c2) arrays: hypothesis pci for a single-stream
     winner and 4 + pci for a dual one. thr and tbs are the table's
     thresholds and (integer) block sizes as arrays, a1/a2/a_single the
-    per-PCI lists of _mimo_hypothesis. The rows are searched one PCI at
-    a time in _mimo_hypothesis's order with its strict >, so ties
-    resolve alike and temporaries stay O(T)."""
-    T = len(a1[0])
-    best_bits = np.full(T, -2, dtype=np.int64)
-    hyp = np.zeros(T, dtype=np.int64)
-    c1 = np.zeros(T, dtype=np.int64)
-    c2 = np.zeros(T, dtype=np.int64)
+    per-PCI rows of _mimo_hypothesis. The single-stream winner is found
+    as there; the dual rows are searched one PCI at a time in its order
+    with its strict >, so ties resolve alike and temporaries stay
+    O(T)."""
+    rows = [np.asarray(r) for r in a_single]
+    T = len(rows[0])
     off = p_dbm - 30.0
-    for pci in range(4):
-        c = np.searchsorted(thr, np.array(a_single[pci]) + off, side="right")
-        bits = np.where(c > 0, tbs[c - 1], 0)
-        better = bits > best_bits
-        best_bits[better] = bits[better]
-        hyp[better] = pci
-        c1[better] = c[better]
+    top = np.maximum(np.maximum(rows[0], rows[1]), np.maximum(rows[2], rows[3]))
+    c1 = np.searchsorted(thr, top + off, side="right")
+    best_bits = np.where(c1 > 0, tbs[c1 - 1], 0)
+    # the lowest level with the best block size (0 out of range), and
+    # the threshold a PCI must reach to get it
+    low = np.minimum(np.searchsorted(tbs, best_bits, side="left") + 1, c1)
+    need = np.concatenate(([-np.inf], thr))[low]
+    hyp = np.zeros(T, dtype=np.int64)
+    for pci in (3, 2, 1, 0):
+        hyp[rows[pci] + off >= need] = pci
+    # where a lower level has the same block size, the winner's own
+    # level may lie below c1
+    repeated = np.flatnonzero(low < c1)
+    if repeated.size:
+        won = np.choose(hyp[repeated], [r[repeated] for r in rows])
+        c1[repeated] = np.searchsorted(thr, won + off, side="right")
+    c2 = np.zeros(T, dtype=np.int64)
     off -= _HALF_DB
     for pci in range(4):
-        d1 = np.searchsorted(thr, np.array(a1[pci]) + off, side="right")
-        d2 = np.searchsorted(thr, np.array(a2[pci]) + off, side="right")
+        d1 = np.searchsorted(thr, np.asarray(a1[pci]) + off, side="right")
+        d2 = np.searchsorted(thr, np.asarray(a2[pci]) + off, side="right")
         bits = np.where((d1 > 0) & (d2 > 0), tbs[d1 - 1] + tbs[d2 - 1], -1)
         better = bits > best_bits
         best_bits[better] = bits[better]
@@ -504,11 +550,14 @@ def _mimo_link(sc: ScenarioConfig, n: int, rng) -> _Link:
     next n TTIs of rng's fading."""
     ch = sc.channel
     consts = _mimo_constants(fading_block(ch, 2, 2, n, rng), ch, 1.0, _pilot_loss_db(sc))
-    return _mimo_view(sc.table, consts.tolist())
+    # each of the 12 rows a zero-copy view of doubles, read as floats
+    return _mimo_view(sc.table, [[memoryview(row) for row in rows] for rows in consts])
 
 
-def _mimo_view(table: McsTable, consts: list) -> _Link:
-    """The 2x2 link over the constants of _mimo_constants as lists."""
+def _mimo_view(table: McsTable, consts) -> _Link:
+    """The 2x2 link over the constants of _mimo_constants, as three
+    rows of per-PCI sequences of Python floats (memoryviews of doubles
+    in a run)."""
     a1, a2, a_single = consts
     thr, tbs = table._thr_list, table._tbs_list
 
@@ -519,10 +568,16 @@ def _mimo_view(table: McsTable, consts: list) -> _Link:
         hyp, c1, c2 = _mimo_hypotheses(
             table.thresholds_db, np.array(tbs), a1, a2, a_single, p_dbm
         )
-        return _shared_reports(
-            zip(hyp.tolist(), c1.tolist(), c2.tolist()),
-            lambda key: (DUAL if key[0] >= 4 else SINGLE, key[0] % 4, key[1], key[2], p_dbm),
+        # one report per distinct (hypothesis, c1, c2), shared by its TTIs
+        k = len(thr) + 1
+        _, first, idx = np.unique(
+            (hyp * k + c1) * k + c2, return_index=True, return_inverse=True
         )
+        distinct = [
+            (DUAL if h >= 4 else SINGLE, h % 4, x1, x2, p_dbm)
+            for h, x1, x2 in zip(hyp[first].tolist(), c1[first].tolist(), c2[first].tolist())
+        ]
+        return list(map(distinct.__getitem__, idx.tolist()))
 
     sinr_db = {SINGLE: (a_single,), DUAL: (a1, a2)}
     return _Link(

@@ -70,9 +70,9 @@ def test_shannon_se_anchor_and_monotone():
 def test_shannon_ee_hand_value():
     # 5e6 * log2(2) / (1/0.38 + 12)
     expect = 5e6 / (1.0 / 0.38 + 12.0)
-    assert shannon_ee(1.0, P5, 1.0, 5e6) == pytest.approx(expect, rel=1e-12)
+    assert shannon_ee(1.0, P5, 1.0) == pytest.approx(expect, rel=1e-12)
     with pytest.raises(ValueError):
-        shannon_ee(1.0, P5, 1.0, 0.0)
+        shannon_ee(1.0, P5, 0.0)
 
 
 def _grid_argmax(params, n0w, p_max, n=100_000):

@@ -634,6 +634,59 @@ def test_mimo_constants_are_equal_bit_for_bit_over_slices(monkeypatch):
     assert sliced.tobytes() == whole.tobytes()
 
 
+def test_mimo_constants_peak_grows_by_no_more_than_its_output(monkeypatch):
+    # past the output array, the constants step holds one slice's
+    # temporaries whatever the block length
+    monkeypatch.setattr(sim_engine, "_GAIN_SLICE_TTIS", 1024)
+    ch = make_channel(435.0, -72.5, geometry_db=23.0, alpha=0.995, speed_kmh=3.0)
+    over = []
+    for slices in (3, 6):
+        block = sim_engine.fading_block(ch, 2, 2, slices * 1024, np.random.default_rng(3))
+        sim_engine._mimo_constants(block[..., :8], ch, 1.0, 0.5)  # warm any caches
+        tracemalloc.start()
+        try:
+            out = sim_engine._mimo_constants(block, ch, 1.0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        over.append(peak - out.nbytes)
+    # an unsliced step would hold three more slices' temporaries, about 1.5 MB
+    assert over[1] <= over[0] + 16_000
+
+
+@pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])
+def test_a_built_link_holds_8_bytes_per_constant(mode):
+    # the per-TTI constants are packed doubles, not lists of Python
+    # floats (32 B each)
+    sc = make_scenario(antenna_mode=mode, duration_ttis=20_000)
+    list(sim_engine._build_link(sc))  # warm any caches
+    tracemalloc.start()
+    try:
+        link = list(sim_engine._build_link(sc))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    constants = (12 if mode == MIMO else 1) * sc.duration_ttis
+    assert len(link) == 1
+    assert held <= 8 * constants + 32_000
+
+
+@pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])
+def test_link_constants_and_report_powers_are_python_floats(mode):
+    # the loop sums and compares Python floats, as the trace text needs
+    sc = make_scenario(antenna_mode=mode, duration_ttis=500)
+    (link,) = sim_engine._build_link(sc)
+    for rows in link.sinr_db.values():
+        for by_pci in rows:
+            for row in by_pci:
+                assert len(row) == link.ttis
+                assert all(type(row[i]) is float for i in range(link.ttis))
+    for p_dbm in (40.0, 31.5):
+        reports = link.fixed_reports(p_dbm) + [link.report(i, p_dbm) for i in range(link.ttis)]
+        assert all(type(r[4]) is float for r in reports)
+        assert all(type(v) is int for r in reports for v in r[1:4])
+
+
 def test_sweep_cell_longer_than_a_chunk_is_its_own_run(small_chunks):
     template = make_scenario(duration_ttis=2 * CHUNK + 500, collect_trace=False)
     strategies = (FIXED_BASELINE, SEMI_STATIC)
