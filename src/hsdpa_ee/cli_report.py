@@ -157,15 +157,22 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
 
-def _key_line(text: str, key: str) -> int | None:
+def _located(path: str, text: str, section: str, key: str) -> str:
+    """path, with the line of key in [section] of text (or in [DEFAULT],
+    whose keys configparser hands to every section) if it is found."""
     pat = re.compile(rf"^\s*{re.escape(key)}\s*[=:]", re.IGNORECASE)
+    first, current = {}, None
     for i, line in enumerate(text.splitlines(), start=1):
-        if pat.match(line):
-            return i
-    return None
+        header = configparser.ConfigParser.SECTCRE.match(line.strip())
+        if header:
+            current = header["header"]
+        elif pat.match(line):
+            first.setdefault(current, i)
+    line = first.get(section, first.get("DEFAULT"))
+    return path if line is None else f"{path} [line {line}]"
 
 
-def _coerce(raw: str, typ, where: str, text: str, key: str):
+def _coerce(raw: str, typ, path: str, text: str, section: str, key: str):
     raw = raw.strip()
     try:
         if typ is bool:
@@ -176,10 +183,9 @@ def _coerce(raw: str, typ, where: str, text: str, key: str):
             return float(raw)
         return raw
     except (ValueError, KeyError):
-        line = _key_line(text, key)
-        loc = f" [line {line}]" if line is not None else ""
         raise ConfigError(
-            f"{where}{loc}: cannot parse {raw!r} as {typ.__name__} for key {key!r}"
+            f"{_located(path, text, section, key)}: "
+            f"cannot parse {raw!r} as {typ.__name__} for key {key!r}"
         ) from None
 
 
@@ -189,10 +195,10 @@ def _section_dict(cp, section, allowed, path, text):
         return out
     for key, raw in cp.items(section):
         if key not in allowed:
-            line = _key_line(text, key)
-            loc = f" [line {line}]" if line is not None else ""
-            raise ConfigError(f"{path}{loc}: unknown key {key!r} in [{section}]")
-        out[key] = _coerce(raw, allowed[key], path, text, key)
+            raise ConfigError(
+                f"{_located(path, text, section, key)}: unknown key {key!r} in [{section}]"
+            )
+        out[key] = _coerce(raw, allowed[key], path, text, section, key)
     return out
 
 
@@ -262,7 +268,7 @@ def load_config(path: str, kind: str) -> ExperimentSpec:
         raise ValueError(f"{path}: variable must be one of {tuple(_SWEEP_VARS)}")
     typ = _SWEEP_VARS[variable]
     values = tuple(
-        _coerce(v, typ, path, text, "values") for v in _split_list(sw.get("values", ""))
+        _coerce(v, typ, path, text, "sweep", "values") for v in _split_list(sw.get("values", ""))
     )
     return ExperimentSpec(
         name=name,
@@ -285,12 +291,8 @@ def _preset_channel(**over):
     """The reference link, 435 m from the cell at 3 km/h, with over's
     make_channel arguments in place of its defaults: the presets' channel
     and the defaults of a config's [scenario]."""
-    base = dict(distance_m=435.0, i_or_dbm=-72.5, geometry_db=23.0,
-                alpha=0.995, speed_kmh=3.0)
-    base.update(over)
-    d = base.pop("distance_m")
-    i_or = base.pop("i_or_dbm")
-    return make_channel(d, i_or, **base)
+    return make_channel(**{"distance_m": 435.0, "i_or_dbm": -72.5, "geometry_db": 23.0,
+                           "alpha": 0.995, "speed_kmh": 3.0, **over})
 
 
 def _preset_scenario(**over) -> ScenarioConfig:
@@ -405,18 +407,11 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-_AS_IS = (str, int, float)  # csv writes these exactly as _fmt formats them
-
-
-def _cells(row) -> list:
-    return [v if type(v) in _AS_IS else _fmt(v) for v in row]
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(map(_cells, rows))
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _analytic_rows(pm_base: PowerModelParams):
@@ -445,7 +440,7 @@ _TRACE_HEADER = ["strategy", "antenna_mode", "tti_index", "p_tx_dbm", "mcs_index
 
 def _trace_sink(label: str, mode: str, write) -> Callable[[TtiRecord], None]:
     """A sink that writes each TtiRecord as one trace.csv row, the bytes
-    csv.writer writes for _cells of the row, with write (a text file's,
+    csv.writer writes for _fmt of each cell, with write (a text file's,
     opened with newline="").
 
     label,mode, is quoted once by csv's rules; the int cells are written
@@ -454,7 +449,7 @@ def _trace_sink(label: str, mode: str, write) -> Callable[[TtiRecord], None]:
     the engine hands on the same float objects while the power holds,
     and equal values can print differently (0.0 and -0.0, 40 and 40.0)."""
     buf = io.StringIO()
-    csv.writer(buf).writerow(_cells((label, mode, "")))
+    csv.writer(buf).writerow((label, mode, ""))
     prefix = buf.getvalue()[:-2]  # without csv's \r\n
     last_p = last_e = object()
     p_cell = e_cell = ""
@@ -618,38 +613,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-
-    if args.command == "tablegen":
-        try:
-            cmd_tablegen(args.step_db, args.entries, args.out)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        except OSError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        return EXIT_OK
-
     try:
+        if args.command == "tablegen":
+            cmd_tablegen(args.step_db, args.entries, args.out)
+            return EXIT_OK
         if args.preset:
             spec = build_preset(args.preset, seed=args.seed, reps=args.reps)
         else:
             spec = _override(load_config(args.config, args.command), args.seed, args.reps)
+        (cmd_run if args.command == "run" else cmd_sweep)(spec, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        if args.command == "run":
-            cmd_run(spec, args.out)
-        else:
-            cmd_sweep(spec, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

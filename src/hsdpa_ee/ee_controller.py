@@ -94,28 +94,31 @@ DUAL = "dual"
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Tuning knobs of the semi-static controller.
-
-    The default offset steps implement the jump algorithm at a 10%
-    error target: step_up/step_down = (1 - target)/target, so the
-    stationary NACK rate settles at the target. The steps alone set it.
+    """Tuning knobs of the semi-static controller: its dual trigger, MCS
+    floor and power budget.
 
     tti_ms, the HSDPA transmission time interval of 2 ms (3GPP TS
     25.308), is a class constant, not a field: it sets each TTI's
     energy, the trigger timers and the span of a run, and the fading
     is sampled at it.
+
+    The ACK/NACK outer loop's steps and clamp are class constants too:
+    it is ordinary HSDPA link adaptation at the 10% block error rate of
+    the CQI definition (3GPP TS 25.214 6A.2), which no experiment varies.
+    The steps implement the jump algorithm at that target: step_up /
+    step_down = (1 - target)/target, so the NACK rate settles there.
     """
 
     tti_ms = 2.0
+    offset_step_up_db = 0.5
+    offset_step_down_db = 0.5 / 9.0
+    offset_clamp_db = 6.0
 
     p_max_dbm: float = 43.0
     min_mcs: int = 1
     ee_gap_threshold: float = 0.2
     min_reconfig_interval_ms: float = 20.0
     max_reconfig_interval_ms: float = 200.0
-    offset_step_up_db: float = 0.5
-    offset_step_down_db: float = 0.5 / 9.0
-    offset_clamp_db: float = 6.0
     ee_smoothing: float = 0.05
 
     def __post_init__(self):
@@ -132,10 +135,6 @@ class ControllerConfig:
             raise ValueError("max interval must be at least 5x the min interval")
         if self.min_mcs < 1:
             raise ValueError("min_mcs must be >= 1")
-        if self.offset_step_up_db < 0.0 or self.offset_step_down_db < 0.0:
-            raise ValueError("offset steps must be >= 0")
-        if self.offset_clamp_db <= 0.0:
-            raise ValueError("offset clamp must be > 0")
         if not 0.0 < self.ee_smoothing <= 1.0:
             raise ValueError("ee_smoothing must be in (0, 1]")
 
@@ -417,8 +416,16 @@ def select_optimal(
     return _select(search, p_dbm, ref, delta_db, cfg, pm, OptimalSelection)
 
 
+def _is_cqi_index(value) -> bool:
+    """A CQI report's type: a Python int, the engine's own, or a numpy
+    integer, as cqi_from_sinr gives for array input; not a bool."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def _check_cqi_report(cqi, table: McsTable, cfg: ControllerConfig) -> None:
     """select_optimal's checks of its report and of cfg.min_mcs."""
+    if not _is_cqi_index(cqi):
+        raise ValueError(f"feedback_cqi must be an integer CQI index, got {cqi!r}")
     n = len(table._thr_list)
     if cqi < 1 or cqi > n:
         raise ValueError("feedback_cqi must be a valid table index")
@@ -475,11 +482,6 @@ def amc_level(table: McsTable, cqi: int, shift_db: float, min_mcs: int) -> int:
     return min(max(bisect_right(thr, thr[cqi - 1] + shift_db), min_mcs), len(thr))
 
 
-# the types of a single-stream report: Python int first, the engine's
-# own, then numpy integers, as cqi_from_sinr gives for array input
-_CQI_INDEX = (int, np.integer)
-
-
 def on_tti(
     state: ControllerState,
     feedback: TtiFeedback,
@@ -510,10 +512,15 @@ def on_tti(
         state.ee_smoothed += cfg.ee_smoothing * (feedback.realized_ee - state.ee_smoothed)
 
     report = feedback.cqi
-    if isinstance(report, _CQI_INDEX):
+    if _is_cqi_index(report):
         reported = (report,)
     else:
-        reported = (report.cqi_primary, report.cqi_secondary)
+        try:
+            reported = (report.cqi_primary, report.cqi_secondary)
+        except AttributeError:
+            raise ValueError(
+                f"feedback.cqi must be an integer CQI index or a MimoFeedback, got {report!r}"
+            ) from None
     if reported[0] < 1:
         return state, ControllerDecision(KEEP, state.power_dbm, ())
 

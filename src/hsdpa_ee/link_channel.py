@@ -37,6 +37,7 @@ __all__ = [
     "PA3_POWERS_DB",
     "pa3_profile",
     "path_gain_db",
+    "UE_NOISE_W_PER_HZ",
     "ChannelParams",
     "make_channel",
     "doppler_hz",
@@ -49,6 +50,10 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 # ITU Pedestrian A: relative tap powers
 PA3_POWERS_DB = (0.0, -9.7, -19.2, -22.8)
+
+# the terminal's noise density: thermal -174 dBm/Hz through a 9 dB noise
+# figure, a fixed receiver assumption
+UE_NOISE_W_PER_HZ = 3.9811e-21 * 10.0 ** (9.0 / 10.0)
 
 
 def pa3_profile() -> tuple[float, ...]:
@@ -80,7 +85,8 @@ class ChannelParams:
     25.308) at 2 GHz, and the ITU Pedestrian A tap powers, are class
     constants, not fields: no experiment varies them. The taps fade as
     independent flat Rayleigh processes, so tap delays never reach a
-    link gain and are not kept.
+    link gain and are not kept. The noise density n0_w_per_hz defaults
+    to the terminal's UE_NOISE_W_PER_HZ.
     """
 
     sf = 16
@@ -91,7 +97,7 @@ class ChannelParams:
     i_or_w: float
     i_oc_w: float
     alpha: float = 0.9  # own-cell orthogonality, 1 = perfectly orthogonal
-    n0_w_per_hz: float = 3.1623e-20
+    n0_w_per_hz: float = UE_NOISE_W_PER_HZ
     speed_kmh: float = 3.0
     distance_m: float = 1000.0
 
@@ -129,28 +135,25 @@ def make_channel(
     i_or_dbm: float,
     geometry_db: float = 5.0,
     alpha: float = 0.9,
-    noise_figure_db: float = 9.0,
     speed_kmh: float = 3.0,
 ) -> ChannelParams:
     """Build ChannelParams from a geometry factor.
 
     geometry_db is I_or / (I_oc + N0 * W) in dB; the other-cell power is
     derived from it and clipped at zero when the requested geometry is
-    already noise-limited.
+    already noise-limited. N0 is the terminal's UE_NOISE_W_PER_HZ, the
+    default of ChannelParams.
     """
-    for name, value in (("i_or_dbm", i_or_dbm), ("geometry_db", geometry_db),
-                        ("noise_figure_db", noise_figure_db)):
+    for name, value in (("i_or_dbm", i_or_dbm), ("geometry_db", geometry_db)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     i_or_w = 10.0 ** ((i_or_dbm - 30.0) / 10.0)
-    n0 = 3.9811e-21 * 10.0 ** (noise_figure_db / 10.0)  # -174 dBm/Hz + NF
     denom_target = i_or_w / 10.0 ** (geometry_db / 10.0)
-    i_oc_w = max(0.0, denom_target - n0 * ChannelParams.bandwidth_hz)
+    i_oc_w = max(0.0, denom_target - UE_NOISE_W_PER_HZ * ChannelParams.bandwidth_hz)
     return ChannelParams(
         i_or_w=i_or_w,
         i_oc_w=i_oc_w,
         alpha=alpha,
-        n0_w_per_hz=n0,
         speed_kmh=speed_kmh,
         distance_m=distance_m,
     )

@@ -37,7 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ee_controller import DUAL, SINGLE, ControllerConfig, _build_search, _check_dual_report, _searches, _select
+from .ee_controller import DUAL, SINGLE, ControllerConfig, _build_search, _check_dual_report
+from .ee_controller import _is_cqi_index, _searches, _select
 from .link_channel import ChannelParams
 from .mcs_table import McsTable
 from .power_model import PowerModelParams
@@ -84,7 +85,8 @@ class PrecodingWeights:
 
 @dataclass(frozen=True)
 class MimoFeedback:
-    """User report: chosen mode, codebook index, and per-stream CQIs."""
+    """User report: chosen mode, codebook index, and per-stream CQIs,
+    each a Python or numpy integer (cqi_secondary None in single mode)."""
 
     mode: str
     pci: int
@@ -94,7 +96,10 @@ class MimoFeedback:
     def __post_init__(self):
         if self.mode not in (SINGLE, DUAL):
             raise ValueError("mode must be single or dual")
-        if self.mode == DUAL and (self.cqi_secondary is None or self.cqi_secondary < 1):
+        second = self.cqi_secondary
+        if not (_is_cqi_index(self.cqi_primary) and (second is None or _is_cqi_index(second))):
+            raise ValueError(f"a report's CQIs must be integer indices, got {self!r}")
+        if self.mode == DUAL and (second is None or second < 1):
             raise ValueError("dual mode needs two valid CQIs")
 
 

@@ -13,11 +13,12 @@ the controller state, the reports and ACKs in flight and the pending
 retransmissions across chunk boundaries. One chunk is alive at a time,
 so a run's memory is bounded whatever its length, unless its trace rows
 are kept (run without a sink); a run of at most CHUNK_TTIS TTIs is one
-chunk, synthesized in one pass. A 2x2 chunk's constants need every
-fading process at each TTI, so its trajectories are held as one block
-(fading_block); a SISO/SIMO chunk needs only their receive-combined
-power, which synth_fading sums as it makes each process, so no block
-of it is ever held.
+chunk, synthesized in one pass. A 2x2 chunk's fading processes are held
+as one block (fading_block), though its constants need only one tap's
+processes at a time: stream_gain_series nulls each stream within a tap
+and sums over taps. A SISO/SIMO chunk needs only the processes'
+receive-combined power, which synth_fading sums as it makes each
+process, so no block of it is ever held.
 The fading correlation restarts at each chunk boundary, every 262 s of
 simulated time against a coherence time of about 0.1 s at 3 km/h.
 
@@ -72,7 +73,9 @@ no experiment varies them. The HSDPA standard's own figures are fixed
 too, as class constants of the configs that read them: the TTI
 (ControllerConfig.tti_ms, 2 ms), at which the fading is also sampled,
 and ChannelParams' spreading factor, bandwidth, carrier and Pedestrian
-A tap powers.
+A tap powers. So are the outer loop's steps and clamp (class
+constants of ControllerConfig) and the terminal's noise density
+(link_channel.UE_NOISE_W_PER_HZ).
 """
 
 from __future__ import annotations
@@ -254,8 +257,9 @@ def fading_block(
     ch: ChannelParams, n_rx: int, n_tx: int, n_steps: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Fading trajectories (n_taps, n_rx, n_tx, n_steps) with PDP weights
-    folded in, sampled at the TTI rate: every per-TTI link gain of a 2x2
-    chunk of a run comes from one such block. A SISO/SIMO chunk draws
+    folded in, sampled at the TTI rate: a 2x2 chunk of a run holds one
+    such block, though its constants need only one tap's 4 processes at
+    a time (stream_gain_series nulls within a tap). A SISO/SIMO chunk draws
     the same processes but asks synth_fading for their summed power
     alone (_single_stream_link). synth_fading is called through this
     module's name so the benchmark tracer's patch on it takes effect."""

@@ -150,17 +150,38 @@ def test_unknown_key_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["feedback_delay_ttis", "max_retransmissions",
-                                 "pilot_window_s", "dual_shift_factor", "pair_tol_db"])
+                                 "pilot_window_s", "dual_shift_factor", "pair_tol_db",
+                                 "noise_figure_db"])
 def test_fixed_engine_constants_are_unknown_keys(tmp_path, capsys, key):
     cfg = write(tmp_path, "bad.ini", f"[scenario]\nduration_ttis = 10\n{key} = 0.001\n")
     assert main(["run", "--config", cfg]) == EXIT_PARSE
     assert f"[line 3]: unknown key {key!r}" in capsys.readouterr().err
 
 
-def test_tti_is_not_a_controller_key(tmp_path, capsys):
-    cfg = write(tmp_path, "bad.ini", "[scenario]\nduration_ttis = 10\n\n[controller]\ntti_ms = 1\n")
+@pytest.mark.parametrize("key", ["tti_ms", "offset_step_up_db", "offset_step_down_db",
+                                 "offset_clamp_db"])
+def test_fixed_controller_constants_are_unknown_keys(tmp_path, capsys, key):
+    cfg = write(tmp_path, "bad.ini", f"[scenario]\nduration_ttis = 10\n\n[controller]\n{key} = 3\n")
     assert main(["run", "--config", cfg]) == EXIT_PARSE
-    assert "[line 5]: unknown key 'tti_ms' in [controller]" in capsys.readouterr().err
+    assert f"[line 5]: unknown key {key!r} in [controller]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, line, key, section", [
+    # valid in [scenario], unknown in [controller]
+    ("run", "[scenario]\nalpha = 0.9\n\n[controller]\nee_smoothing = 0.1\nalpha = 0.5\n",
+     6, "alpha", "controller"),
+    ("sweep", "[scenario]\nseed = 1\n\n[sweep]\nvariable = speed\nvalues = 3\nseed = 2\n",
+     7, "seed", "sweep"),
+    # configparser hands [DEFAULT]'s keys to every section
+    ("run", "[DEFAULT]\nwarp = 1\n\n[scenario]\nseed = 1\n", 2, "warp", "scenario"),
+], ids=["key_in_two_sections", "seed_under_sweep", "default_section"])
+def test_unknown_key_is_reported_at_its_own_line(tmp_path, capsys, command, text, line, key,
+                                                 section):
+    # a key valid in an earlier section used to be reported at that
+    # section's line
+    cfg = write(tmp_path, "bad.ini", text)
+    assert main([command, "--config", cfg]) == EXIT_PARSE
+    assert f"bad.ini [line {line}]: unknown key {key!r} in [{section}]" in capsys.readouterr().err
 
 
 def test_scenario_keys_parse_to_their_field_types(tmp_path):
@@ -220,8 +241,8 @@ def test_trace_floats_round_trip(tmp_path):
 
 
 def test_csv_writer_matches_per_cell_formatting(tmp_path):
-    # _write_csv hands str, int and float cells to csv unconverted; its
-    # bytes must be what _fmt on every cell writes for the same rows
+    # _write_csv's bytes must be what csv.writer writes for _fmt of every
+    # cell of the same rows
     base = replace(build_preset("figure5").template, duration_ttis=300)
     # an int power passed through the Python API is written without a point
     trace = run(replace(base, baseline_power_dbm=40, strategy="FixedBaseline"))[1]

@@ -6,6 +6,8 @@ randomized tables and parameters. Trigger and offset rules are checked
 against their truth tables and hand-computed accumulations.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,18 @@ def test_select_optimal_validates_cqi():
             select_optimal(40.0, bad, 0.0, t, cfg, PM5)
 
 
+@pytest.mark.parametrize("bad", [2.0, True, np.True_, "2", None])
+def test_select_optimal_rejects_a_report_that_is_not_an_integer_index(bad):
+    # a float used to fail as a list index, and True was served as CQI 1
+    t = default_table()
+    cfg = ControllerConfig()
+    with pytest.raises(ValueError, match=rf"integer CQI index, got {bad!r}"):
+        select_optimal(30.0, bad, 0.0, t, cfg, PM5)
+    assert select_optimal(30.0, np.int64(2), 0.0, t, cfg, PM5) == select_optimal(
+        30.0, 2, 0.0, t, cfg, PM5
+    )
+
+
 # ------------------------------------------------------- gap and trigger
 
 
@@ -291,21 +305,23 @@ def test_offset_steps_and_clamp():
     assert st.offset_db == -6.0
 
 
-def test_offset_symmetric_steps_oscillate():
-    cfg = ControllerConfig(offset_step_up_db=0.3, offset_step_down_db=0.3)
+def test_offset_one_nack_then_nine_acks_return_to_zero():
+    # the steps' 9:1 ratio is the 10% error target: one NACK per nine
+    # ACKs leaves the offset where it was
+    cfg = ControllerConfig()
     st = ControllerState(power_dbm=40.0)
-    for _ in range(50):
-        update_offset(st, False, cfg)
+    update_offset(st, False, cfg)
+    for _ in range(9):
         update_offset(st, True, cfg)
-    assert st.offset_db == pytest.approx(0.0, abs=1e-9)
+    assert st.offset_db == pytest.approx(0.0, abs=1e-12)
 
 
 def test_offset_ten_acks_accumulate():
-    cfg = ControllerConfig(offset_step_down_db=0.1)
+    cfg = ControllerConfig()
     st = ControllerState(power_dbm=40.0)
     for _ in range(10):
         update_offset(st, True, cfg)
-    assert st.offset_db == pytest.approx(-1.0, abs=1e-12)
+    assert st.offset_db == pytest.approx(-10 * (0.5 / 9.0), abs=1e-12)
 
 
 def test_offset_equilibrium_hits_error_target():
@@ -438,6 +454,17 @@ def test_on_tti_takes_a_numpy_integer_cqi_as_a_single_stream_report(timer_ms):
     with pytest.raises(ValueError):
         on_tti(ControllerState(power_dbm=40.0, timer_ms=timer_ms),
                TtiFeedback(np.int64(31), measured_power_dbm=40.0), t, cfg, PM5)
+
+
+@pytest.mark.parametrize("timer_ms", [0.0, 30.0])  # next step inside / past 20 ms
+@pytest.mark.parametrize("bad", [2.0, True, (5, 7), None])
+def test_on_tti_rejects_a_report_that_is_neither_an_index_nor_mimo_feedback(timer_ms, bad):
+    # a float used to fail with an AttributeError, and True was served
+    # as CQI 1
+    st = ControllerState(power_dbm=40.0, timer_ms=timer_ms)
+    with pytest.raises(ValueError, match=rf"feedback.cqi .* got {re.escape(repr(bad))}"):
+        on_tti(st, TtiFeedback(bad, measured_power_dbm=40.0), default_table(),
+               ControllerConfig(), PM5)
 
 
 def test_on_tti_rejects_a_negative_timer_inside_the_minimum_interval():

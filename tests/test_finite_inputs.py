@@ -1,7 +1,8 @@
 """Configs, MCS tables, the channel constructor and the fading
 synthesis reject NaN and infinite numbers, a run length, a seed and an
 MCS floor must be ints, and the HSDPA standard's constants (the TTI,
-spreading factor, bandwidth, carrier and tap powers) cannot be set.
+spreading factor, bandwidth, carrier and tap powers), the outer loop's
+steps and clamp and the UE noise figure cannot be set.
 
 Without these checks a NaN slips through every range comparison (they
 are all false) and a run finishes with NaN energy, while the selectors'
@@ -19,7 +20,13 @@ import numpy as np
 import pytest
 
 from hsdpa_ee.ee_controller import ControllerConfig
-from hsdpa_ee.link_channel import ChannelParams, make_channel, pa3_profile, synth_fading
+from hsdpa_ee.link_channel import (
+    UE_NOISE_W_PER_HZ,
+    ChannelParams,
+    make_channel,
+    pa3_profile,
+    synth_fading,
+)
 from hsdpa_ee.mcs_table import McsEntry, McsTable, load_table
 from hsdpa_ee.power_model import PowerModelParams
 from hsdpa_ee.sim_engine import ScenarioConfig
@@ -56,7 +63,7 @@ CASES = (
         lambda v, f=f: ChannelParams(**{"i_or_w": 1e-10, "i_oc_w": 1e-11, f: v}))
        for f in CHANNEL_FIELDS]
     + [(f"make_channel.{f}", lambda v, f=f: make_channel(435.0, -72.5, **{f: v}))
-       for f in ("geometry_db", "noise_figure_db", "speed_kmh", "alpha")]
+       for f in ("geometry_db", "speed_kmh", "alpha")]
     + [("make_channel.distance_m", lambda v: make_channel(v, -72.5)),
        ("make_channel.i_or_dbm", lambda v: make_channel(435.0, v))]
     + [(f"ScenarioConfig.{f}", lambda v, f=f: scenario(**{f: v})) for f in SCENARIO_FIELDS]
@@ -68,14 +75,17 @@ CASES = (
         lambda v: synth_fading(2, 100, 2e-3, 5.56, np.random.default_rng(0), [1.0, v]))]
 )
 
-# the standard's constants used to be float fields checked here; they are
-# class constants now, so a non-finite value for one is refused as an
-# unknown keyword, a TypeError that names it
+# the standard's constants, the outer loop's steps and clamp and the
+# noise figure used to be float settings checked here; they are constants
+# now, so a non-finite value for one is refused as an unknown keyword, a
+# TypeError that names it
 PINNED_CASES = (
-    [("ControllerConfig.tti_ms", lambda v: ControllerConfig(tti_ms=v))]
+    [(f"ControllerConfig.{f}", lambda v, f=f: ControllerConfig(**{f: v}))
+     for f in ("tti_ms", "offset_step_up_db", "offset_step_down_db", "offset_clamp_db")]
     + [(f"ChannelParams.{f}",
         lambda v, f=f: ChannelParams(**{"i_or_w": 1e-10, "i_oc_w": 1e-11, f: v}))
        for f in ("bandwidth_hz", "carrier_hz", "pdp_weights")]
+    + [("make_channel.noise_figure_db", lambda v: make_channel(435.0, -72.5, noise_figure_db=v))]
 )
 
 REJECTIONS = ([(key, build, ValueError, None) for key, build in CASES]
@@ -90,10 +100,13 @@ def test_non_finite_input_is_rejected(build, error, match, value):
         build(value)
 
 
-# the HSDPA standard's figures are class constants, not fields, so no
-# value of theirs, finite or not, can be passed
+# the HSDPA standard's figures and the outer loop's are class constants,
+# not fields, so no value of theirs, finite or not, can be passed
 PINNED = (
     (ControllerConfig, "tti_ms", 2.0, 1.0),
+    (ControllerConfig, "offset_step_up_db", 0.5, 0.3),
+    (ControllerConfig, "offset_step_down_db", 0.5 / 9.0, 0.3),
+    (ControllerConfig, "offset_clamp_db", 6.0, 3.0),
     (ChannelParams, "sf", 16, 8),
     (ChannelParams, "bandwidth_hz", 5e6, 10e6),
     (ChannelParams, "carrier_hz", 2e9, 9e8),
@@ -108,6 +121,13 @@ def test_pinned_constant_is_not_settable(cls, name, standard, other):
     assert getattr(cls(**args), name) == standard
     with pytest.raises(TypeError, match=name):
         cls(**args, **{name: other})
+
+
+def test_make_channel_uses_the_default_noise_density():
+    # the UE noise density is stated once, as ChannelParams' default
+    default = ChannelParams(i_or_w=1e-10, i_oc_w=1e-11).n0_w_per_hz
+    assert default == UE_NOISE_W_PER_HZ == 3.9811e-21 * 10.0 ** (9.0 / 10.0)
+    assert make_channel(435.0, -72.5).n0_w_per_hz == default
 
 
 @pytest.mark.parametrize("field", ["sinr_threshold_db", "tbs_bits"])

@@ -244,6 +244,19 @@ def test_feedback_validation():
     MimoFeedback(mode=DUAL, pci=0, cqi_primary=5, cqi_secondary=3)
 
 
+@pytest.mark.parametrize("mode, cqis", [
+    (DUAL, (2.0, 3)), (DUAL, (2, 3.0)), (DUAL, (True, 3)), (DUAL, (2, np.True_)),
+    (SINGLE, (2.0,)), (SINGLE, (False,)),
+])
+def test_feedback_rejects_a_cqi_that_is_not_an_integer_index(mode, cqis):
+    # a float CQI used to reach select_optimal_dual and fail as a numpy
+    # IndexError there
+    with pytest.raises(ValueError, match="integer indices"):
+        MimoFeedback(mode, 0, *cqis)
+    ints = MimoFeedback(mode, 0, *(np.int64(3) for _ in cqis))
+    assert ints == MimoFeedback(mode, 0, *(3 for _ in cqis))
+
+
 # ------------------------------------------------------ equal-delta pairs
 
 
