@@ -153,10 +153,6 @@ _SWEEP_KEYS = {
     "repetitions": int,
 }
 
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-
-
 def _located(path: str, text: str, section: str, key: str) -> str:
     """path, with the line of key in [section] of text (or in [DEFAULT],
     whose keys configparser hands to every section) if it is found."""
@@ -176,7 +172,7 @@ def _coerce(raw: str, typ, path: str, text: str, section: str, key: str):
     raw = raw.strip()
     try:
         if typ is bool:
-            return _BOOL_WORDS[raw.lower()]
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if typ is int:
             return int(raw)
         if typ is float:
@@ -241,7 +237,8 @@ def load_config(path: str, kind: str) -> ExperimentSpec:
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are taken as written: no % interpolation
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(text, source=path)
     except configparser.Error as exc:

@@ -504,56 +504,63 @@ def on_tti(
     While the timer is within the minimum interval (and always_fire is
     off) the trigger cannot fire, so select is not called and the step
     serves plain AMC.
+
+    A call that raises leaves state as it found it.
     """
-    state.timer_ms += cfg.tti_ms
-    for ack in feedback.acks:
-        update_offset(state, ack, cfg)
-    if feedback.realized_ee is not None:
-        state.ee_smoothed += cfg.ee_smoothing * (feedback.realized_ee - state.ee_smoothed)
+    kept = state.timer_ms, state.offset_db, state.ee_smoothed
+    try:
+        state.timer_ms += cfg.tti_ms
+        for ack in feedback.acks:
+            update_offset(state, ack, cfg)
+        if feedback.realized_ee is not None:
+            state.ee_smoothed += cfg.ee_smoothing * (feedback.realized_ee - state.ee_smoothed)
 
-    report = feedback.cqi
-    if _is_cqi_index(report):
-        reported = (report,)
-    else:
-        try:
-            reported = (report.cqi_primary, report.cqi_secondary)
-        except AttributeError:
-            raise ValueError(
-                f"feedback.cqi must be an integer CQI index or a MimoFeedback, got {report!r}"
-            ) from None
-    if reported[0] < 1:
-        return state, ControllerDecision(KEEP, state.power_dbm, ())
+        report = feedback.cqi
+        if _is_cqi_index(report):
+            reported = (report,)
+        else:
+            try:
+                reported = (report.cqi_primary, report.cqi_secondary)
+            except AttributeError:
+                raise ValueError(
+                    f"feedback.cqi must be an integer CQI index or a MimoFeedback, got {report!r}"
+                ) from None
+        if reported[0] < 1:
+            return state, ControllerDecision(KEEP, state.power_dbm, ())
 
-    measured_p = (
-        state.power_dbm
-        if feedback.measured_power_dbm is None
-        else feedback.measured_power_dbm
-    )
-    if always_fire or state.timer_ms > cfg.min_reconfig_interval_ms:
-        best = select(measured_p, report, state.offset_db, table, cfg, pm)
-        if always_fire or should_trigger(
-            relative_ee_difference(best.ee, state.ee_smoothed), state.timer_ms, cfg
-        ):
-            state.power_dbm = best.power_dbm
-            state.timer_ms = 0.0
-            return state, ControllerDecision(
-                RECONFIGURE, best.power_dbm, best.levels, best.ee, best.infeasible
-            )
-        ee, infeasible = best.ee, best.infeasible
-    else:
-        # inside the minimum interval should_trigger is false for any
-        # gap, so the selection could change nothing and is not made;
-        # the step still rejects what select and should_trigger reject
-        should_trigger(0.0, state.timer_ms, cfg)
-        (_check_cqi_report if len(reported) == 1 else _check_dual_report)(report, table, cfg)
-        ee, infeasible = 0.0, False
+        measured_p = (
+            state.power_dbm
+            if feedback.measured_power_dbm is None
+            else feedback.measured_power_dbm
+        )
+        if always_fire or state.timer_ms > cfg.min_reconfig_interval_ms:
+            best = select(measured_p, report, state.offset_db, table, cfg, pm)
+            if always_fire or should_trigger(
+                relative_ee_difference(best.ee, state.ee_smoothed), state.timer_ms, cfg
+            ):
+                state.power_dbm = best.power_dbm
+                state.timer_ms = 0.0
+                return state, ControllerDecision(
+                    RECONFIGURE, best.power_dbm, best.levels, best.ee, best.infeasible
+                )
+            ee, infeasible = best.ee, best.infeasible
+        else:
+            # inside the minimum interval should_trigger is false for any
+            # gap, so the selection could change nothing and is not made;
+            # the step still rejects what select and should_trigger reject
+            should_trigger(0.0, state.timer_ms, cfg)
+            (_check_cqi_report if len(reported) == 1 else _check_dual_report)(report, table, cfg)
+            ee, infeasible = 0.0, False
 
-    # plain AMC at held power: follow the report, compensated for any
-    # power change since the measurement, backed off by the offset
-    shift = (state.power_dbm - measured_p) - state.offset_db
-    first = amc_level(table, reported[0], shift, cfg.min_mcs)
-    if len(reported) == 1:
-        levels = (first,)
-    else:
-        levels = (first, amc_level(table, reported[1], shift, cfg.min_mcs))
-    return state, ControllerDecision(KEEP, state.power_dbm, levels, ee, infeasible)
+        # plain AMC at held power: follow the report, compensated for any
+        # power change since the measurement, backed off by the offset
+        shift = (state.power_dbm - measured_p) - state.offset_db
+        first = amc_level(table, reported[0], shift, cfg.min_mcs)
+        if len(reported) == 1:
+            levels = (first,)
+        else:
+            levels = (first, amc_level(table, reported[1], shift, cfg.min_mcs))
+        return state, ControllerDecision(KEEP, state.power_dbm, levels, ee, infeasible)
+    except BaseException:
+        state.timer_ms, state.offset_db, state.ee_smoothed = kept
+        raise

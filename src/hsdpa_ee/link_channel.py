@@ -17,11 +17,10 @@ are exactly complex Gaussian at any sample count, and tap energy across
 the synthesis block matches the power-delay profile in expectation.
 synth_fading draws unit-power processes, one inverse FFT per process,
 one synthesis per chunk of a run (up to sim_engine.CHUNK_TTIS TTIs), so
-the Doppler correlation holds across every TTI of a chunk. For the 2x2
-mode sim_engine.fading_block folds the power-delay profile into the
-block of processes; a single-stream link needs only their summed power,
-so synth_fading, given each process's amplitude, adds each row's power
-into one gain row as it is made and returns that row, without a block.
+the Doppler correlation holds across every TTI of a chunk. It returns
+the block of processes, or hands each row to a function of the caller
+as it is made, so that no block is held; how the rows combine into link
+gains is sim_engine's business.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -142,11 +142,12 @@ def make_channel(
     geometry_db is I_or / (I_oc + N0 * W) in dB; the other-cell power is
     derived from it and clipped at zero when the requested geometry is
     already noise-limited. N0 is the terminal's UE_NOISE_W_PER_HZ, the
-    default of ChannelParams.
+    default of ChannelParams. Both dB values must lie within +-1000 dB,
+    far past any link, so that no power below overflows a float.
     """
     for name, value in (("i_or_dbm", i_or_dbm), ("geometry_db", geometry_db)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        if not abs(value) <= 1000.0:
+            raise ValueError(f"{name} must be finite, within +-1000 dB, got {value}")
     i_or_w = 10.0 ** ((i_or_dbm - 30.0) / 10.0)
     denom_target = i_or_w / 10.0 ** (geometry_db / 10.0)
     i_oc_w = max(0.0, denom_target - UE_NOISE_W_PER_HZ * ChannelParams.bandwidth_hz)
@@ -214,10 +215,10 @@ def synth_fading(
     dt_s: float,
     f_d: float,
     rng: np.random.Generator,
-    amps: np.ndarray | None = None,
-) -> np.ndarray:
-    """Unit-power Rayleigh trajectories, shape (n_procs, n_steps), or
-    with amps the row sum_p |amps[p] * h_p|^2 of n_steps floats.
+    on_row: Callable[[np.ndarray], object] | None = None,
+) -> np.ndarray | None:
+    """Unit-power Rayleigh trajectories, shape (n_procs, n_steps); given
+    on_row, None, with on_row(h_p) called on each row h_p instead.
 
     Each row h_p is an independent complex Gaussian process with Jakes
     Doppler autocorrelation J0(2 pi f_d tau). Zero Doppler degenerates
@@ -232,19 +233,16 @@ def synth_fading(
     where the block form leaves it. The skip pass costs n_procs x n_fft
     extra normal draws.
 
-    amps, one finite amplitude >= 0 per process, asks for the
-    receive-combined power gain instead of the block: each row is
-    scaled, squared and added into the sum as soon as its inverse FFT is
-    done, in process order, so the result has the bytes of
-    np.sum(np.abs(block * amps[:, None]) ** 2, axis=0) and no block
-    exists. A bad amps raises before anything is drawn.
+    on_row gets each row as soon as its inverse FFT is done, in process
+    order: n_steps complex values, or on a static channel one value that
+    stands for all of them. It may scale the row in place; the buffer is
+    reused once it returns, so no block exists.
 
     Under tracemalloc, for 8 processes of 70 000 steps, the block form
     peaks at 15.4 MB: its 9.0 MB output and three rows of n_fft complex
     values (the row's spectrum, its inverse FFT, and one row of draws
     and the bin scale, n_fft floats each). The real-part block took
-    22.7 MB, the whole spectrum 58.4 MB. The reduced form peaks at
-    7.4 MB: its output, one float temporary and the same rows.
+    22.7 MB, the whole spectrum 58.4 MB.
     """
     for name, value in (("n_procs", n_procs), ("n_steps", n_steps)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -257,29 +255,15 @@ def synth_fading(
         raise ValueError("dt_s must be > 0")
     if f_d < 0.0:
         raise ValueError("doppler must be >= 0")
-    if amps is not None:
-        amps = np.asarray(amps, dtype=float)
-        if amps.shape != (n_procs,):
-            raise ValueError(f"amps must hold one amplitude per process ({n_procs}), "
-                             f"got shape {amps.shape}")
-        if not np.all(np.isfinite(amps) & (amps >= 0.0)):
-            raise ValueError(f"amps must be finite and >= 0, got {amps}")
     rows = _fading_rows(n_procs, n_steps, dt_s, f_d, rng)
-    if amps is None:
-        out = np.empty((n_procs, n_steps), dtype=complex)
-        for row, h in zip(out, rows):
-            row[:] = h
-        return out
-    gain = np.zeros(n_steps)
-    power = np.empty(n_steps)
-    for amp, h in zip(amps[:, None], rows):
-        # the block form's steps on one row: scale, |.|^2, add (a
-        # static row's one value broadcasts over the steps)
-        h *= amp
-        np.abs(h, out=power)
-        np.square(power, out=power)
-        gain += power
-    return gain
+    if on_row is not None:
+        for h in rows:
+            on_row(h)
+        return None
+    out = np.empty((n_procs, n_steps), dtype=complex)
+    for row, h in zip(out, rows):
+        row[:] = h
+    return out
 
 
 def _fading_rows(n_procs, n_steps, dt_s, f_d, rng):

@@ -222,13 +222,9 @@ def table_to_csv(table: McsTable, comment: str | None = None) -> str:
 
 @lru_cache(maxsize=1)
 def default_table() -> McsTable:
-    """The bundled synthetic 30-entry table (1.0 dB threshold spacing)."""
-    text = (
-        resources.files("hsdpa_ee")
-        .joinpath("data/default_mcs_table.csv")
-        .read_text(encoding="utf-8")
-    )
-    return load_table(text)
+    """The synthetic 30-entry table: make_uniform_table's defaults (1.0 dB
+    threshold spacing), one object for every caller."""
+    return make_uniform_table()
 
 
 @lru_cache(maxsize=1)

@@ -172,15 +172,17 @@ def select_mode_and_feedback(
     (n_taps, 2, 2) gain stack at transmit power p_hs_w.
 
     This is the engine's 2x2 report on a one-TTI block without the pilot
-    loss: sim_engine._mimo_constants at p_hs_w, searched by
+    loss: sim_engine._mimo_link's gain and dB steps at p_hs_w, searched by
     sim_engine._mimo_hypothesis at 30 dBm, which adds no power offset.
     Ties prefer single mode, then the lower codebook index.
     """
     # imported here: sim_engine imports this module
-    from .sim_engine import _mimo_constants, _mimo_hypothesis
+    from .sim_engine import _add_stream_gains, _gains_to_db, _mimo_hypothesis
 
-    block = _tap_stack(channel)[..., None]
-    a1, a2, a_single = _mimo_constants(block, params, p_hs_w, 0.0).tolist()
+    gains = np.zeros((3, 4, 1))
+    _add_stream_gains(gains, _tap_stack(channel)[..., None])
+    _gains_to_db(gains.reshape(12, 1), params, p_hs_w, 0.0)
+    a1, a2, a_single = gains.tolist()
     mode, pci, c1, c2 = _mimo_hypothesis(
         table._thr_list, table._tbs_list, a1, a2, a_single, 0, 30.0
     )

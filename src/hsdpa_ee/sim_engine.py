@@ -13,12 +13,12 @@ the controller state, the reports and ACKs in flight and the pending
 retransmissions across chunk boundaries. One chunk is alive at a time,
 so a run's memory is bounded whatever its length, unless its trace rows
 are kept (run without a sink); a run of at most CHUNK_TTIS TTIs is one
-chunk, synthesized in one pass. A 2x2 chunk's fading processes are held
-as one block (fading_block), though its constants need only one tap's
-processes at a time: stream_gain_series nulls each stream within a tap
-and sums over taps. A SISO/SIMO chunk needs only the processes'
-receive-combined power, which synth_fading sums as it makes each
-process, so no block of it is ever held.
+chunk, synthesized in one pass. No chunk's fading is held as a block:
+synth_fading hands each process to the chunk's link as it is made. A
+SISO/SIMO link adds its power into one receive-combined row; a 2x2 link
+gathers one tap's 4 processes and adds their stream gains, since
+stream_gain_series nulls each stream within a tap and sums over taps.
+Both turn their gain rows into the dB constants by one step.
 The fading correlation restarts at each chunk boundary, every 262 s of
 simulated time against a coherence time of about 0.1 s at 3 km/h.
 
@@ -80,7 +80,6 @@ constants of ControllerConfig) and the terminal's noise density
 
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -151,8 +150,8 @@ MAX_RETRANSMISSIONS = 3
 # is negligible at walking speed.
 PILOT_WINDOW_S = 1.0 / 1500.0
 # TTIs per chunk of a run (262 s of simulated time). A run holds one
-# chunk's fading block and per-TTI constants at a time, so this bounds
-# its memory; a run of at most this many TTIs is one chunk.
+# chunk's per-TTI constants at a time, so this bounds its memory; a run
+# of at most this many TTIs is one chunk.
 CHUNK_TTIS = 2**17
 
 
@@ -216,8 +215,8 @@ class ScenarioConfig:
         power = self.baseline_power_dbm
         if not isinstance(power, Real) or isinstance(power, bool):
             raise ValueError(f"baseline_power_dbm must be a real number, got {power!r}")
-        if not math.isfinite(power):
-            raise ValueError(f"baseline_power_dbm must be finite, got {power}")
+        if not abs(power) <= 1000.0:  # as make_channel's powers, so its watts fit a float
+            raise ValueError(f"baseline_power_dbm must be finite, within +-1000 dB, got {power}")
         if self.controller.min_mcs > len(self.table):
             raise ValueError(
                 f"controller.min_mcs {self.controller.min_mcs} exceeds the "
@@ -257,12 +256,10 @@ def fading_block(
     ch: ChannelParams, n_rx: int, n_tx: int, n_steps: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Fading trajectories (n_taps, n_rx, n_tx, n_steps) with PDP weights
-    folded in, sampled at the TTI rate: a 2x2 chunk of a run holds one
-    such block, though its constants need only one tap's 4 processes at
-    a time (stream_gain_series nulls within a tap). A SISO/SIMO chunk draws
-    the same processes but asks synth_fading for their summed power
-    alone (_single_stream_link). synth_fading is called through this
-    module's name so the benchmark tracer's patch on it takes effect."""
+    folded in, sampled at the TTI rate. A link holds no such block: it
+    reduces synth_fading's rows as they are made to the gains this block
+    gives. synth_fading is called through this module's name so the
+    benchmark tracer's patch on it takes effect."""
     n_taps = len(ch.pdp_weights)
     amps = _process_amps(ch, n_rx * n_tx)
     block = synth_fading(len(amps), n_steps, ControllerConfig.tti_ms * 1e-3, _doppler(ch), rng)
@@ -389,11 +386,29 @@ def _single_stream_link(sc: ScenarioConfig, n: int, rng) -> _Link:
     bisect; the next n TTIs of rng's fading."""
     ch = sc.channel
     amps = _process_amps(ch, 2 if sc.antenna_mode == SIMO else 1)
-    # the receive-combined power of fading_block's processes, summed as
-    # each is made, so no block is held
-    gain = synth_fading(len(amps), n, ControllerConfig.tti_ms * 1e-3, _doppler(ch), rng, amps)
-    c_db = hs_sinr_db(1.0, ch.path_gain_lin * gain, ch) - _pilot_loss_db(sc)
-    return _single_stream_view(sc.table, memoryview(c_db))
+    scale = iter(amps)
+    gain = np.zeros(n)
+    power = np.empty(n)
+
+    def add_power(h):
+        # fading_block's scale, then |.|^2 summed over its processes in
+        # order (a static row's one value broadcasts over the TTIs)
+        h *= next(scale)
+        np.abs(h, out=power)
+        np.square(power, out=power)
+        np.add(gain, power, out=gain)
+
+    synth_fading(len(amps), n, ControllerConfig.tti_ms * 1e-3, _doppler(ch), rng, add_power)
+    _gains_to_db((gain,), ch, 1.0, _pilot_loss_db(sc))
+    return _single_stream_view(sc.table, memoryview(gain))
+
+
+def _gains_to_db(rows, ch: ChannelParams, p_w: float, loss_db: float) -> None:
+    """Turn each row of link gains (fading power, or one 2x2 stream's
+    spatial gain) in place into the dB SINR at p_w less loss_db, one
+    row at a time: every link constant is this step's."""
+    for row in rows:
+        row[:] = hs_sinr_db(p_w, ch.path_gain_lin * row, ch) - loss_db
 
 
 def _single_stream_view(table: McsTable, c_db) -> _Link:
@@ -416,28 +431,13 @@ def _single_stream_view(table: McsTable, c_db) -> _Link:
     )
 
 
-# TTIs per slice of the 2x2 constants step. It bounds the complex
-# temporaries of stream_gain_series, which sit on top of the fading
-# block and the constants at the peak of a 2x2 link build, to about
-# 2 MB whatever the chunk length.
-_GAIN_SLICE_TTIS = 2**12
-
-
-def _mimo_constants(block: np.ndarray, ch: ChannelParams, p_w: float, loss_db: float):
-    """dB SINR at p_w per stream, less loss_db, of a (n_taps, 2, 2, T)
-    block, shaped (3, 4, T): nulled stream 1, nulled stream 2 and the
-    combined single stream, each per PCI. The TTIs are taken
-    _GAIN_SLICE_TTIS at a time, so past the output and the block the
-    step holds one slice's temporaries; every reduction runs over taps
-    and antennas, so the slicing does not change a value."""
-    T = block.shape[-1]
-    out = np.empty((3, 4, T))
+def _add_stream_gains(gains: np.ndarray, taps: np.ndarray) -> None:
+    """Add the stream gains of taps, (n_taps, 2, 2, T) fading, into
+    gains, shaped (3, 4, T): nulled stream 1, nulled stream 2 and the
+    combined single stream, each per PCI (stream_gain_series)."""
     for pci, w in enumerate(pci_codebook()):
-        for start in range(0, T, _GAIN_SLICE_TTIS):
-            ttis = slice(start, start + _GAIN_SLICE_TTIS)
-            for k, gain in enumerate(stream_gain_series(block[..., ttis], w)):
-                out[k, pci, ttis] = hs_sinr_db(p_w, ch.path_gain_lin * gain, ch) - loss_db
-    return out
+        for row, gain in zip(gains[:, pci], stream_gain_series(taps, w)):
+            row += gain
 
 
 _HALF_DB = float(10.0 * np.log10(2.0))
@@ -447,8 +447,8 @@ def _mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm):
     """Best of the eight mode/PCI hypotheses at power p_dbm for TTI t;
     ties prefer single mode, then the lower PCI. thr and tbs are the
     table's thresholds and block sizes, a1/a2/a_single[pci][t] the dB
-    constants of _mimo_constants; a dual hypothesis needs both streams
-    in range.
+    constants of _mimo_link; a dual hypothesis needs both streams in
+    range.
 
     The best single-stream hypothesis takes one bisect, on the largest
     of the four constants: its block size is the best single one, and
@@ -553,15 +553,29 @@ def _mimo_link(sc: ScenarioConfig, n: int, rng) -> _Link:
     dual-stream TTI splits the power equally over the two streams; the
     next n TTIs of rng's fading."""
     ch = sc.channel
-    consts = _mimo_constants(fading_block(ch, 2, 2, n, rng), ch, 1.0, _pilot_loss_db(sc))
+    amps = _process_amps(ch, 4)
+    gains = np.zeros((3, 4, n))
+    tap = np.empty((4, n), dtype=complex)
+    made = 0
+
+    def add_process(h):
+        # fading_block's scale, one tap's 4 processes at a time; each
+        # full tap adds its stream gains, in tap order
+        nonlocal made
+        np.multiply(h, amps[made], out=tap[made % 4])
+        made += 1
+        if made % 4 == 0:
+            _add_stream_gains(gains, tap.reshape(1, 2, 2, n))
+
+    synth_fading(len(amps), n, ControllerConfig.tti_ms * 1e-3, _doppler(ch), rng, add_process)
+    _gains_to_db(gains.reshape(12, n), ch, 1.0, _pilot_loss_db(sc))
     # each of the 12 rows a zero-copy view of doubles, read as floats
-    return _mimo_view(sc.table, [[memoryview(row) for row in rows] for rows in consts])
+    return _mimo_view(sc.table, [[memoryview(row) for row in rows] for rows in gains])
 
 
 def _mimo_view(table: McsTable, consts) -> _Link:
-    """The 2x2 link over the constants of _mimo_constants, as three
-    rows of per-PCI sequences of Python floats (memoryviews of doubles
-    in a run)."""
+    """The 2x2 link over the constants of _mimo_link, as three rows of
+    per-PCI sequences of Python floats (memoryviews of doubles in a run)."""
     a1, a2, a_single = consts
     thr, tbs = table._thr_list, table._tbs_list
 

@@ -191,6 +191,23 @@ def test_scenario_keys_parse_to_their_field_types(tmp_path):
     assert sc.duration_ttis == 10 and sc.collect_trace is False
 
 
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("Yes", True), ("TRUE", True), ("on", True),
+    ("0", False), ("no", False), ("False", False), ("OFF", False),
+])
+def test_bool_keys_read_configparsers_eight_words(tmp_path, word, value):
+    # configparser's BOOLEAN_STATES, in any case
+    text = f"[scenario]\ncollect_trace = {word}\n"
+    assert load_config(write(tmp_path, "ok.ini", text), "run").template.collect_trace is value
+
+
+@pytest.mark.parametrize("word", ["y", "t", "2", "enabled"])
+def test_a_bool_key_outside_the_eight_words_exits_1(tmp_path, capsys, word):
+    cfg = write(tmp_path, "bad.ini", f"[scenario]\ncollect_trace = {word}\n")
+    assert main(["run", "--config", cfg]) == EXIT_PARSE
+    assert f"cannot parse {word!r} as bool for key 'collect_trace'" in capsys.readouterr().err
+
+
 def test_run_config_loads_as_template_and_its_strategy(tmp_path):
     text = "[scenario]\nstrategy = PerTtiOptimal\nantenna_mode = MIMO\n\n[power]\neta = 0.3\n"
     spec = load_config(write(tmp_path, "ok.ini", text), "run")
@@ -203,6 +220,30 @@ def test_run_config_loads_as_template_and_its_strategy(tmp_path):
 def test_invalid_scenario_exits_2(tmp_path):
     cfg = write(tmp_path, "bad.ini", "[scenario]\nduration_ttis = -1\n")
     assert main(["run", "--config", cfg]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("text, key", [
+    ("i_or_dbm = 4000", "i_or_dbm"),
+    ("geometry_db = 4000", "geometry_db"),
+    ("geometry_db = -4000", "geometry_db"),
+    ("baseline_power_dbm = 4000\nstrategy = FixedBaseline", "baseline_power_dbm"),
+    ("baseline_power_dbm = 4000\nstrategy = SemiStatic", "baseline_power_dbm"),
+])
+def test_a_power_that_overflows_exits_2_naming_it(tmp_path, capsys, text, key):
+    # refused when the config is read, naming the key, before an
+    # OverflowError or a division by zero deep in the run could be
+    cfg = write(tmp_path, "big.ini", f"[scenario]\nduration_ttis = 50\n{text}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must be finite, within +-1000 dB" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_percent_sign_is_taken_as_written(tmp_path, capsys):
+    # no % interpolation: the value is a table path, which is missing
+    cfg = write(tmp_path, "pct.ini", "[scenario]\ntable = 50%\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == EXIT_IO
+    assert "50%" in capsys.readouterr().err
 
 
 def test_missing_config_exits_3(tmp_path):

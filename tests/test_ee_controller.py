@@ -7,6 +7,7 @@ against their truth tables and hand-computed accumulations.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -435,9 +436,17 @@ def test_on_tti_rejects_a_cqi_outside_the_table(timer_ms, report, dual, min_mcs)
     assert len(t) == 30
     cqi = MimoFeedback(report[0], 0, *report[1:]) if dual else report
     select = select_optimal_dual if dual else select_optimal
-    st = ControllerState(power_dbm=40.0, timer_ms=timer_ms)
-    with pytest.raises(ValueError):
-        on_tti(st, TtiFeedback(cqi, measured_power_dbm=40.0), t, cfg, PM5, select)
+    assert_rejected_unchanged(timer_ms, cqi, t, cfg, select)
+
+
+def assert_rejected_unchanged(timer_ms, cqi, table, cfg, select=select_optimal, match=None):
+    """on_tti rejects the report cqi, arriving with a NACK and a realized
+    EE, and leaves the state as it was: timer, offset and smoothed EE."""
+    st = ControllerState(power_dbm=40.0, offset_db=0.25, timer_ms=timer_ms, ee_smoothed=1e6)
+    before = replace(st)
+    with pytest.raises(ValueError, match=match):
+        on_tti(st, TtiFeedback(cqi, (False,), 40.0, 2e6), table, cfg, PM5, select)
+    assert st == before
 
 
 @pytest.mark.parametrize("timer_ms", [0.0, 30.0])  # next step inside / past 20 ms
@@ -461,17 +470,14 @@ def test_on_tti_takes_a_numpy_integer_cqi_as_a_single_stream_report(timer_ms):
 def test_on_tti_rejects_a_report_that_is_neither_an_index_nor_mimo_feedback(timer_ms, bad):
     # a float used to fail with an AttributeError, and True was served
     # as CQI 1
-    st = ControllerState(power_dbm=40.0, timer_ms=timer_ms)
-    with pytest.raises(ValueError, match=rf"feedback.cqi .* got {re.escape(repr(bad))}"):
-        on_tti(st, TtiFeedback(bad, measured_power_dbm=40.0), default_table(),
-               ControllerConfig(), PM5)
+    assert_rejected_unchanged(timer_ms, bad, default_table(), ControllerConfig(),
+                              match=rf"feedback.cqi .* got {re.escape(repr(bad))}")
 
 
 def test_on_tti_rejects_a_negative_timer_inside_the_minimum_interval():
     cfg = ControllerConfig()
-    st = ControllerState(power_dbm=40.0, timer_ms=-10.0)  # -8 ms after the step
-    with pytest.raises(ValueError, match="timer"):
-        on_tti(st, TtiFeedback(5, measured_power_dbm=40.0), default_table(), cfg, PM5)
+    # -8 ms after the step
+    assert_rejected_unchanged(-10.0, 5, default_table(), cfg, match="timer")
 
 
 def test_on_tti_amc_follows_offset_backoff():

@@ -14,6 +14,7 @@ loop instead of at construction.
 
 import dataclasses
 import math
+import warnings
 from typing import get_type_hints
 
 import numpy as np
@@ -29,7 +30,7 @@ from hsdpa_ee.link_channel import (
 )
 from hsdpa_ee.mcs_table import McsEntry, McsTable, load_table
 from hsdpa_ee.power_model import PowerModelParams
-from hsdpa_ee.sim_engine import ScenarioConfig
+from hsdpa_ee.sim_engine import ScenarioConfig, run
 
 
 def scenario(**kw):
@@ -70,9 +71,7 @@ CASES = (
     + [(f"McsEntry.{f}", lambda v, f=f: table_with(**{f: v}))
        for f in ("sinr_threshold_db", "tbs_bits")]
     + [("synth_fading.dt_s", lambda v: synth_fading(2, 100, v, 5.56, np.random.default_rng(0))),
-       ("synth_fading.f_d", lambda v: synth_fading(2, 100, 2e-3, v, np.random.default_rng(0))),
-       ("synth_fading.amps",
-        lambda v: synth_fading(2, 100, 2e-3, 5.56, np.random.default_rng(0), [1.0, v]))]
+       ("synth_fading.f_d", lambda v: synth_fading(2, 100, 2e-3, v, np.random.default_rng(0)))]
 )
 
 # the standard's constants, the outer loop's steps and clamp and the
@@ -98,6 +97,44 @@ REJECTIONS = ([(key, build, ValueError, None) for key, build in CASES]
 def test_non_finite_input_is_rejected(build, error, match, value):
     with pytest.raises(error, match=match):
         build(value)
+
+
+def power_build(key):
+    """Build what takes the config power key: make_channel's two dB
+    values, or a scenario's baseline power."""
+    if key == "baseline_power_dbm":
+        return lambda v: scenario(baseline_power_dbm=v)
+    return lambda v: make_channel(**{"distance_m": 435.0, "i_or_dbm": -72.5, key: v})
+
+
+POWER_KEYS = ("i_or_dbm", "geometry_db", "baseline_power_dbm")
+
+
+@pytest.mark.parametrize("value", [4000.0, -4000.0])
+@pytest.mark.parametrize("key", POWER_KEYS)
+def test_power_past_1000_db_is_rejected_naming_it(key, value):
+    # 4000 dB overflowed a float (OverflowError), -4000 dB of geometry
+    # divided by zero
+    with pytest.raises(ValueError, match=f"^{key} must be finite, within \\+-1000 dB"):
+        power_build(key)(value)
+
+
+@pytest.mark.parametrize("value", [1000.0, -1000.0])
+@pytest.mark.parametrize("key", POWER_KEYS)
+def test_power_at_1000_db_runs_without_overflow(key, value):
+    # the bound is inclusive, and every power a run derives from a value
+    # on it still fits a float: no warning, no inf, no nan
+    sc = scenario(duration_ttis=50)
+    if key == "baseline_power_dbm":
+        sc = power_build(key)(value)
+    else:
+        sc = dataclasses.replace(sc, channel=power_build(key)(value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for strategy in ("FixedBaseline", "SemiStatic", "PerTtiOptimal"):
+            metrics, _ = run(dataclasses.replace(sc, strategy=strategy))
+            assert math.isfinite(metrics.consumed_energy_j) and metrics.consumed_energy_j > 0
+            assert math.isfinite(metrics.avg_ee_bits_per_joule)
 
 
 # the HSDPA standard's figures and the outer loop's are class constants,

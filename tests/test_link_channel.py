@@ -155,6 +155,14 @@ def one_shot_synth(n_procs, n_steps, dt_s, f_d, rng):
     return np.ascontiguousarray(x[:, :n_steps])
 
 
+def rows_of(n_procs, n_steps, dt_s, f_d, rng):
+    """The rows synth_fading hands to a row function, copied: it may
+    reuse a row's buffer once the call returns."""
+    rows = []
+    assert synth_fading(n_procs, n_steps, dt_s, f_d, rng, lambda h: rows.append(h.copy())) is None
+    return rows
+
+
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
 
 
@@ -185,13 +193,21 @@ def assert_same_state(a, b):
 @example(n_procs=3, n_steps=5000, dt_s=TTI_S, f_d=5.56, seed=4, bit_gen=np.random.SFC64)
 def test_synthesis_bit_equals_the_one_shot_block(n_procs, n_steps, dt_s, f_d, seed, bit_gen):
     # the generator is left where the block form leaves it, so whatever
-    # draws next (the next chunk of a run) sees the same stream
-    rng, ref_rng = (np.random.Generator(bit_gen(seed)) for _ in range(2))
+    # draws next (the next chunk of a run) sees the same stream; the rows
+    # handed to a row function are the block's rows, in order
+    rng, row_rng, ref_rng = (np.random.Generator(bit_gen(seed)) for _ in range(3))
     got = synth_fading(n_procs, n_steps, dt_s, f_d, rng)
     want = one_shot_synth(n_procs, n_steps, dt_s, f_d, ref_rng)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert_same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+    rows = rows_of(n_procs, n_steps, dt_s, f_d, row_rng)
+    assert len(rows) == n_procs
+    for row, h in zip(want, rows):
+        # a static row is one value that stands for every step
+        assert h.dtype == row.dtype and h.shape in ((n_steps,), (1,))
+        assert np.broadcast_to(h, row.shape).tobytes() == row.tobytes()
+    assert_same_state(row_rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
 def test_synthesis_peak_is_output_plus_a_few_rows():
@@ -221,6 +237,24 @@ def test_synthesis_rejects_a_non_int_count_before_any_draw(n_procs, n_steps, nam
     assert rng.bit_generator.state == before
 
 
+def reduced_synth(n_procs, n_steps, dt_s, f_d, rng, amps):
+    """sum_p |amps[p] * h_p|^2 over the rows synth_fading hands to a row
+    function, each scaled in place, squared and added as it is made, as
+    a single-stream link build adds them: no block is held."""
+    scale = iter(amps)
+    gain = np.zeros(n_steps)
+    power = np.empty(n_steps)
+
+    def add_power(h):
+        h *= next(scale)
+        np.abs(h, out=power)
+        np.square(power, out=power)
+        np.add(gain, power, out=gain)
+
+    assert synth_fading(n_procs, n_steps, dt_s, f_d, rng, add_power) is None
+    return gain
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     n_procs=st.integers(1, 16),
@@ -234,11 +268,12 @@ def test_synthesis_rejects_a_non_int_count_before_any_draw(n_procs, n_steps, nam
          seed=0)
 @example(n_procs=4, n_steps=1, f_d=0.0, amps=[1.0] * 16, seed=1)
 def test_reduced_synthesis_bit_equals_the_summed_block(n_procs, n_steps, f_d, amps, seed):
-    # each row is scaled, squared and added in process order, as the
-    # sum over the block's first axis adds them
+    # each row is scaled in place, squared and added in process order, as
+    # the sum over the block's first axis adds them; scaling a row in
+    # place changes no later row
     amps = np.array(amps[:n_procs])
     rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-    got = synth_fading(n_procs, n_steps, TTI_S, f_d, rng, amps)
+    got = reduced_synth(n_procs, n_steps, TTI_S, f_d, rng, amps)
     block = synth_fading(n_procs, n_steps, TTI_S, f_d, ref_rng)
     want = np.sum(np.abs(block * amps[:, None]) ** 2, axis=0)
     assert got.shape == want.shape == (n_steps,) and got.dtype == want.dtype
@@ -252,7 +287,7 @@ def test_reduced_synthesis_peak_is_two_output_rows_plus_a_few_rows(f_d):
     rng = np.random.default_rng(5)
     tracemalloc.start()
     try:
-        synth_fading(n_procs, n_steps, TTI_S, f_d, rng, np.ones(n_procs))
+        reduced_synth(n_procs, n_steps, TTI_S, f_d, rng, np.ones(n_procs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -261,36 +296,25 @@ def test_reduced_synthesis_peak_is_two_output_rows_plus_a_few_rows(f_d):
     assert peak <= 2 * n_steps * 8 + 4 * n_fft * 16
 
 
+# amps None is the block form; with amps the rows go to a row function
 @pytest.mark.parametrize("amps", [None, np.ones(3)])
 def test_synthesis_needs_only_the_oldest_supported_ifft(monkeypatch, amps):
     # numpy < 2 has no out= on np.fft.ifft, and pyproject declares
     # numpy >= 1.24: the synthesis must work with that signature alone
+    def synth(rng):
+        if amps is None:
+            return synth_fading(3, 5000, TTI_S, 5.56, rng)
+        return reduced_synth(3, 5000, TTI_S, 5.56, rng, amps)
+
     full_ifft = np.fft.ifft
-    want = synth_fading(3, 5000, TTI_S, 5.56, np.random.default_rng(4), amps)
+    want = synth(np.random.default_rng(4))
 
     def ifft(a, n=None, axis=-1, norm=None):
         return full_ifft(a, n, axis, norm)
 
     monkeypatch.setattr(np.fft, "ifft", ifft)
-    got = synth_fading(3, 5000, TTI_S, 5.56, np.random.default_rng(4), amps)
+    got = synth(np.random.default_rng(4))
     assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("amps, what", [
-    ([1.0], "one amplitude per process"),
-    ([1.0, 1.0, 1.0], "one amplitude per process"),
-    ([[1.0, 1.0]], "one amplitude per process"),
-    ([1.0, -0.5], "finite and >= 0"),
-    ([1.0, np.nan], "finite and >= 0"),
-    ([np.inf, 1.0], "finite and >= 0"),
-])
-@pytest.mark.parametrize("f_d", [0.0, 5.56])
-def test_reduced_synthesis_rejects_bad_amps_before_any_draw(amps, what, f_d):
-    rng = np.random.default_rng(8)
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match=f"amps must .*{what}"):
-        synth_fading(2, 100, TTI_S, f_d, rng, amps)
-    assert rng.bit_generator.state == before
 
 
 def test_fading_zero_speed_is_constant():

@@ -1,5 +1,7 @@
 """Table invariants, quantiser boundary semantics, loader diagnostics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,16 @@ def test_default_table_shape():
     assert t.tbs(30) == 25558
     assert np.all(np.diff(t.thresholds_db) > 0.0)
     assert np.all(np.diff(t.tbs_bits) >= 0.0)
+
+
+def test_default_table_text_is_pinned():
+    # the default table is make_uniform_table()'s defaults; its text is
+    # pinned, so a change to those defaults shows here
+    text = table_to_csv(default_table())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "673f428e322d43222bbdea265fde2aeaa2ea878089708e5802ebb5ecb996b091"
+    )
+    assert default_table() is default_table()
 
 
 def test_uniform_table_spacing_is_exact():

@@ -14,6 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import j0 as scipy_j0
 
 from hsdpa_ee import sim_engine
@@ -29,7 +31,14 @@ from hsdpa_ee.ee_controller import (
 )
 from hsdpa_ee.link_channel import doppler_hz, hs_sinr_db, make_channel, synth_fading
 from hsdpa_ee.mcs_table import cqi_from_sinr, reference_table
-from hsdpa_ee.mimo_dtxaa import DUAL, SINGLE, MimoFeedback, select_optimal_dual
+from hsdpa_ee.mimo_dtxaa import (
+    DUAL,
+    SINGLE,
+    MimoFeedback,
+    pci_codebook,
+    select_optimal_dual,
+    stream_gain_series,
+)
 from hsdpa_ee.power_model import PowerModelParams, total_power
 from hsdpa_ee.sim_engine import (
     FIXED_BASELINE,
@@ -543,33 +552,88 @@ def test_fading_is_sampled_at_the_tti(monkeypatch, mode):
     assert steps == [ControllerConfig.tti_ms * 1e-3]
 
 
+def assert_link_is_the_fading_blocks(mode, speed_kmh, distance_m, n, seed):
+    """The link reduces synth_fading's rows as they are made; its
+    constants must be those computed from fading_block's processes, byte
+    for byte, and the generator must end where fading_block leaves it.
+    One stream's gain is |h|^2 summed over the processes, each 2x2
+    stream's the block's summed stream gain per PCI."""
+    sc = make_scenario(antenna_mode=mode, duration_ttis=n, channel=make_channel(
+        distance_m, -72.5, geometry_db=23.0, alpha=0.995, speed_kmh=speed_kmh))
+    ch = sc.channel
+    rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+    n_rx, n_tx = {SISO: (1, 1), SIMO: (2, 1), MIMO: (2, 2)}[mode]
+    block = sim_engine.fading_block(ch, n_rx, n_tx, n, ref_rng)
+    if mode == MIMO:
+        link = sim_engine._mimo_link(sc, n, rng)
+        series = [stream_gain_series(block, w) for w in pci_codebook()]
+        gains = [[by_pci[k] for by_pci in series] for k in range(3)]
+        rows = [link.sinr_db[DUAL][0], link.sinr_db[DUAL][1], link.sinr_db[SINGLE][0]]
+    else:
+        link = sim_engine._single_stream_link(sc, n, rng)
+        gains = [[np.sum(np.abs(block) ** 2, axis=(0, 1, 2))]]
+        rows = [link.sinr_db[SINGLE][0]]
+    loss = sim_engine._pilot_loss_db(sc)
+    for got_rows, want_rows in zip(rows, gains, strict=True):
+        for got, gain in zip(got_rows, want_rows, strict=True):
+            want = hs_sinr_db(1.0, ch.path_gain_lin * gain, ch) - loss
+            assert np.array(got).tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("mode", [SISO, SIMO])
 @pytest.mark.parametrize("speed_kmh", [0.0, 3.0, 120.0])
 def test_single_stream_gain_is_the_fading_blocks_summed_power(mode, speed_kmh):
-    # the link reduces synth_fading's rows as they are made; its
-    # constants are those of summing |h|^2 over fading_block's processes
-    sc = make_scenario(antenna_mode=mode, channel=make_channel(
-        435.0, -72.5, geometry_db=23.0, alpha=0.995, speed_kmh=speed_kmh))
-    ch, n = sc.channel, 5000
-    block = sim_engine.fading_block(ch, 2 if mode == SIMO else 1, 1, n, np.random.default_rng(7))
-    gain = np.sum(np.abs(block) ** 2, axis=(0, 1, 2))
-    want = (hs_sinr_db(1.0, ch.path_gain_lin * gain, ch)
-            - sim_engine._pilot_loss_db(sc)).tolist()
-    link = sim_engine._single_stream_link(sc, n, np.random.default_rng(7))
-    assert np.array(link.sinr_db[SINGLE][0][0]).tobytes() == np.array(want).tobytes()
+    assert_link_is_the_fading_blocks(mode, speed_kmh, 435.0, 5000, 7)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from([SISO, SIMO, MIMO]),
+    speed_kmh=st.one_of(st.just(0.0), st.floats(0.5, 150.0)),
+    distance_m=st.sampled_from([435.0, 1100.0]),
+    n=st.one_of(st.integers(1, 64), st.integers(4090, 4100), st.integers(4101, 12_000)),
+    seed=st.integers(0, 2**32),
+)
+@example(mode=MIMO, speed_kmh=0.0, distance_m=435.0, n=1, seed=0)
+@example(mode=MIMO, speed_kmh=3.0, distance_m=435.0, n=4096, seed=1)
+@example(mode=MIMO, speed_kmh=120.0, distance_m=1100.0, n=4097, seed=2)
+@example(mode=SIMO, speed_kmh=3.0, distance_m=435.0, n=70_000, seed=3)
+def test_every_link_is_built_from_the_fading_blocks(mode, speed_kmh, distance_m, n, seed):
+    assert_link_is_the_fading_blocks(mode, speed_kmh, distance_m, n, seed)
 
 
 def test_single_stream_link_holds_no_fading_block():
     sc = make_scenario(antenna_mode=SIMO)
-    n, n_procs = 70_000, 2 * len(sc.channel.pdp_weights)
+    n, n_procs, n_fft = 70_000, 2 * len(sc.channel.pdp_weights), 131_072
+    for speed_kmh in (0.0, 3.0):
+        sc = replace(sc, channel=replace(sc.channel, speed_kmh=speed_kmh))
+        tracemalloc.start()
+        try:
+            sim_engine._single_stream_link(sc, n, np.random.default_rng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # holding the complex block alone would take this much; the gain,
+        # one float temporary and a few complex rows of n_fft are held
+        assert peak < n_procs * n * 16
+        assert peak <= 2 * n * 8 + 4 * n_fft * 16
+
+
+def test_mimo_link_holds_no_fading_block():
+    sc = make_scenario(antenna_mode=MIMO)
+    n, n_procs = 32_768, 4 * len(sc.channel.pdp_weights)
+    sim_engine._mimo_link(sc, 8, np.random.default_rng(5))  # warm any caches
     tracemalloc.start()
     try:
-        sim_engine._single_stream_link(sc, n, np.random.default_rng(5))
+        sim_engine._mimo_link(sc, n, np.random.default_rng(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # holding the complex block alone would take this much
-    assert peak < n_procs * n * 16
+    # the 12 constant rows and the complex block of the 16 processes,
+    # which a build holding that block would hold at once: 11.5 MB
+    # against about 10.8 MB of constants, one tap and its temporaries
+    assert peak < 12 * n * 8 + n_procs * n * 16
 
 
 # ----------------------------------------------------------------- chunks
@@ -621,37 +685,6 @@ def test_each_chunk_is_synthesized_once(small_chunks, monkeypatch):
     monkeypatch.setattr(sim_engine, "synth_fading", counting)
     run(make_scenario(antenna_mode=MIMO, duration_ttis=3 * CHUNK + 1000, collect_trace=False))
     assert calls == [CHUNK] * 3 + [1000]
-
-
-def test_mimo_constants_are_equal_bit_for_bit_over_slices(monkeypatch):
-    # every reduction of the 2x2 constants runs over taps and antennas,
-    # so taking the TTIs a slice at a time changes no value
-    ch = make_channel(435.0, -72.5, geometry_db=23.0, alpha=0.995, speed_kmh=30.0)
-    block = sim_engine.fading_block(ch, 2, 2, 2500, np.random.default_rng(3))
-    whole = sim_engine._mimo_constants(block, ch, 1.0, 0.5)
-    monkeypatch.setattr(sim_engine, "_GAIN_SLICE_TTIS", 1000)
-    sliced = sim_engine._mimo_constants(block, ch, 1.0, 0.5)
-    assert sliced.tobytes() == whole.tobytes()
-
-
-def test_mimo_constants_peak_grows_by_no_more_than_its_output(monkeypatch):
-    # past the output array, the constants step holds one slice's
-    # temporaries whatever the block length
-    monkeypatch.setattr(sim_engine, "_GAIN_SLICE_TTIS", 1024)
-    ch = make_channel(435.0, -72.5, geometry_db=23.0, alpha=0.995, speed_kmh=3.0)
-    over = []
-    for slices in (3, 6):
-        block = sim_engine.fading_block(ch, 2, 2, slices * 1024, np.random.default_rng(3))
-        sim_engine._mimo_constants(block[..., :8], ch, 1.0, 0.5)  # warm any caches
-        tracemalloc.start()
-        try:
-            out = sim_engine._mimo_constants(block, ch, 1.0, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        over.append(peak - out.nbytes)
-    # an unsliced step would hold three more slices' temporaries, about 1.5 MB
-    assert over[1] <= over[0] + 16_000
 
 
 @pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])
