@@ -2,7 +2,7 @@
 
 Three subcommands:
 
-    hsdpa-ee run      --config cfg.ini | --preset figure5   [--seed N] [--out DIR] [--reps N]
+    hsdpa-ee run      --config cfg.ini | --preset figure5   [--seed N] [--out DIR]
     hsdpa-ee sweep    --config cfg.ini | --preset figure7   [--seed N] [--out DIR] [--reps N]
     hsdpa-ee tablegen [--step-db 1.0] [--entries 30] [--out mcs_table.csv]
 
@@ -376,15 +376,17 @@ PRESETS = {
 
 
 def _override(spec: ExperimentSpec, seed: int | None, reps: int | None) -> ExperimentSpec:
-    """Apply the command line's --seed and --reps to an experiment."""
+    """Apply the command line's --seed and --reps to an experiment;
+    only a sweep has repetitions to set."""
     if seed is not None:
         _check_count("seed", seed, 0)
         if spec.template is not None:
             spec = replace(spec, template=replace(spec.template, seed=seed))
     if reps is not None:
+        if spec.kind != "sweep":
+            raise ValueError(f"reps applies to a sweep only, not to {spec.name}")
         _check_count("reps", reps, 1)
-        if spec.kind == "sweep":
-            spec = replace(spec, repetitions=reps)
+        spec = replace(spec, repetitions=reps)
     return spec
 
 
@@ -598,8 +600,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help=f"one of: {', '.join(sorted(PRESETS))}")
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")
         p.add_argument("--out", metavar="DIR", default=".", help="output directory")
-        p.add_argument("--reps", type=int, default=None,
-                       help="override sweep repetitions")
+        if name == "sweep":
+            p.add_argument("--reps", type=int, default=None,
+                           help="override sweep repetitions")
     t = sub.add_parser("tablegen", help="emit a synthetic MCS table as CSV")
     t.add_argument("--step-db", type=float, default=1.0, help="threshold spacing, dB")
     t.add_argument("--entries", type=int, default=30, help="number of CQI levels")
@@ -610,14 +613,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    reps = getattr(args, "reps", None)  # only sweep takes --reps
     try:
         if args.command == "tablegen":
             cmd_tablegen(args.step_db, args.entries, args.out)
             return EXIT_OK
         if args.preset:
-            spec = build_preset(args.preset, seed=args.seed, reps=args.reps)
+            spec = build_preset(args.preset, seed=args.seed, reps=reps)
         else:
-            spec = _override(load_config(args.config, args.command), args.seed, args.reps)
+            spec = _override(load_config(args.config, args.command), args.seed, reps)
         (cmd_run if args.command == "run" else cmd_sweep)(spec, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

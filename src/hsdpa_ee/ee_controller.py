@@ -31,16 +31,16 @@ optimum is a step function of x (the ratio structure of
 Dinkelbach-style fractional programming). One search serves both
 selectors: its candidates are the levels at offsets beta_j for a
 single stream, and for 2x2 the equal-shift MCS pairs of a report at
-the offsets of their shared power (mimo_dtxaa). Candidates at one
-offset form a group whose best is its first with the most bits. Once
-per (table, power model, and for 2x2 the reported pair) the search is
-built and cached, with the x intervals on which one group beats every
-other by a relative margin of at least _TIE_MARGIN, derived in closed
-form. A call bisects those intervals for the optimum and the offsets
-for the power ceiling. Outside every interval, within the margin of a
-crossing where rounding could decide the order, it evaluates every
-candidate instead, so the result is always the first maximum of the
-per-candidate efficiencies as evaluated below.
+the offsets of their shared power (mimo_dtxaa), in non-decreasing
+offset order. Once per (table, power model, and for 2x2 the reported
+pair) the search is built and cached, with the x intervals on which
+one candidate beats every other by a relative margin of at least
+_TIE_MARGIN, derived in closed form. A call bisects those intervals
+for the optimum and the offsets for the power ceiling. Outside every
+interval, within the margin of a crossing where rounding could decide
+the order (or where two candidates tie at one offset), it evaluates
+every candidate instead, so the result is always the first maximum of
+the per-candidate efficiencies as evaluated below.
 
 The chosen candidate's efficiency is evaluated with numpy's power ufunc,
 not Python's ** or math.pow. numpy dispatches its own SIMD kernel (on
@@ -255,7 +255,7 @@ class _ArgmaxIntervals(NamedTuple):
 
 def _argmax_intervals(offsets_db, bits, pm: PowerModelParams) -> _ArgmaxIntervals:
     """Closed-form argmax map of candidates that cost x + offsets_db[j]
-    dBm (offsets ascending) and carry bits[j].
+    dBm (offsets non-decreasing) and carry bits[j].
 
     With c = overhead and y = x + offset, EE ~ bits / (1 + 10^((y + K)/10))
     where 10^(K/10) = 1e-3 / (eta c). For candidates L and m the log
@@ -294,17 +294,14 @@ def _argmax_intervals(offsets_db, bits, pm: PowerModelParams) -> _ArgmaxInterval
 
 
 class _Search(NamedTuple):
-    """One selector's candidates, per position k in ascending power order
-    and per group g of positions at one power."""
+    """One selector's candidates, per position k in non-decreasing power
+    order."""
 
-    items: list  # k: what a selection returns, a level or a pair
-    bits: list[float]  # k: block size, or block-size sum
-    group: list[int]  # k: its group
-    floor: list[int]  # k: max over positions <= k of the candidate's lowest level
-    offsets: list[float]  # g: power above the reported level's, ascending
-    ends: list[int]  # g: one past its last position
-    intervals: _ArgmaxIntervals  # over groups; items map to best[g]
-    best: list[int]  # g: its first position with the largest bits
+    items: list  # what a selection returns, a level or a pair
+    bits: list[float]  # block size, or block-size sum
+    floor: list[int]  # max over positions <= k of the candidate's lowest level
+    offsets: list[float]  # power above the reported level's
+    intervals: _ArgmaxIntervals  # items are positions
     owners: tuple  # the table and power model, keeping their ids unique
 
 
@@ -319,22 +316,12 @@ _searches: dict = {}
 
 
 def _build_search(key, table, pm, items, bits, offsets, lowest) -> _Search:
-    """The search over candidates items at ascending power offsets, with
-    block sizes bits and lowest levels lowest (for the min_mcs floor),
-    cached under key."""
-    group, g_offsets, ends, best = [], [], [], []
-    for k, offset in enumerate(offsets):
-        if not g_offsets or offset != g_offsets[-1]:
-            g_offsets.append(offset)
-            ends.append(k)
-            best.append(k)
-        elif bits[k] > bits[best[-1]]:
-            best[-1] = k
-        ends[-1] = k + 1
-        group.append(len(g_offsets) - 1)
+    """The search over candidates items at non-decreasing power offsets,
+    with block sizes bits and lowest levels lowest (for the min_mcs
+    floor), cached under key."""
     floor = list(accumulate(lowest, max))
-    intervals = _argmax_intervals(g_offsets, [bits[k] for k in best], pm)
-    search = _Search(items, bits, group, floor, g_offsets, ends, intervals, best, (table, pm))
+    intervals = _argmax_intervals(offsets, bits, pm)
+    search = _Search(items, bits, floor, offsets, intervals, (table, pm))
     if len(_searches) >= _CACHE_LIMIT:
         _searches.clear()
     _searches[key] = search
@@ -350,44 +337,40 @@ def _level_search(table: McsTable, pm: PowerModelParams) -> _Search:
 
 def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, result):
     """The constrained EE argmax of search's candidates, candidate k at
-    p_dbm + offsets[group[k]] - ref + delta_db, as result(item, power,
-    ee, infeasible)."""
-    items, bits, group, floor, offsets, ends, intervals, best, _ = search
+    p_dbm + offsets[k] - ref + delta_db, as result(item, power, ee,
+    infeasible)."""
+    items, bits, floor, offsets, intervals, _ = search
     x = p_dbm - ref + delta_db
 
-    # the affordable positions: the groups whose power fits the budget.
+    # the affordable positions: those whose power fits the budget.
     # Powers rise with the offset, so the bisect lands next to the last
     # one and the loops settle what rounding decides.
     p_max = cfg.p_max_dbm
-    n_groups = len(offsets)
-    g = bisect_right(offsets, p_max - x)
-    while g < n_groups and p_dbm + offsets[g] - ref + delta_db <= p_max:
-        g += 1
-    while g > 0 and p_dbm + offsets[g - 1] - ref + delta_db > p_max:
-        g -= 1
-    affordable = ends[g - 1] if g else 0
+    n = len(offsets)
+    affordable = bisect_right(offsets, p_max - x)
+    while affordable < n and p_dbm + offsets[affordable] - ref + delta_db <= p_max:
+        affordable += 1
+    while affordable > 0 and p_dbm + offsets[affordable - 1] - ref + delta_db > p_max:
+        affordable -= 1
 
     tti_s = cfg.tti_ms * 1e-3
     pos_min = bisect_left(floor, cfg.min_mcs)
     if pos_min >= affordable:  # no admissible candidate fits the budget
         pos = max(affordable - 1, 0)
-        p_pos = p_dbm + offsets[group[pos]] - ref + delta_db
+        p_pos = p_dbm + offsets[pos] - ref + delta_db
         return result(items[pos], p_max, _ee(p_pos, bits[pos], tti_s, pm), True)
 
-    # the group whose interval holds x wins with room to spare; outside
-    # every interval, evaluate every candidate
+    # the candidate whose interval holds x wins with room to spare;
+    # outside every interval, evaluate every candidate
     starts, stops, winners = intervals
     i = bisect_right(starts, x) - 1
     if i >= 0 and x <= stops[i]:
-        pos_star = best[winners[i]]
+        pos_star = winners[i]
     else:
-        ees = [
-            _ee(p_dbm + offsets[group[k]] - ref + delta_db, bits[k], tti_s, pm)
-            for k in range(len(items))
-        ]
+        ees = [_ee(p_dbm + offsets[k] - ref + delta_db, bits[k], tti_s, pm) for k in range(n)]
         pos_star = ees.index(max(ees))
     pos = min(max(pos_star, pos_min), affordable - 1)
-    p_pos = p_dbm + offsets[group[pos]] - ref + delta_db
+    p_pos = p_dbm + offsets[pos] - ref + delta_db
     return result(items[pos], p_pos, _ee(p_pos, bits[pos], tti_s, pm), False)
 
 

@@ -82,35 +82,33 @@ class ChannelParams:
     held constant over a run; only the numerator of the SINR fades.
 
     The HS-PDSCH's spreading factor (16) on a 5 MHz carrier (3GPP TS
-    25.308) at 2 GHz, and the ITU Pedestrian A tap powers, are class
-    constants, not fields: no experiment varies them. The taps fade as
-    independent flat Rayleigh processes, so tap delays never reach a
-    link gain and are not kept. The noise density n0_w_per_hz defaults
-    to the terminal's UE_NOISE_W_PER_HZ.
+    25.308) at 2 GHz, the ITU Pedestrian A tap powers and the terminal's
+    noise density (n0_w_per_hz, UE_NOISE_W_PER_HZ) are class constants,
+    not fields: no experiment varies them. The taps fade as independent
+    flat Rayleigh processes, so tap delays never reach a link gain and
+    are not kept.
     """
 
     sf = 16
     bandwidth_hz = 5e6
     carrier_hz = 2e9
     pdp_weights = pa3_profile()
+    n0_w_per_hz = UE_NOISE_W_PER_HZ
 
     i_or_w: float
     i_oc_w: float
     alpha: float = 0.9  # own-cell orthogonality, 1 = perfectly orthogonal
-    n0_w_per_hz: float = UE_NOISE_W_PER_HZ
     speed_kmh: float = 3.0
     distance_m: float = 1000.0
 
     def __post_init__(self):
-        for name in ("i_or_w", "i_oc_w", "alpha", "n0_w_per_hz", "speed_kmh", "distance_m"):
+        for name in ("i_or_w", "i_oc_w", "alpha", "speed_kmh", "distance_m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.i_or_w < 0.0 or self.i_oc_w < 0.0:
             raise ValueError("interference powers must be >= 0")
-        if self.n0_w_per_hz <= 0.0:
-            raise ValueError("noise density must be > 0")
         if self.speed_kmh < 0.0:
             raise ValueError("speed must be >= 0")
         if self.distance_m <= 0.0:
@@ -141,8 +139,8 @@ def make_channel(
 
     geometry_db is I_or / (I_oc + N0 * W) in dB; the other-cell power is
     derived from it and clipped at zero when the requested geometry is
-    already noise-limited. N0 is the terminal's UE_NOISE_W_PER_HZ, the
-    default of ChannelParams. Both dB values must lie within +-1000 dB,
+    already noise-limited. N0 is the terminal's UE_NOISE_W_PER_HZ,
+    ChannelParams.n0_w_per_hz. Both dB values must lie within +-1000 dB,
     far past any link, so that no power below overflows a float.
     """
     for name, value in (("i_or_dbm", i_or_dbm), ("geometry_db", geometry_db)):
@@ -304,13 +302,14 @@ def hs_sinr_db(p_hs_w: float, link_gain, params: ChannelParams):
 
     link_gain is the path gain times the receive-combined fading power,
     or times the spatial gain for one nulled 2x2 stream. Accepts a
-    scalar or an array of gains.
+    scalar or an array of gains. A negative or NaN power or gain is
+    refused.
     """
-    if p_hs_w < 0.0:
-        raise ValueError("transmit power must be >= 0")
+    if not p_hs_w >= 0.0:
+        raise ValueError(f"transmit power p_hs_w must be >= 0, got {p_hs_w}")
     g = np.asarray(link_gain, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("link gain must be >= 0")
+    if not (g >= 0.0).all():
+        raise ValueError("link_gain must be >= 0 and not NaN")
     with np.errstate(divide="ignore"):
         out = 10.0 * np.log10(params.sf * p_hs_w * g / params.denominator_w)
     return float(out) if out.ndim == 0 else out

@@ -111,11 +111,18 @@ def cqi_from_sinr(table: McsTable, sinr_db):
 
     The 0 return is the out-of-range marker: no entry is supportable and
     the scheduler should not serve data. Scalar inputs use bisect,
-    arrays go through searchsorted.
+    arrays go through searchsorted. A NaN SINR is refused: bisect and
+    searchsorted would both rank it above every threshold.
     """
     if np.ndim(sinr_db) == 0:
-        return bisect_right(table._thr_list, float(sinr_db))
-    return np.searchsorted(table.thresholds_db, np.asarray(sinr_db), side="right")
+        value = float(sinr_db)
+        if math.isnan(value):
+            raise ValueError(f"sinr_db must not be NaN, got {value}")
+        return bisect_right(table._thr_list, value)
+    values = np.asarray(sinr_db)
+    if np.isnan(values).any():
+        raise ValueError("sinr_db must not be NaN")
+    return np.searchsorted(table.thresholds_db, values, side="right")
 
 
 def threshold_delta(table: McsTable, from_cqi: int, to_cqi: int) -> float:

@@ -26,8 +26,8 @@ are its candidates, at power DUAL_SHIFT_FACTOR * (beta_j1 - beta_i1)
 above the reported pair's, with the lower level of a pair as its
 level for the min_mcs floor. The enumeration is row-major in the
 stream-1 level, on which alone the power depends, so with
-DUAL_SHIFT_FACTOR positive the list is already in ascending power
-order and needs no sort.
+DUAL_SHIFT_FACTOR positive the list is already in non-decreasing power
+order and needs no sort; pairs whose shifts round equal share a power.
 """
 
 from __future__ import annotations

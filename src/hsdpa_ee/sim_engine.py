@@ -56,15 +56,15 @@ cells in a row (the powers of a fixed_power sweep, or FixedBaseline and
 SemiStatic at one point). A run of another key drops the kept link
 before it builds its own, so one link is alive at a time; between runs
 the engine holds that link, up to about 12.6 MB for a full 2x2 chunk
-(12 rows of 131072 doubles). A
-run longer than one chunk keeps none. A FixedBaseline run never
-changes its power, so on every link its reports (the threshold bisect
-of a single stream, the 8-hypothesis search of 2x2) are computed for
-every TTI of a chunk in one vectorised call before the loop enters it
-(_Link.fixed_reports), with the tie rules of the scalar report that
-serves the controller strategies, one call per TTI. Its outer loop and
-plain AMC are ee_controller.update_offset and amc_level at min_mcs 1,
-written out in the loop on a local offset.
+(12 rows of 131072 doubles). A run longer than one chunk keeps none.
+A FixedBaseline run never changes its power, so on every link its
+reports are computed for every TTI of a chunk in one vectorised call
+before the loop enters it (_Link.fixed_reports): the threshold bisect
+of a single stream, and for 2x2 the first of the eight hypotheses with
+the most bits, walked in report order. They equal the scalar report
+that serves the controller strategies, one call per TTI. Its outer
+loop and plain AMC are ee_controller.update_offset and amc_level at
+min_mcs 1, written out in the loop on a local offset.
 
 The feedback delay, the retransmission limit, the pilot averaging
 window and the chunk length are module constants (FEEDBACK_DELAY_TTIS,
@@ -75,7 +75,7 @@ too, as class constants of the configs that read them: the TTI
 and ChannelParams' spreading factor, bandwidth, carrier and Pedestrian
 A tap powers. So are the outer loop's steps and clamp (class
 constants of ControllerConfig) and the terminal's noise density
-(link_channel.UE_NOISE_W_PER_HZ).
+(ChannelParams.n0_w_per_hz).
 """
 
 from __future__ import annotations
@@ -507,44 +507,32 @@ def _mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm):
 
 
 def _mimo_hypotheses(thr, tbs, a1, a2, a_single, p_dbm):
-    """_mimo_hypothesis at power p_dbm for every TTI at once, as
+    """The 2x2 report at power p_dbm for every TTI at once, as
     (hypothesis, c1, c2) arrays: hypothesis pci for a single-stream
-    winner and 4 + pci for a dual one. thr and tbs are the table's
+    report and 4 + pci for a dual one. thr and tbs are the table's
     thresholds and (integer) block sizes as arrays, a1/a2/a_single the
-    per-PCI rows of _mimo_hypothesis. The single-stream winner is found
-    as there; the dual rows are searched one PCI at a time in its order
-    with its strict >, so ties resolve alike and temporaries stay
-    O(T)."""
-    rows = [np.asarray(r) for r in a_single]
-    T = len(rows[0])
-    off = p_dbm - 30.0
-    top = np.maximum(np.maximum(rows[0], rows[1]), np.maximum(rows[2], rows[3]))
-    c1 = np.searchsorted(thr, top + off, side="right")
-    best_bits = np.where(c1 > 0, tbs[c1 - 1], 0)
-    # the lowest level with the best block size (0 out of range), and
-    # the threshold a PCI must reach to get it
-    low = np.minimum(np.searchsorted(tbs, best_bits, side="left") + 1, c1)
-    need = np.concatenate(([-np.inf], thr))[low]
-    hyp = np.zeros(T, dtype=np.int64)
-    for pci in (3, 2, 1, 0):
-        hyp[rows[pci] + off >= need] = pci
-    # where a lower level has the same block size, the winner's own
-    # level may lie below c1
-    repeated = np.flatnonzero(low < c1)
-    if repeated.size:
-        won = np.choose(hyp[repeated], [r[repeated] for r in rows])
-        c1[repeated] = np.searchsorted(thr, won + off, side="right")
-    c2 = np.zeros(T, dtype=np.int64)
-    off -= _HALF_DB
-    for pci in range(4):
-        d1 = np.searchsorted(thr, np.asarray(a1[pci]) + off, side="right")
-        d2 = np.searchsorted(thr, np.asarray(a2[pci]) + off, side="right")
-        bits = np.where((d1 > 0) & (d2 > 0), tbs[d1 - 1] + tbs[d2 - 1], -1)
+    per-PCI rows of _mimo_hypothesis.
+
+    The rule itself: walk the eight hypotheses in report order,
+    single-stream PCI 0-3 then dual-stream PCI 0-3, count one only when
+    every stream is in range, and keep the first with strictly more
+    bits; with none, the report is single-stream PCI 0 at CQI 0."""
+    T = len(a1[0])
+    hyp, c1, c2, best_bits = (np.zeros(T, dtype=np.int64) for _ in range(4))
+    bits_at = np.concatenate(([0], tbs))  # a level's block size, 0 out of range
+    hypotheses = [(a_single[pci],) for pci in range(4)] + [(a1[pci], a2[pci]) for pci in range(4)]
+    for h, streams in enumerate(hypotheses):
+        off = p_dbm - 30.0 if h < 4 else p_dbm - 30.0 - _HALF_DB
+        cqis = [np.searchsorted(thr, np.asarray(row) + off, side="right") for row in streams]
+        bits = sum(bits_at[c] for c in cqis)
         better = bits > best_bits
-        best_bits[better] = bits[better]
-        hyp[better] = 4 + pci
-        c1[better] = d1[better]
-        c2[better] = d2[better]
+        for c in cqis:
+            better &= c > 0
+        np.copyto(hyp, h, where=better)
+        np.copyto(best_bits, bits, where=better)
+        np.copyto(c1, cqis[0], where=better)
+        if h >= 4:
+            np.copyto(c2, cqis[1], where=better)
     return hyp, c1, c2
 
 

@@ -482,13 +482,30 @@ def test_preset_wrong_command_exits_2(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("command, preset", [("run", "figure5"), ("sweep", "figure7")])
+@pytest.mark.parametrize("command, preset", [("sweep", "figure7")])
 @pytest.mark.parametrize("reps", ["0", "-2"])
 def test_reps_below_one_exits_2_naming_it(tmp_path, capsys, command, preset, reps):
     argv = [command, "--preset", preset, "--reps", reps, "--out", str(tmp_path)]
     assert main(argv) == EXIT_INVALID
     assert f"reps must be >= 1, got {reps}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_run_refuses_reps(tmp_path, capsys):
+    # a run has no repetitions to set, so run does not offer the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "figure5", "--reps", "3", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_INVALID
+    assert "--reps" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_reps_override_of_a_spec_that_is_not_a_sweep_names_it(tmp_path):
+    with pytest.raises(ValueError, match="^reps applies to a sweep only, not to figure5"):
+        build_preset("figure5", reps=3)
+    spec = load_config(write(tmp_path, "run.ini", RUN_CONFIG), "run")
+    with pytest.raises(ValueError, match="^reps applies to a sweep only"):
+        cli_report._override(spec, None, 3)
 
 
 def test_negative_seed_flag_exits_2_naming_the_seed(tmp_path, capsys):

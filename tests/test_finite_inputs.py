@@ -2,7 +2,8 @@
 synthesis reject NaN and infinite numbers, a run length, a seed and an
 MCS floor must be ints, and the HSDPA standard's constants (the TTI,
 spreading factor, bandwidth, carrier and tap powers), the outer loop's
-steps and clamp and the UE noise figure cannot be set.
+steps and clamp and the UE noise figure and density cannot be set. The
+SINR and CQI maps refuse a NaN SINR, power or gain.
 
 Without these checks a NaN slips through every range comparison (they
 are all false) and a run finishes with NaN energy, while the selectors'
@@ -24,11 +25,12 @@ from hsdpa_ee.ee_controller import ControllerConfig
 from hsdpa_ee.link_channel import (
     UE_NOISE_W_PER_HZ,
     ChannelParams,
+    hs_sinr_db,
     make_channel,
     pa3_profile,
     synth_fading,
 )
-from hsdpa_ee.mcs_table import McsEntry, McsTable, load_table
+from hsdpa_ee.mcs_table import McsEntry, McsTable, cqi_from_sinr, load_table, reference_table
 from hsdpa_ee.power_model import PowerModelParams
 from hsdpa_ee.sim_engine import ScenarioConfig, run
 
@@ -75,15 +77,15 @@ CASES = (
 )
 
 # the standard's constants, the outer loop's steps and clamp and the
-# noise figure used to be float settings checked here; they are constants
-# now, so a non-finite value for one is refused as an unknown keyword, a
-# TypeError that names it
+# noise figure and density used to be float settings checked here; they
+# are constants now, so a non-finite value for one is refused as an
+# unknown keyword, a TypeError that names it
 PINNED_CASES = (
     [(f"ControllerConfig.{f}", lambda v, f=f: ControllerConfig(**{f: v}))
      for f in ("tti_ms", "offset_step_up_db", "offset_step_down_db", "offset_clamp_db")]
     + [(f"ChannelParams.{f}",
         lambda v, f=f: ChannelParams(**{"i_or_w": 1e-10, "i_oc_w": 1e-11, f: v}))
-       for f in ("bandwidth_hz", "carrier_hz", "pdp_weights")]
+       for f in ("bandwidth_hz", "carrier_hz", "pdp_weights", "n0_w_per_hz")]
     + [("make_channel.noise_figure_db", lambda v: make_channel(435.0, -72.5, noise_figure_db=v))]
 )
 
@@ -137,8 +139,9 @@ def test_power_at_1000_db_runs_without_overflow(key, value):
             assert math.isfinite(metrics.avg_ee_bits_per_joule)
 
 
-# the HSDPA standard's figures and the outer loop's are class constants,
-# not fields, so no value of theirs, finite or not, can be passed
+# the HSDPA standard's figures, the outer loop's and the terminal's noise
+# density are class constants, not fields, so no value of theirs, finite
+# or not, can be passed
 PINNED = (
     (ControllerConfig, "tti_ms", 2.0, 1.0),
     (ControllerConfig, "offset_step_up_db", 0.5, 0.3),
@@ -148,6 +151,7 @@ PINNED = (
     (ChannelParams, "bandwidth_hz", 5e6, 10e6),
     (ChannelParams, "carrier_hz", 2e9, 9e8),
     (ChannelParams, "pdp_weights", pa3_profile(), (1.0,)),
+    (ChannelParams, "n0_w_per_hz", UE_NOISE_W_PER_HZ, 1e-17),
 )
 
 
@@ -161,10 +165,32 @@ def test_pinned_constant_is_not_settable(cls, name, standard, other):
 
 
 def test_make_channel_uses_the_default_noise_density():
-    # the UE noise density is stated once, as ChannelParams' default
-    default = ChannelParams(i_or_w=1e-10, i_oc_w=1e-11).n0_w_per_hz
+    # the UE noise density is stated once, as ChannelParams' constant
+    default = ChannelParams.n0_w_per_hz
     assert default == UE_NOISE_W_PER_HZ == 3.9811e-21 * 10.0 ** (9.0 / 10.0)
     assert make_channel(435.0, -72.5).n0_w_per_hz == default
+
+
+@pytest.mark.parametrize("sinr_db", [math.nan, np.array([1.0, math.nan]), [math.nan]],
+                         ids=["scalar", "array", "list"])
+def test_nan_sinr_has_no_cqi(sinr_db):
+    # bisect and searchsorted both rank NaN above every threshold, so
+    # unchecked it would map to the top CQI
+    with pytest.raises(ValueError, match="^sinr_db must not be NaN"):
+        cqi_from_sinr(reference_table(), sinr_db)
+
+
+@pytest.mark.parametrize("gain", [math.nan, np.array([1.0, math.nan])], ids=["scalar", "array"])
+def test_nan_link_gain_is_rejected(gain):
+    # g < 0 is false for NaN: a check of that form lets it through to a
+    # NaN SINR
+    with pytest.raises(ValueError, match="^link_gain must be >= 0"):
+        hs_sinr_db(1.0, gain, make_channel(435.0, -72.5))
+
+
+def test_nan_transmit_power_is_rejected():
+    with pytest.raises(ValueError, match="^transmit power p_hs_w must be >= 0, got nan"):
+        hs_sinr_db(math.nan, 1.0, make_channel(435.0, -72.5))
 
 
 @pytest.mark.parametrize("field", ["sinr_threshold_db", "tbs_bits"])

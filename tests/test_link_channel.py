@@ -364,8 +364,10 @@ def test_simo_aggregate_power_mean_near_two():
 
 
 def unit_denominator_params() -> ChannelParams:
-    # alpha=1 and i_oc=0 leave exactly the 1 W noise term
-    return ChannelParams(i_or_w=10.0, i_oc_w=0.0, alpha=1.0, n0_w_per_hz=2e-7)
+    # alpha=1 removes the own-cell term; other-cell power tops the
+    # terminal's noise up to 1 W
+    noise_w = ChannelParams(i_or_w=10.0, i_oc_w=0.0).noise_w
+    return ChannelParams(i_or_w=10.0, i_oc_w=1.0 - noise_w, alpha=1.0)
 
 
 def test_hs_sinr_hand_anchor():
@@ -384,7 +386,8 @@ def test_hs_sinr_power_doubling_adds_3db():
 
 
 def test_hs_sinr_interference_limited_regime():
-    ch = ChannelParams(i_or_w=1.0, i_oc_w=1e-9, alpha=0.0, n0_w_per_hz=1e-17)
+    # the terminal's noise (1.6e-13 W) and i_oc are negligible next to I_or
+    ch = ChannelParams(i_or_w=1.0, i_oc_w=1e-9, alpha=0.0)
     p, g = 0.25, 0.8
     approx = 10 * np.log10(16 * p * g / 1.0)
     assert hs_sinr_db(p, g, ch) == pytest.approx(approx, abs=1e-6)

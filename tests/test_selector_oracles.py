@@ -350,6 +350,32 @@ def test_select_optimal_dual_matches_numpy_oracle(table, pm, seed):
         assert_same(select_optimal_dual(*call), oracle_select_optimal_dual(*call))
 
 
+def test_select_optimal_dual_with_candidates_at_one_power():
+    # thresholds 0 and 5e-14 dB apart round to equal power shifts, so
+    # the report (1, 1) has four pairs at one offset: [(1,1), (2,2),
+    # (2,3), (3,2), (3,3), (4,4)] at [0, 2000, 2000, 2000, 2000, 2002]
+    table = McsTable(tuple(
+        McsEntry(k + 1, thr, tbs, 2, 1)
+        for k, (thr, tbs) in enumerate(zip((-1000.0, 0.0, 5e-14, 1.0), (100, 300, 300, 900)))
+    ))
+    pm = PowerModelParams(m_a=2)
+    fb = MimoFeedback(DUAL, 0, 1, 1)
+    pairs = enumerate_equal_delta_pairs(1, 1, table)
+    assert pairs == [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
+    assert [estimate_dual_power(0.0, 1, j1, table) for j1, _ in pairs] == [
+        0.0, 2000.0, 2000.0, 2000.0, 2000.0, 2002.0]
+    intervals = _pair_search(table, pm, 1, 1).intervals
+    edges = intervals.starts[1:] + intervals.ends[:-1]
+    powers = [*np.linspace(-2100.0, -1900.0, 401).tolist(), *around(*edges)]
+    for p in powers:
+        for delta in (-0.5, 0.0, 0.5):
+            for min_mcs in (1, 2, 3):
+                for p_max in (43.0, -500.0):
+                    cfg = ControllerConfig(p_max_dbm=p_max, min_mcs=min_mcs)
+                    call = (p, fb, delta, table, cfg, pm)
+                    assert_same(select_optimal_dual(*call), oracle_select_optimal_dual(*call))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(tables(), power_models, st.data())
 def test_select_optimal_dual_on_and_beside_every_breakpoint(table, pm, data):
@@ -439,7 +465,11 @@ def test_mimo_fixed_reports_match_scalar_report(table, p_dbm, data):
         at_thresholds(rng, a, table, p_dbm)
         a[rng.random((4, T)) < 0.05] = -np.inf  # a stream nulled to zero gain
     link = _mimo_view(table, np.stack([a1, a2, a_single]).tolist())
-    assert_same_reports(link.fixed_reports(p_dbm), [link.report(t, p_dbm) for t in range(T)])
+    reports = link.fixed_reports(p_dbm)
+    assert_same_reports(reports, [link.report(t, p_dbm) for t in range(T)])
+    thr, tbs = table.thresholds_db, np.array(table._tbs_list)
+    for t, report in enumerate(reports):
+        assert report[:4] == oracle_mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
