@@ -482,12 +482,26 @@ def test_preset_wrong_command_exits_2(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("command, preset", [("sweep", "figure7")])
+# sweep checks the value; run has no repetitions, so its parser refuses the flag
+REPS_REFUSAL = {
+    "sweep": "reps must be >= 1, got {reps}",
+    "run": "unrecognized arguments: --reps {reps}",
+}
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses by exiting
+        return exc.code
+
+
+@pytest.mark.parametrize("command, preset", [("run", "figure5"), ("sweep", "figure7")])
 @pytest.mark.parametrize("reps", ["0", "-2"])
 def test_reps_below_one_exits_2_naming_it(tmp_path, capsys, command, preset, reps):
     argv = [command, "--preset", preset, "--reps", reps, "--out", str(tmp_path)]
-    assert main(argv) == EXIT_INVALID
-    assert f"reps must be >= 1, got {reps}" in capsys.readouterr().err
+    assert _exit_code(argv) == EXIT_INVALID
+    assert REPS_REFUSAL[command].format(reps=reps) in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
