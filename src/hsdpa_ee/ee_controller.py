@@ -244,18 +244,12 @@ _TIE_MARGIN = 1e-9
 _LN10_DB = math.log(10.0) / 10.0
 
 
-class _ArgmaxIntervals(NamedTuple):
-    """Disjoint x intervals [starts[k], ends[k]], ascending, on each of
-    which candidate items[k] is the EE argmax by at least _TIE_MARGIN."""
-
-    starts: list[float]
-    ends: list[float]
-    items: list[int]
-
-
-def _argmax_intervals(offsets_db, bits, pm: PowerModelParams) -> _ArgmaxIntervals:
+def _argmax_intervals(offsets_db, bits, pm: PowerModelParams) -> tuple[list, list, list]:
     """Closed-form argmax map of candidates that cost x + offsets_db[j]
-    dBm (offsets non-decreasing) and carry bits[j].
+    dBm (offsets non-decreasing) and carry bits[j], as (starts, ends,
+    winners): disjoint x intervals [starts[k], ends[k]], ascending, on
+    each of which candidate winners[k] is the EE argmax by at least
+    _TIE_MARGIN.
 
     With c = overhead and y = x + offset, EE ~ bits / (1 + 10^((y + K)/10))
     where 10^(K/10) = 1e-3 / (eta c). For candidates L and m the log
@@ -290,18 +284,20 @@ def _argmax_intervals(offsets_db, bits, pm: PowerModelParams) -> _ArgmaxInterval
     hi = np.where(upper, edge, np.inf).min(axis=1)
     items = np.flatnonzero(~never.any(axis=1) & (lo < hi))
     items = items[np.argsort(lo[items], kind="stable")]
-    return _ArgmaxIntervals(lo[items].tolist(), hi[items].tolist(), items.tolist())
+    return lo[items].tolist(), hi[items].tolist(), items.tolist()
 
 
 class _Search(NamedTuple):
     """One selector's candidates, per position k in non-decreasing power
-    order."""
+    order, and the argmax intervals of _argmax_intervals over them."""
 
     items: list  # what a selection returns, a level or a pair
     bits: list[float]  # block size, or block-size sum
     floor: list[int]  # max over positions <= k of the candidate's lowest level
     offsets: list[float]  # power above the reported level's
-    intervals: _ArgmaxIntervals  # items are positions
+    starts: list[float]  # x where each interval starts, ascending
+    ends: list[float]  # x where it ends
+    winners: list[int]  # the position that wins on it
     owners: tuple  # the table and power model, keeping their ids unique
 
 
@@ -320,8 +316,7 @@ def _build_search(key, table, pm, items, bits, offsets, lowest) -> _Search:
     with block sizes bits and lowest levels lowest (for the min_mcs
     floor), cached under key."""
     floor = list(accumulate(lowest, max))
-    intervals = _argmax_intervals(offsets, bits, pm)
-    search = _Search(items, bits, floor, offsets, intervals, (table, pm))
+    search = _Search(items, bits, floor, offsets, *_argmax_intervals(offsets, bits, pm), (table, pm))
     if len(_searches) >= _CACHE_LIMIT:
         _searches.clear()
     _searches[key] = search
@@ -339,7 +334,7 @@ def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, re
     """The constrained EE argmax of search's candidates, candidate k at
     p_dbm + offsets[k] - ref + delta_db, as result(item, power, ee,
     infeasible)."""
-    items, bits, floor, offsets, intervals, _ = search
+    items, bits, floor, offsets, starts, ends, winners, _ = search
     x = p_dbm - ref + delta_db
 
     # the affordable positions: those whose power fits the budget.
@@ -362,9 +357,8 @@ def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, re
 
     # the candidate whose interval holds x wins with room to spare;
     # outside every interval, evaluate every candidate
-    starts, stops, winners = intervals
     i = bisect_right(starts, x) - 1
-    if i >= 0 and x <= stops[i]:
+    if i >= 0 and x <= ends[i]:
         pos_star = winners[i]
     else:
         ees = [_ee(p_dbm + offsets[k] - ref + delta_db, bits[k], tti_s, pm) for k in range(n)]

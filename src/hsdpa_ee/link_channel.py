@@ -198,13 +198,9 @@ def _jakes_bin_energies(n_fft: int, dt_s: float, f_d: float) -> np.ndarray:
     lo = np.clip(freqs - 0.5 * df, -f_d, f_d)
     hi = np.clip(freqs + 0.5 * df, -f_d, f_d)
     energies = (np.arcsin(hi / f_d) - np.arcsin(lo / f_d)) / np.pi
-    # guard against a fully contained band (f_d < df/2): put all mass at DC
-    total = energies.sum()
-    if total <= 0.0:
-        energies = np.zeros(n_fft)
-        energies[0] = 1.0
-        return energies
-    return energies / total
+    # bin 0 always holds [-min(df/2, f_d), min(df/2, f_d)], so the sum is
+    # positive; a band narrower than one bin is all in it, exactly 1.0
+    return energies / energies.sum()
 
 
 def synth_fading(

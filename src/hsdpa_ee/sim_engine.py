@@ -33,7 +33,7 @@ Failed blocks are retransmitted at the same MCS and the then-current
 power, up to MAX_RETRANSMISSIONS, and count their payload once, at the
 attempt that decodes. A pending block goes out before any new data on
 its stream at the next TTI that serves that stream. When the failure
-is queued differs by antenna mode:
+is queued differs by antenna mode, which sets it in _run_link:
 
 * SISO/SIMO queue the NACK arriving at TTI t before t transmits, so the
   block can go out at t itself; a newer failure replaces a block still
@@ -51,8 +51,8 @@ chunks' per-TTI SINR constants, not their fading) depends only on the
 channel, the antenna mode, the run length, the seed and the table
 (_link_key). run keeps the link of the last run that fit in one chunk,
 and a run of an equal key reuses it: strategies of one realization run
-back to back, and the cells of a sweep, which runs each realization's
-cells in a row (the powers of a fixed_power sweep, or FixedBaseline and
+back to back, and the runs of a sweep, which lists them in realization
+order (the powers of a fixed_power sweep, or FixedBaseline and
 SemiStatic at one point). A run of another key drops the kept link
 before it builds its own, so one link is alive at a time; between runs
 the engine holds that link, up to about 12.6 MB for a full 2x2 chunk
@@ -84,6 +84,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import product
 from numbers import Real
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -342,7 +343,7 @@ def _build_link(sc: ScenarioConfig) -> Iterator[_Link]:
 def _link_key(sc: ScenarioConfig) -> tuple:
     """Everything _build_link reads from sc. Runs of equal keys,
     compared by value, have equal links: run reuses its kept link for
-    them, and sweep runs them back to back."""
+    them."""
     return sc.channel, sc.antenna_mode, sc.duration_ttis, sc.seed, sc.table
 
 
@@ -363,17 +364,14 @@ class _Link(NamedTuple):
     pilot loss, of stream slot under a report of that mode, a Python
     float read from a row of packed doubles (a memoryview of a float64
     array, 8 B a TTI; indexing the array itself would give np.float64,
-    whose arithmetic could change the trace text); and
-    share_db[mode] how far each stream's power lies below the total.
-    resolve_first selects the retransmission timing (see the module
-    docstring), and ttis is the chunk's length.
+    whose arithmetic could change the trace text); and ttis is the
+    chunk's length. What the antenna mode fixes, each stream's power
+    share and the retransmission timing, _run_link reads from the mode.
     """
 
     report: Callable[[int, float], tuple]
     fixed_reports: Callable[[float], list]
     sinr_db: dict
-    share_db: dict
-    resolve_first: bool
     ttis: int
 
 
@@ -425,10 +423,7 @@ def _single_stream_view(table: McsTable, c_db) -> _Link:
         distinct = [(SINGLE, 0, c, 0, p_dbm) for c in range(len(thr) + 1)]
         return list(map(distinct.__getitem__, cqi.tolist()))
 
-    return _Link(
-        report, fixed_reports, {SINGLE: ((c_db,),)}, {SINGLE: 0.0}, resolve_first=True,
-        ttis=len(c_db),
-    )
+    return _Link(report, fixed_reports, {SINGLE: ((c_db,),)}, len(c_db))
 
 
 def _add_stream_gains(gains: np.ndarray, taps: np.ndarray) -> None:
@@ -440,7 +435,10 @@ def _add_stream_gains(gains: np.ndarray, taps: np.ndarray) -> None:
             row += gain
 
 
+# how far each stream's power lies below the total, by report mode: a
+# dual-stream TTI splits its power equally over the two streams
 _HALF_DB = float(10.0 * np.log10(2.0))
+_SHARE_DB = {SINGLE: 0.0, DUAL: _HALF_DB}
 
 
 def _mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm):
@@ -585,11 +583,7 @@ def _mimo_view(table: McsTable, consts) -> _Link:
         ]
         return list(map(distinct.__getitem__, idx.tolist()))
 
-    sinr_db = {SINGLE: (a_single,), DUAL: (a1, a2)}
-    return _Link(
-        report, fixed_reports, sinr_db, {SINGLE: 0.0, DUAL: _HALF_DB}, resolve_first=False,
-        ttis=len(a1[0]),
-    )
+    return _Link(report, fixed_reports, {SINGLE: (a_single,), DUAL: (a1, a2)}, len(a1[0]))
 
 
 # -------------------------------------------------------------- TTI loop
@@ -620,6 +614,10 @@ def _run_link(
     baseline = strategy == FIXED_BASELINE
     always_fire = strategy == PER_TTI_OPTIMAL
     collect = sc.collect_trace
+    share_db = _SHARE_DB
+    # the mode's retransmission timing, for the two _queue_retx calls:
+    # SISO/SIMO queue a failure before the TTI transmits, 2x2 after it
+    resolve_first = sc.antenna_mode != MIMO
 
     trace: list[TtiRecord] = []
     emit = trace.append if sink is None else sink
@@ -652,7 +650,7 @@ def _run_link(
 
     base = 0  # TTIs of the run before the current chunk
     for link in links:
-        report, fixed_reports, sinr_db, share_db, resolve_first, n = link
+        report, fixed_reports, sinr_db, n = link
         # the baseline's power never changes: every report of the chunk
         # is known before its first TTI
         fixed = fixed_reports(p_cfg) if baseline else None
@@ -859,14 +857,18 @@ def sweep(
     """Run value x strategy x antenna-mode x repetition and aggregate.
 
     Repetition r uses the same derived seed in every cell, so curves
-    share their channel realizations and differences are paired. Cells
-    with the same realization (channel, antenna mode, run length, seed
-    and table) run back to back through run, which builds their link
-    once when the run fits in one chunk of CHUNK_TTIS TTIs: every power
-    of a fixed_power sweep, every strategy at one value. A longer run
-    rebuilds its chunks one at a time, so memory stays bounded. The
-    strategy label carries the antenna mode when more than one is swept
-    (e.g. "FixedBaseline/MIMO").
+    share their channel realizations and differences are paired. Every
+    run is derived before the first one runs, so a bad value fails
+    before any work. The runs go by repetition, then antenna mode, then
+    value, then strategy: a fixed_power or theta_min value leaves the
+    channel as it is, so the runs of one realization (channel, antenna
+    mode, run length, seed and table) come back to back and run builds
+    their link once when the run fits in one chunk of CHUNK_TTIS TTIs.
+    A longer run rebuilds its chunks one at a time, so memory stays
+    bounded. The points come in value, antenna mode, strategy order,
+    each cell's samples in repetition order. The strategy label carries
+    the antenna mode when more than one is swept (e.g.
+    "FixedBaseline/MIMO").
 
     Antenna modes are swept through antenna_modes, not as a variable, and
     theta_min values must be integers. No entry of values, strategies or
@@ -886,38 +888,23 @@ def sweep(
             raise ValueError(f"{name} has a repeated entry: {list(entries)}")
     seeds = [int(s) for s in np.random.SeedSequence(template.seed).generate_state(repetitions)]
 
-    jobs = []
-    for value in values:
-        for mode in antenna_modes:
-            for strat in strategies:
-                label = strat if len(antenna_modes) == 1 else f"{strat}/{mode}"
-                for rep in range(repetitions):
-                    sc = _derive(template, variable, value, strat, mode, seeds[rep])
-                    jobs.append((value, label, sc))
-
-    # jobs that share a channel realization run back to back, so run
-    # builds its link once per group; each result goes back to its job's
-    # place
-    groups: dict[tuple, list[int]] = {}
-    for i, (_, _, sc) in enumerate(jobs):
-        groups.setdefault(_link_key(sc), []).append(i)
-    results: list[RunMetrics | None] = [None] * len(jobs)
-    for members in groups.values():
-        for i in members:
-            results[i] = run(jobs[i][2])[0]
-
-    by_cell: dict[tuple, list[RunMetrics]] = {}
-    for (value, label, _), metrics in zip(jobs, results):
-        by_cell.setdefault((value, label), []).append(metrics)
+    cells: dict[tuple, list] = {c: [] for c in product(values, antenna_modes, strategies)}
+    # every run derived before the first one, in realization order
+    runs = [
+        (cells[value, mode, strat], _derive(template, variable, value, strat, mode, seed))
+        for seed, mode, value, strat in product(seeds, antenna_modes, values, strategies)
+    ]
+    for ms, sc in runs:
+        ms.append(run(sc)[0])
 
     points: list[SweepPoint] = []
-    for (value, label), ms in by_cell.items():
+    for (value, mode, strat), ms in cells.items():
         ees = np.array([m.avg_ee_bits_per_joule for m in ms])
         points.append(
             SweepPoint(
                 variable=variable,
                 value=value,
-                strategy=label,
+                strategy=strat if len(antenna_modes) == 1 else f"{strat}/{mode}",
                 mean_ee=float(ees.mean()),
                 std_ee=float(ees.std(ddof=1)) if len(ees) > 1 else 0.0,
                 mean_reconfigs=float(np.mean([m.reconfig_count for m in ms])),

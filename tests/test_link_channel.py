@@ -137,6 +137,15 @@ def test_fading_autocorrelation_tracks_jakes():
         assert emp == pytest.approx(ref, abs=0.05)
 
 
+@pytest.mark.parametrize("n_fft, f_d", [(4096, 0.01), (4096, 5e-7), (131_072, 1e-3)])
+def test_a_band_narrower_than_one_bin_is_a_unit_impulse_at_dc(n_fft, f_d):
+    # a bin is 1 / (n_fft * 2 ms) wide, 0.122 Hz at 4096 bins and 3.8 mHz
+    # at 131072: the whole Jakes band falls in bin 0, at exactly 1.0
+    want = np.zeros(n_fft)
+    want[0] = 1.0
+    assert _jakes_bin_energies(n_fft, TTI_S, f_d).tobytes() == want.tobytes()
+
+
 def one_shot_synth(n_procs, n_steps, dt_s, f_d, rng):
     """synth_fading as one (n_procs, n_fft) spectrum and one batched
     inverse FFT: the form the per-process synthesis must reproduce."""

@@ -228,16 +228,16 @@ def test_select_optimal_on_and_beside_every_breakpoint(table, pm, data):
     i = data.draw(st.integers(1, n))
     ref = table.threshold(i)
     cfg = ControllerConfig(p_max_dbm=1e4, min_mcs=1)
-    intervals = _level_search(table, pm).intervals
+    search = _level_search(table, pm)
 
     def argmax_at(p):
         return oracle_select_optimal(p, i, 0.0, table, cfg, pm).mcs
 
     # the search works in x = p - ref; its interval edges, moved to p
-    edges = [x + ref for x in intervals.starts[1:] + intervals.ends[:-1]]
+    edges = [x + ref for x in search.starts[1:] + search.ends[:-1]]
     points = list(around(*edges))
-    for k in range(len(intervals.items) - 1):
-        lo, hi = flip_point(argmax_at, intervals.ends[k] + ref, intervals.starts[k + 1] + ref)
+    for k in range(len(search.winners) - 1):
+        lo, hi = flip_point(argmax_at, search.ends[k] + ref, search.starts[k + 1] + ref)
         points.extend(around(lo, hi))
     for p in points:
         assert_same(select_optimal(p, i, 0.0, table, cfg, pm),
@@ -246,9 +246,9 @@ def test_select_optimal_on_and_beside_every_breakpoint(table, pm, data):
 
 def test_reference_table_has_eight_optimal_levels():
     for m_a in (1, 2):
-        intervals = _level_search(reference_table(), PowerModelParams(m_a=m_a)).intervals
-        assert len(intervals.items) == 8
-        assert intervals.starts[0] == -math.inf and intervals.ends[-1] == math.inf
+        search = _level_search(reference_table(), PowerModelParams(m_a=m_a))
+        assert len(search.winners) == 8
+        assert search.starts[0] == -math.inf and search.ends[-1] == math.inf
 
 
 def test_zero_overhead_argmax_ignores_power():
@@ -364,8 +364,8 @@ def test_select_optimal_dual_with_candidates_at_one_power():
     assert pairs == [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
     assert [estimate_dual_power(0.0, 1, j1, table) for j1, _ in pairs] == [
         0.0, 2000.0, 2000.0, 2000.0, 2000.0, 2002.0]
-    intervals = _pair_search(table, pm, 1, 1).intervals
-    edges = intervals.starts[1:] + intervals.ends[:-1]
+    search = _pair_search(table, pm, 1, 1)
+    edges = search.starts[1:] + search.ends[:-1]
     powers = [*np.linspace(-2100.0, -1900.0, 401).tolist(), *around(*edges)]
     for p in powers:
         for delta in (-0.5, 0.0, 0.5):
@@ -382,15 +382,15 @@ def test_select_optimal_dual_on_and_beside_every_breakpoint(table, pm, data):
     n = len(table)
     fb = MimoFeedback(DUAL, 0, data.draw(st.integers(1, n)), data.draw(st.integers(1, n)))
     cfg = ControllerConfig(p_max_dbm=1e4, min_mcs=1)
-    intervals = _pair_search(table, pm, fb.cqi_primary, fb.cqi_secondary).intervals
+    search = _pair_search(table, pm, fb.cqi_primary, fb.cqi_secondary)
 
     def select(select_fn, p):
         return select_fn(p, fb, 0.0, table, cfg, pm)
 
-    points = list(around(*intervals.starts[1:], *intervals.ends[:-1]))
-    for k in range(len(intervals.items) - 1):
+    points = list(around(*search.starts[1:], *search.ends[:-1]))
+    for k in range(len(search.winners) - 1):
         lo, hi = flip_point(lambda p: select(oracle_select_optimal_dual, p).pair,
-                            intervals.ends[k], intervals.starts[k + 1])
+                            search.ends[k], search.starts[k + 1])
         points.extend(around(lo, hi))
     for p in points:
         assert_same(select(select_optimal_dual, p), select(oracle_select_optimal_dual, p))

@@ -537,6 +537,26 @@ def test_sweep_synthesizes_each_realization_once(monkeypatch):
     sweep(template, "speed", [3.0, 30.0], repetitions=2,
           strategies=(FIXED_BASELINE, SEMI_STATIC))
     assert len(calls) == 2 * 2  # one per (speed, repetition)
+    calls.clear()
+    # a theta_min value leaves the channel as it is, like a power
+    sweep(template, "theta_min", [1, 5, 9], repetitions=2,
+          strategies=(FIXED_BASELINE, SEMI_STATIC), antenna_modes=(SIMO, MIMO))
+    assert len(calls) == 2 * 2  # one per (mode, repetition)
+
+
+def test_sweep_rejects_a_later_bad_value_before_any_run(monkeypatch):
+    calls = []
+    original = sim_engine.run
+
+    def counting(sc, sink=None):
+        calls.append(sc)
+        return original(sc, sink)
+
+    monkeypatch.setattr(sim_engine, "run", counting)
+    template = make_scenario(duration_ttis=100, collect_trace=False)
+    with pytest.raises(ValueError, match="theta_min"):
+        sweep(template, "theta_min", [3, 2.5], repetitions=2, antenna_modes=(SIMO, MIMO))
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", [SIMO, MIMO])
@@ -850,6 +870,10 @@ def reference_run(sc, chunks):
     idle_energy = ts * pm.overhead_w
     state = new_controller_state(cfg, p)
     steps = [(link, i) for link in chunks for i in range(link.ttis)]
+    # SISO/SIMO queue a failure before the TTI transmits, 2x2 after it;
+    # a dual-stream TTI splits its power equally over the streams
+    resolve_first = sc.antenna_mode != MIMO
+    share_db = {SINGLE: 0.0, DUAL: float(10.0 * np.log10(2.0))}
     # the report measured at TTI t, and the (acks, failed blocks) of t,
     # each acted on at t + delay
     measured = [None] * len(steps)
@@ -896,10 +920,10 @@ def reference_run(sc, chunks):
                 counts[branch] += 1
             p = state.power_dbm
             levels = dec.levels
-        if link.resolve_first:
+        if resolve_first:
             queue(failed_in, True)
         if levels:
-            off = (p - 30.0) - link.share_db[fb[0]]
+            off = (p - 30.0) - share_db[fb[0]]
             energy = ts * (10.0 ** ((p - 30.0) / 10.0) / pm.eta + pm.overhead_w)
             sent = []
             acks, failed, delivered = [], [], 0
@@ -931,7 +955,7 @@ def reference_run(sc, chunks):
             sample_ee = 0.0
             trace.append(sim_engine.TtiRecord(
                 t, float("-inf"), 0, 0, OUTCOME_IDLE, 0, idle_energy, reconfigured))
-        if not link.resolve_first:
+        if not resolve_first:
             queue(failed_in, False)
         measured[t] = link.report(i, p)
 
