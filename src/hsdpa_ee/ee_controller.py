@@ -306,8 +306,9 @@ class _Search(NamedTuple):
 # objects, so an id cannot be reused by another object while its entry
 # exists; hashing the frozen table's rows on every call would cost more
 # than the search saves. Cleared when full: a run uses one table and
-# power model.
-_CACHE_LIMIT = 512
+# power model, so the limit holds one 30-level table's level search and
+# all 900 of its pair searches (about 4.2 MB).
+_CACHE_LIMIT = 1024
 _searches: dict = {}
 
 
@@ -475,6 +476,11 @@ def on_tti(
     table, cfg, pm): select_optimal for a CQI index, select_optimal_dual
     for a dual-mode MimoFeedback. The per-TTI optimum is this step with
     always_fire set.
+
+    The engine (sim_engine._run_link) calls this step only where the
+    trigger is evaluated: a report in range once the timer has passed
+    the minimum interval. It steps every other TTI itself with the same
+    arithmetic, and runs the per-TTI optimum by calling select directly.
 
     Out-of-range CQI serves nothing and skips trigger evaluation; the
     timer still runs and late ACK/NACK outcomes still adapt the offset.

@@ -62,9 +62,23 @@ reports are computed for every TTI of a chunk in one vectorised call
 before the loop enters it (_Link.fixed_reports): the threshold bisect
 of a single stream, and for 2x2 the first of the eight hypotheses with
 the most bits, walked in report order. They equal the scalar report
-that serves the controller strategies, one call per TTI. Its outer
-loop and plain AMC are ee_controller.update_offset and amc_level at
-min_mcs 1, written out in the loop on a local offset.
+that serves the controller strategies, one call per TTI.
+
+The loop steps the controller itself, on locals, except where the
+trigger is evaluated. Every strategy's ACK/NACK outer loop is
+ee_controller.update_offset, written out once on a local offset.
+FixedBaseline serves amc_level at min_mcs 1, written out. PerTtiOptimal
+is on_tti with always_fire set: it calls select_optimal or
+select_optimal_dual on every report in range and applies the result.
+SemiStatic calls on_tti only where on_tti evaluates the dual trigger,
+on a report in range once the minimum interval has passed, with the
+offset, the timer and the smoothed EE written into its ControllerState
+around the call. On its other TTIs the loop advances the timer and the
+smoothed EE as on_tti does, and inside the minimum interval serves
+on_tti's plain AMC, amc_level at the controller's min_mcs, written out;
+most TTIs are of this kind, which is what the dual trigger is for. The
+loop calls on_tti and the selectors by this module's names, so the
+benchmark tracer's patches on them take effect.
 
 The feedback delay, the retransmission limit, the pilot averaging
 window and the chunk length are module constants (FEEDBACK_DELAY_TTIS,
@@ -589,6 +603,15 @@ def _mimo_view(table: McsTable, consts) -> _Link:
 # -------------------------------------------------------------- TTI loop
 
 
+class _DualReports(dict):
+    """The MimoFeedback of each (pci, cqi1, cqi2) dual report, made on
+    its first lookup: it is immutable, so a run's TTIs can share it."""
+
+    def __missing__(self, key):
+        fb = self[key] = MimoFeedback(DUAL, *key)
+        return fb
+
+
 def _queue_retx(failed, retx, replace: bool) -> None:
     """Queue the failed (slot, mcs, tbs, count) blocks for resending;
     replace decides whether a newer failure displaces a pending one."""
@@ -613,6 +636,7 @@ def _run_link(
     strategy = sc.strategy
     baseline = strategy == FIXED_BASELINE
     always_fire = strategy == PER_TTI_OPTIMAL
+    semi_static = strategy == SEMI_STATIC
     collect = sc.collect_trace
     share_db = _SHARE_DB
     # the mode's retransmission timing, for the two _queue_retx calls:
@@ -634,19 +658,23 @@ def _run_link(
 
     st = new_controller_state(cfg, sc.baseline_power_dbm)
     p_cfg = sc.baseline_power_dbm
-    # FixedBaseline's outer-loop offset and update_offset's constants
-    offset = st.offset_db
+    # the controller state, kept in locals: the outer-loop offset and
+    # SemiStatic's trigger timer and smoothed EE, written into st for each
+    # on_tti call; then the constants of update_offset and on_tti
+    offset, timer, ee_smoothed = st.offset_db, st.timer_ms, st.ee_smoothed
     step_up, step_down = cfg.offset_step_up_db, cfg.offset_step_down_db
     clamp = cfg.offset_clamp_db
     neg_clamp = -clamp
+    tti_ms = cfg.tti_ms
+    min_interval = cfg.min_reconfig_interval_ms
+    smoothing = cfg.ee_smoothing
+    min_mcs = cfg.min_mcs
     p_energy = served_energy = None  # energy of a served TTI, cached per power
     # an idle TTI's power and energy, one object each for the whole run
     idle_p = float("-inf")
     idle_energy = ts * overhead
     last_sample_ee = 0.0
-    # one MimoFeedback per distinct (pci, cqi1, cqi2) dual report of the
-    # run: it is immutable, so its TTIs can share it
-    dual_reports: dict[tuple, MimoFeedback] = {}
+    dual_reports = _DualReports()
 
     base = 0  # TTIs of the run before the current chunk
     for link in links:
@@ -662,54 +690,78 @@ def _run_link(
             arriving_acks = acks_due[k]
             arriving_failed = failed_due[k]
 
+            # the ACK/NACK outer loop of every strategy: update_offset,
+            # written out
+            for ack in arriving_acks:
+                if ack:
+                    offset -= step_down
+                else:
+                    offset += step_up
+                if offset > clamp:
+                    offset = clamp
+                elif offset < neg_clamp:
+                    offset = neg_clamp
+
             # every applied trigger decision counts as a reconfiguration,
             # even one that lands on the values already in force: it is the
             # signaling event that costs, not the numeric delta
             reconfigured = False
+            levels = ()
             if baseline:
-                # hold power, conventional link adaptation with the same
-                # ACK/NACK outer loop backing off the served levels:
-                # update_offset, then amc_level(table, cqi, -offset, 1),
-                # written out (bisect_right never exceeds the table)
-                for ack in arriving_acks:
-                    if ack:
-                        offset -= step_down
-                    else:
-                        offset += step_up
-                    if offset > clamp:
-                        offset = clamp
-                    elif offset < neg_clamp:
-                        offset = neg_clamp
-                levels = ()
+                # hold power, conventional link adaptation backed off by the
+                # outer loop: amc_level(table, cqi, -offset, 1), written out
+                # (bisect_right never exceeds the table)
                 if fb is not None and (fb[0] == DUAL or fb[2] >= 1):
                     levels = (bisect_right(thr, thr[fb[2] - 1] - offset) or 1,)
                     if fb[0] == DUAL:
                         levels += (bisect_right(thr, thr[fb[3] - 1] - offset) or 1,)
-            else:
-                if fb is None:
-                    cqi, p_meas, select = 0, None, select_optimal
-                elif fb[0] == SINGLE:
-                    cqi, p_meas, select = fb[2], fb[4], select_optimal
+            elif fb is None or fb[2] < 1:
+                # no report in range: nothing is served, and SemiStatic's
+                # timer and smoothed EE advance as in on_tti
+                if semi_static:
+                    timer += tti_ms
+                    ee_smoothed += smoothing * (last_sample_ee - ee_smoothed)
+            elif always_fire:
+                # PerTtiOptimal, on_tti with always_fire set: every report
+                # in range selects, and the selection is applied
+                if fb[0] == SINGLE:
+                    sel = select_optimal(fb[4], fb[2], offset, table, cfg, pm)
                 else:
-                    key = fb[1:4]
-                    cqi = dual_reports.get(key)
-                    if cqi is None:
-                        cqi = dual_reports[key] = MimoFeedback(DUAL, *key)
-                    p_meas, select = fb[4], select_optimal_dual
+                    sel = select_optimal_dual(fb[4], dual_reports[fb[1:4]], offset, table, cfg, pm)
+                reconfigured = True
+                reconfigs += 1
+                p_cfg = sel.power_dbm
+                levels = sel.levels
+            elif timer + tti_ms > min_interval:
+                # SemiStatic evaluates its dual trigger: on_tti steps st,
+                # whose offset has taken this TTI's ACKs already
+                if fb[0] == SINGLE:
+                    cqi, select = fb[2], select_optimal
+                else:
+                    cqi, select = dual_reports[fb[1:4]], select_optimal_dual
+                st.offset_db, st.timer_ms, st.ee_smoothed = offset, timer, ee_smoothed
                 st, dec = on_tti(
-                    st,
-                    TtiFeedback(cqi, arriving_acks, p_meas, last_sample_ee),
-                    table,
-                    cfg,
-                    pm,
-                    select,
-                    always_fire,
+                    st, TtiFeedback(cqi, (), fb[4], last_sample_ee), table, cfg, pm, select
                 )
+                timer, ee_smoothed = st.timer_ms, st.ee_smoothed
                 if dec.action == RECONFIGURE:
                     reconfigured = True
                     reconfigs += 1
-                p_cfg = st.power_dbm
+                    p_cfg = st.power_dbm
                 levels = dec.levels
+            else:
+                # SemiStatic inside the minimum interval, as on_tti steps
+                # it: the timer and the smoothed EE advance, and plain AMC
+                # serves at the held power, amc_level(table, cqi, (p_cfg -
+                # measured) - offset, min_mcs), written out
+                timer += tti_ms
+                ee_smoothed += smoothing * (last_sample_ee - ee_smoothed)
+                shift = (p_cfg - fb[4]) - offset
+                m = bisect_right(thr, thr[fb[2] - 1] + shift)
+                levels = (m if m > min_mcs else min_mcs,)
+                if fb[0] == DUAL:
+                    m = bisect_right(thr, thr[fb[3] - 1] + shift)
+                    levels += (m if m > min_mcs else min_mcs,)
 
             if resolve_first and arriving_failed:
                 _queue_retx(arriving_failed, retx, True)

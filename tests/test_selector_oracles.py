@@ -16,6 +16,7 @@ controller that always selects.
 
 import dataclasses
 import math
+from collections import Counter
 from itertools import accumulate
 
 import numpy as np
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hsdpa_ee import ee_controller
+from hsdpa_ee import ee_controller, mimo_dtxaa
 from hsdpa_ee.ee_controller import (
     KEEP,
     RECONFIGURE,
@@ -327,6 +328,30 @@ def test_search_cache_is_bounded_and_transparent():
         assert got_dual == want_dual
         assert len(ee_controller._searches) <= ee_controller._CACHE_LIMIT
     assert {len(key) for key in ee_controller._searches} == {2, 4}  # (table, pm[, i1, i2])
+
+
+def test_every_pair_search_of_one_table_fits_the_cache(monkeypatch):
+    # a 30-level table has 900 dual reports: with the level search they
+    # all fit, so a run that meets every report builds each search once
+    table = reference_table()
+    cfg = ControllerConfig()
+    pm = PowerModelParams(m_a=2)
+    builds = Counter()
+
+    def counting(key, *args, _build=mimo_dtxaa._build_search):
+        builds[key[2:]] += 1
+        return _build(key, *args)
+
+    monkeypatch.setattr(mimo_dtxaa, "_build_search", counting)
+    ee_controller._searches.clear()
+    pairs = [(i1, i2) for i1 in range(1, len(table) + 1) for i2 in range(1, len(table) + 1)]
+    assert len(pairs) + 1 <= ee_controller._CACHE_LIMIT
+    select_optimal(40.0, 15, 0.2, table, cfg, pm)
+    for _ in range(2):
+        for i1, i2 in pairs:
+            select_optimal_dual(40.0, MimoFeedback(DUAL, 0, i1, i2), 0.2, table, cfg, pm)
+    assert builds == Counter(pairs)
+    assert (id(table), id(pm)) in ee_controller._searches  # the level search stayed
 
 
 def test_sweep_runs_share_one_power_model_per_mode():

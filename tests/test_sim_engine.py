@@ -9,6 +9,7 @@ mechanics and determinism.
 
 import sys
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -860,8 +861,10 @@ def reference_run(sc, chunks):
     report is the chunk's scalar report(t, p) at the power configured at
     t, and every served TTI's energy is computed from its power. Returns
     the run's (metrics, trace) and counts: outer-loop updates that ended
-    on the clamp, and SemiStatic reconfigurations by the event and by the
-    periodic branch of the trigger."""
+    on the clamp, SemiStatic reconfigurations by the event and by the
+    periodic branch of the trigger, and the TTIs on which SemiStatic
+    evaluates its trigger (a report in range past the minimum
+    interval)."""
     cfg, pm, table = sc.controller, sc.power_model, sc.table
     delay = sim_engine.FEEDBACK_DELAY_TTIS
     ts = cfg.tti_ms * 1e-3
@@ -881,7 +884,7 @@ def reference_run(sc, chunks):
     retx = [None, None]
     trace = []
     bits = attempts = nacks = reconfigs = 0
-    counts = {"clamped": 0, "event": 0, "periodic": 0}
+    counts = {"clamped": 0, "event": 0, "periodic": 0, "evaluated": 0}
     energy_j = 0.0
     sample_ee = 0.0
 
@@ -911,6 +914,8 @@ def reference_run(sc, chunks):
             else:
                 report, p_meas, select = fb[2], fb[4], select_optimal
             timer_ms = state.timer_ms + cfg.tti_ms  # as on_tti advances it
+            counts["evaluated"] += (sc.strategy == SEMI_STATIC and fb is not None and fb[2] >= 1
+                                    and timer_ms > cfg.min_reconfig_interval_ms)
             state, dec = on_tti(state, TtiFeedback(report, acks_in, p_meas, sample_ee),
                                 table, cfg, pm, select, sc.strategy == PER_TTI_OPTIMAL)
             reconfigured = dec.action == RECONFIGURE
@@ -983,14 +988,30 @@ def assert_same_run(got, want):
         assert type(g.p_tx_dbm) is type(w.p_tx_dbm)
 
 
+def counting_steps(monkeypatch):
+    """Wrap the engine's on_tti and selectors; the Counter returned
+    counts their calls by name."""
+    calls = Counter()
+    for name in ("on_tti", "select_optimal", "select_optimal_dual"):
+        def wrapper(*args, _name=name, _fn=getattr(sim_engine, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sim_engine, name, wrapper)
+    return calls
+
+
 @pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])
 @pytest.mark.parametrize("power, ttis", [(40, 2000), (40.5, 2000), (21.0, 6000)])
-def test_fixed_baseline_equals_a_step_through_the_controller_functions(mode, power, ttis):
+def test_fixed_baseline_equals_a_step_through_the_controller_functions(
+    monkeypatch, mode, power, ttis
+):
     sc = make_scenario(antenna_mode=mode, strategy=FIXED_BASELINE, baseline_power_dbm=power,
                        duration_ttis=ttis)
     chunks = list(sim_engine._build_link(sc))
     metrics, trace, counts = reference_run(sc, chunks)
+    calls = counting_steps(monkeypatch)
     assert_same_run(sim_engine._run_link(sc, chunks), (metrics, trace))
+    assert not calls  # neither the controller step nor a selector
     if power == 21.0:
         # at a low power the NACKs drive the offset into its clamp
         assert counts["clamped"] > 0
@@ -1027,19 +1048,29 @@ CELL_EDGE = make_channel(1100.0, -72.5, geometry_db=0.0, alpha=0.995, speed_kmh=
 @pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])
 @pytest.mark.parametrize("strategy", [SEMI_STATIC, PER_TTI_OPTIMAL])
 @pytest.mark.parametrize("edge", [False, True], ids=["3kmh-435m", "30kmh-1100m"])
-def test_controller_run_equals_a_step_through_on_tti(mode, strategy, edge):
+def test_controller_run_equals_a_step_through_on_tti(monkeypatch, mode, strategy, edge):
     sc = make_scenario(antenna_mode=mode, strategy=strategy, duration_ttis=3000,
                        **({"channel": CELL_EDGE} if edge else {}))
     chunks = list(sim_engine._build_link(sc))
     metrics, trace, counts = reference_run(sc, chunks)
+    calls = counting_steps(monkeypatch)
     assert_same_run(sim_engine._run_link(sc, chunks), (metrics, trace))
     if edge:
         warm = sim_engine.FEEDBACK_DELAY_TTIS
         assert any(r.outcome == OUTCOME_IDLE for r in trace[warm:])
+    served = sum(r.outcome != OUTCOME_IDLE for r in trace)
     if strategy == SEMI_STATIC:
         assert counts["event"] > 0 and counts["periodic"] > 0, counts
+        # the engine calls on_tti only where the trigger is evaluated,
+        # and most served TTIs fall inside the minimum interval
+        assert calls["on_tti"] == counts["evaluated"] < served
     else:
-        assert metrics.reconfig_count == sum(r.outcome != OUTCOME_IDLE for r in trace)
+        assert metrics.reconfig_count == served
+        # no on_tti call: every report in range, so every served TTI,
+        # selects once by its mode, and a dual report serves two streams
+        assert calls["on_tti"] == counts["evaluated"] == 0
+        assert calls["select_optimal"] + calls["select_optimal_dual"] == served
+        assert calls["select_optimal_dual"] == sum(r.mcs_secondary > 0 for r in trace)
 
 
 @pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])
@@ -1050,6 +1081,59 @@ def test_chunked_controller_run_equals_a_step_through_on_tti(small_chunks, mode)
     metrics, trace, counts = reference_run(sc, chunks)
     assert_same_run(run(sc), (metrics, trace))
     assert counts["event"] > 0 and counts["periodic"] > 0, counts
+
+
+@st.composite
+def controller_configs(draw):
+    """ControllerConfigs over the knobs the engine's own steps read: an
+    MCS floor up to 20, minimum intervals of 0 and off the 2 ms grid,
+    smoothing up to 1 and power budgets that leave selections
+    infeasible."""
+    min_ms = draw(st.one_of(st.just(0.0), st.sampled_from([1.0, 3.0, 7.5, 20.0]),
+                            st.floats(0.0, 60.0)))
+    return ControllerConfig(
+        p_max_dbm=draw(st.floats(15.0, 46.0)),
+        min_mcs=draw(st.integers(1, 20)),
+        ee_gap_threshold=draw(st.floats(0.01, 0.99)),
+        min_reconfig_interval_ms=min_ms,
+        max_reconfig_interval_ms=5.0 * min_ms + draw(st.floats(0.0, 400.0)),
+        ee_smoothing=draw(st.one_of(st.just(1.0), st.floats(0.001, 1.0))),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    cfg=controller_configs(),
+    mode=st.sampled_from([SISO, SIMO, MIMO]),
+    strategy=st.sampled_from([SEMI_STATIC, PER_TTI_OPTIMAL]),
+    edge=st.booleans(),
+    chunk=st.sampled_from([None, 700]),
+    ttis=st.integers(50, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cfg=ControllerConfig(min_mcs=20, min_reconfig_interval_ms=0.0,
+                              max_reconfig_interval_ms=0.0, ee_smoothing=1.0),
+         mode=MIMO, strategy=SEMI_STATIC, edge=False, chunk=700, ttis=2000, seed=3)
+@example(cfg=ControllerConfig(p_max_dbm=20.0, min_mcs=12, min_reconfig_interval_ms=3.0,
+                              max_reconfig_interval_ms=15.0),
+         mode=SIMO, strategy=SEMI_STATIC, edge=True, chunk=None, ttis=2000, seed=3)
+def test_controller_runs_equal_a_step_through_on_tti_for_any_config(
+    cfg, mode, strategy, edge, chunk, ttis, seed
+):
+    # with chunk set, the run is cut into chunks of that many TTIs, so the
+    # timer, the offset and the smoothed EE cross chunk boundaries
+    sc = make_scenario(antenna_mode=mode, strategy=strategy, duration_ttis=ttis, seed=seed,
+                       controller=cfg, **({"channel": CELL_EDGE} if edge else {}))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk:
+            mp.setattr(sim_engine, "CHUNK_TTIS", chunk)
+        chunks = list(sim_engine._build_link(sc))
+    metrics, trace, counts = reference_run(sc, chunks)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_steps(mp)
+        got = sim_engine._run_link(sc, chunks)
+    assert_same_run(got, (metrics, trace))
+    assert calls["on_tti"] == counts["evaluated"]
 
 
 # ------------------------------------------------------------------ sink
