@@ -116,7 +116,6 @@ class ExperimentSpec:
     template, a sweep of the template, or the analytic curves."""
 
     name: str
-    kind: str  # "run" | "sweep" | "analytic"
     template: ScenarioConfig | None = None
     variable: str = ""
     values: tuple = ()
@@ -127,8 +126,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.name:
             raise ValueError("experiment name must be nonempty")
-        if self.kind not in ("run", "sweep", "analytic"):
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
+
+    @property
+    def kind(self) -> str:
+        """"analytic" without a template, "sweep" with a variable, else "run"."""
+        if self.template is None:
+            return "analytic"
+        return "sweep" if self.variable else "run"
 
 
 # ------------------------------------------------------------- config
@@ -253,9 +257,7 @@ def load_config(path: str, kind: str) -> ExperimentSpec:
     name = os.path.splitext(os.path.basename(path))[0]
 
     if kind == "run":
-        return ExperimentSpec(
-            name=name, kind="run", template=scenario, strategies=(scenario.strategy,)
-        )
+        return ExperimentSpec(name=name, template=scenario, strategies=(scenario.strategy,))
 
     if not cp.has_section("sweep"):
         raise ValueError(f"{path}: sweep command needs a [sweep] section")
@@ -269,7 +271,6 @@ def load_config(path: str, kind: str) -> ExperimentSpec:
     )
     return ExperimentSpec(
         name=name,
-        kind="sweep",
         template=scenario,
         variable=variable,
         values=values,
@@ -310,7 +311,6 @@ def _run_preset(name: str, strategies: tuple[str, ...]) -> ExperimentSpec:
     """A traced 2000-TTI run of each strategy on the reference link."""
     return ExperimentSpec(
         name=name,
-        kind="run",
         template=_preset_scenario(strategy=strategies[0], duration_ttis=2000, collect_trace=True),
         strategies=strategies,
     )
@@ -328,7 +328,6 @@ def _sweep_preset(
     """A sweep of the reference scenario with over's fields in place."""
     return ExperimentSpec(
         name=name,
-        kind="sweep",
         template=_preset_scenario(strategy=strategies[0], **over),
         variable=variable,
         values=values,
@@ -343,7 +342,7 @@ _BASELINE_AND_SEMI = (FIXED_BASELINE, SEMI_STATIC)
 
 # each figure's experiment, built when asked for
 PRESETS = {
-    "figure1": lambda: ExperimentSpec(name="figure1", kind="analytic"),
+    "figure1": lambda: ExperimentSpec(name="figure1"),
     "figure2": lambda: _sweep_preset(
         "figure2", "fixed_power", _FIXED_POWERS, (FIXED_BASELINE,), 3,
         duration_ttis=3000,

@@ -86,8 +86,8 @@ __all__ = [
 KEEP = "keep"
 RECONFIGURE = "reconfigure"
 
-# MimoFeedback modes, here so that on_tti can check a report's mode;
-# mimo_dtxaa exports them
+# MimoFeedback modes, here so that _check_dual_report can check a
+# report's mode; mimo_dtxaa exports them
 SINGLE = "single"
 DUAL = "dual"
 
@@ -467,26 +467,24 @@ def on_tti(
     cfg: ControllerConfig,
     pm: PowerModelParams,
     select=select_optimal,
-    always_fire: bool = False,
 ) -> tuple[ControllerState, ControllerDecision]:
-    """One controller step: adapt the offset, re-estimate the optimum,
+    """One SemiStatic step: adapt the offset, re-estimate the optimum,
     and either reconfigure (trigger fired) or keep serving via AMC.
 
     select is called as select(measured_power, feedback.cqi, offset,
     table, cfg, pm): select_optimal for a CQI index, select_optimal_dual
-    for a dual-mode MimoFeedback. The per-TTI optimum is this step with
-    always_fire set.
+    for a dual-mode MimoFeedback.
 
     The engine (sim_engine._run_link) calls this step only where the
     trigger is evaluated: a report in range once the timer has passed
     the minimum interval. It steps every other TTI itself with the same
-    arithmetic, and runs the per-TTI optimum by calling select directly.
+    arithmetic. The per-TTI optimum is not this step: the engine runs it
+    by calling select on every report in range.
 
     Out-of-range CQI serves nothing and skips trigger evaluation; the
     timer still runs and late ACK/NACK outcomes still adapt the offset.
-    While the timer is within the minimum interval (and always_fire is
-    off) the trigger cannot fire, so select is not called and the step
-    serves plain AMC.
+    While the timer is within the minimum interval the trigger cannot
+    fire, so select is not called and the step serves plain AMC.
 
     A call that raises leaves state as it found it.
     """
@@ -516,11 +514,10 @@ def on_tti(
             if feedback.measured_power_dbm is None
             else feedback.measured_power_dbm
         )
-        if always_fire or state.timer_ms > cfg.min_reconfig_interval_ms:
+        if state.timer_ms > cfg.min_reconfig_interval_ms:
             best = select(measured_p, report, state.offset_db, table, cfg, pm)
-            if always_fire or should_trigger(
-                relative_ee_difference(best.ee, state.ee_smoothed), state.timer_ms, cfg
-            ):
+            gap = relative_ee_difference(best.ee, state.ee_smoothed)
+            if should_trigger(gap, state.timer_ms, cfg):
                 state.power_dbm = best.power_dbm
                 state.timer_ms = 0.0
                 return state, ControllerDecision(

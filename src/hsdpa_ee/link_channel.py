@@ -235,8 +235,7 @@ def synth_fading(
     Under tracemalloc, for 8 processes of 70 000 steps, the block form
     peaks at 15.4 MB: its 9.0 MB output and three rows of n_fft complex
     values (the row's spectrum, its inverse FFT, and one row of draws
-    and the bin scale, n_fft floats each). The real-part block took
-    22.7 MB, the whole spectrum 58.4 MB.
+    and the bin scale, n_fft floats each).
     """
     for name, value in (("n_procs", n_procs), ("n_steps", n_steps)):
         if not isinstance(value, int) or isinstance(value, bool):

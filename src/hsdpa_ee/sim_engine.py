@@ -66,10 +66,11 @@ that serves the controller strategies, one call per TTI.
 
 The loop steps the controller itself, on locals, except where the
 trigger is evaluated. Every strategy's ACK/NACK outer loop is
-ee_controller.update_offset, written out once on a local offset.
-FixedBaseline serves amc_level at min_mcs 1, written out. PerTtiOptimal
-is on_tti with always_fire set: it calls select_optimal or
-select_optimal_dual on every report in range and applies the result.
+ee_controller.update_offset, written out once on a local offset, and
+one test, cqi1 >= 1, takes a report as in range for every strategy (a
+dual report has both streams in range). FixedBaseline serves amc_level
+at min_mcs 1, written out. PerTtiOptimal is defined in the loop: it
+selects on every report in range and applies the selection.
 SemiStatic calls on_tti only where on_tti evaluates the dual trigger,
 on a report in range once the minimum interval has passed, with the
 offset, the timer and the smoothed EE written into its ControllerState
@@ -635,7 +636,7 @@ def _run_link(
     eta = pm.eta
     strategy = sc.strategy
     baseline = strategy == FIXED_BASELINE
-    always_fire = strategy == PER_TTI_OPTIMAL
+    per_tti_optimal = strategy == PER_TTI_OPTIMAL
     semi_static = strategy == SEMI_STATIC
     collect = sc.collect_trace
     share_db = _SHARE_DB
@@ -707,23 +708,22 @@ def _run_link(
             # signaling event that costs, not the numeric delta
             reconfigured = False
             levels = ()
-            if baseline:
-                # hold power, conventional link adaptation backed off by the
-                # outer loop: amc_level(table, cqi, -offset, 1), written out
-                # (bisect_right never exceeds the table)
-                if fb is not None and (fb[0] == DUAL or fb[2] >= 1):
-                    levels = (bisect_right(thr, thr[fb[2] - 1] - offset) or 1,)
-                    if fb[0] == DUAL:
-                        levels += (bisect_right(thr, thr[fb[3] - 1] - offset) or 1,)
-            elif fb is None or fb[2] < 1:
+            if fb is None or fb[2] < 1:
                 # no report in range: nothing is served, and SemiStatic's
                 # timer and smoothed EE advance as in on_tti
                 if semi_static:
                     timer += tti_ms
                     ee_smoothed += smoothing * (last_sample_ee - ee_smoothed)
-            elif always_fire:
-                # PerTtiOptimal, on_tti with always_fire set: every report
-                # in range selects, and the selection is applied
+            elif baseline:
+                # hold power, conventional link adaptation backed off by the
+                # outer loop: amc_level(table, cqi, -offset, 1), written out
+                # (bisect_right never exceeds the table)
+                levels = (bisect_right(thr, thr[fb[2] - 1] - offset) or 1,)
+                if fb[0] == DUAL:
+                    levels += (bisect_right(thr, thr[fb[3] - 1] - offset) or 1,)
+            elif per_tti_optimal:
+                # PerTtiOptimal: every report in range selects, and the
+                # selection is applied
                 if fb[0] == SINGLE:
                     sel = select_optimal(fb[4], fb[2], offset, table, cfg, pm)
                 else:

@@ -8,14 +8,20 @@ semi-static controller's reconfigurations keep the spacing of the dual
 trigger: never within the minimum interval, and past the maximum
 interval only where idle TTIs (out-of-range reports, which skip the
 trigger) held it back.
+
+A second test ties the selector to the engine's own link constants: on
+a built SIMO link, select_optimal's level decodes on the TTI whose
+report it was given, at the power it chose.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsdpa_ee.ee_controller import ControllerConfig
+from hsdpa_ee import sim_engine
+from hsdpa_ee.ee_controller import ControllerConfig, select_optimal
 from hsdpa_ee.link_channel import make_channel
 from hsdpa_ee.mcs_table import reference_table
+from hsdpa_ee.mimo_dtxaa import SINGLE
 from hsdpa_ee.power_model import PowerModelParams
 from hsdpa_ee.sim_engine import (
     FIXED_BASELINE,
@@ -71,3 +77,35 @@ def test_metrics_are_the_trace_totals(seed, mode, strategy, distance_m, geometry
         max_gap = cfg.max_reconfig_interval_ms / cfg.tti_ms + 1
         idle = [r.outcome == OUTCOME_IDLE for r in trace]
         assert all(any(idle[a + 1:b]) for a, b in zip(marks, marks[1:]) if b - a > max_gap)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    distance_m=st.floats(300.0, 900.0),
+    p_dbm=st.floats(20.0, 43.0),
+    min_mcs=st.integers(1, 30),
+)
+def test_a_selection_decodes_on_the_tti_it_was_measured(seed, distance_m, p_dbm, min_mcs):
+    # the dB-for-dB power shift the selector assumes, against the link:
+    # with no outer-loop offset, a feasible level chosen from TTI t's
+    # report decodes on t's constant at the chosen power
+    table = reference_table()
+    cfg = ControllerConfig(min_mcs=min_mcs)
+    sc = ScenarioConfig(
+        channel=make_channel(distance_m, -72.5, geometry_db=23.0, alpha=0.995),
+        antenna_mode=SIMO,
+        duration_ttis=400,
+        seed=seed,
+        controller=cfg,
+        table=table,
+    )
+    (link,) = sim_engine._build_link(sc)
+    c_db = link.sinr_db[SINGLE][0][0]
+    for t in range(link.ttis):
+        cqi = link.report(t, p_dbm)[2]
+        if cqi < 1:
+            continue
+        sel = select_optimal(p_dbm, cqi, 0.0, table, cfg, sc.power_model)
+        if not sel.infeasible:
+            assert c_db[t] + (sel.power_dbm - 30.0) >= table.threshold(sel.mcs) - 1e-9

@@ -447,13 +447,3 @@ def test_on_tti_dual_report_amc_shifts_both_levels():
     # offset: both reported levels move up by two 1 dB steps
     assert dec.levels == (16, 11)
 
-
-def test_on_tti_always_fire_reconfigures_every_report():
-    t = default_table()
-    cfg = ControllerConfig()
-    report = MimoFeedback(DUAL, 1, 12, 12)
-    st = ControllerState(power_dbm=40.0, ee_smoothed=1e12)
-    for _ in range(3):
-        st, dec = on_tti(st, TtiFeedback(report, measured_power_dbm=40.0), t, cfg, PM2,
-                         select_optimal_dual, always_fire=True)
-        assert dec.action == RECONFIGURE

@@ -512,7 +512,7 @@ def test_single_stream_fixed_reports_match_scalar_report(table, p_dbm, data):
 # ------------------------------------------- on_tti's skipped selections
 
 
-def reference_on_tti(state, feedback, table, cfg, pm, select, always_fire):
+def reference_on_tti(state, feedback, table, cfg, pm, select):
     """on_tti as a step that calls select on every in-range report."""
     state.timer_ms += cfg.tti_ms
     for ack in feedback.acks:
@@ -527,7 +527,7 @@ def reference_on_tti(state, feedback, table, cfg, pm, select, always_fire):
     measured_p = (state.power_dbm if feedback.measured_power_dbm is None
                   else feedback.measured_power_dbm)
     best = select(measured_p, report, state.offset_db, table, cfg, pm)
-    if always_fire or should_trigger(
+    if should_trigger(
         relative_ee_difference(best.ee, state.ee_smoothed), state.timer_ms, cfg
     ):
         state.power_dbm = best.power_dbm
@@ -553,7 +553,6 @@ def test_on_tti_equals_a_step_that_always_selects(table, pm, data):
     )
     dual = data.draw(st.booleans())
     select = select_optimal_dual if dual else select_optimal
-    always_fire = data.draw(st.booleans())
     state = ControllerState(
         power_dbm=data.draw(st.floats(0.0, 50.0)),
         offset_db=data.draw(st.floats(-6.0, 6.0)),
@@ -577,12 +576,12 @@ def test_on_tti_equals_a_step_that_always_selects(table, pm, data):
             None if rng.random() < 0.3 else float(rng.uniform(0.0, 50.0)),
             None if rng.random() < 0.3 else float(rng.uniform(0.0, 1e9)),
         )
-        inside = not always_fire and state.timer_ms + cfg.tti_ms <= min_ms
+        inside = state.timer_ms + cfg.tti_ms <= min_ms
         want_state, want = reference_on_tti(
-            dataclasses.replace(state), feedback, table, cfg, pm, select, always_fire
+            dataclasses.replace(state), feedback, table, cfg, pm, select
         )
         calls.clear()
-        state, got = on_tti(state, feedback, table, cfg, pm, counting, always_fire)
+        state, got = on_tti(state, feedback, table, cfg, pm, counting)
         assert got[:3] == want[:3]  # action, power_dbm, levels
         assert state == want_state
         in_range = (cqi if isinstance(cqi, int) else cqi.cqi_primary) >= 1

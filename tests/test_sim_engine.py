@@ -853,11 +853,12 @@ def test_sweep_calls_run_once_per_cell(monkeypatch):
 
 def reference_run(sc, chunks):
     """Any strategy as a slow step over the whole run, built on the
-    controller's own functions. FixedBaseline's outer loop is
-    update_offset and its served levels amc_level at min_mcs 1;
-    SemiStatic and PerTtiOptimal step on_tti with each report as a
-    TtiFeedback and the previous TTI's EE sample, selecting with
-    select_optimal or select_optimal_dual by the report's mode. Every
+    controller's own functions. FixedBaseline's and PerTtiOptimal's
+    outer loop is update_offset. FixedBaseline serves amc_level at
+    min_mcs 1; PerTtiOptimal applies select_optimal or
+    select_optimal_dual, by the report's mode, on every report in range.
+    SemiStatic steps on_tti with each report as a TtiFeedback and the
+    previous TTI's EE sample, selecting by the report's mode. Every
     report is the chunk's scalar report(t, p) at the power configured at
     t, and every served TTI's energy is computed from its power. Returns
     the run's (metrics, trace) and counts: outer-loop updates that ended
@@ -869,6 +870,7 @@ def reference_run(sc, chunks):
     delay = sim_engine.FEEDBACK_DELAY_TTIS
     ts = cfg.tti_ms * 1e-3
     baseline = sc.strategy == FIXED_BASELINE
+    semi_static = sc.strategy == SEMI_STATIC
     p = sc.baseline_power_dbm
     idle_energy = ts * pm.overhead_w
     state = new_controller_state(cfg, p)
@@ -897,34 +899,39 @@ def reference_run(sc, chunks):
         fb = measured[t - delay] if t >= delay else None
         acks_in, failed_in = outcomes[t - delay] if t >= delay else ((), ())
         reconfigured = False
-        if baseline:
-            for ack in acks_in:
-                update_offset(state, ack, cfg)
-                counts["clamped"] += abs(state.offset_db) == cfg.offset_clamp_db
-            levels = ()
-            if fb is not None and (fb[0] == DUAL or fb[2] >= 1):
-                cqis = fb[2:4] if fb[0] == DUAL else fb[2:3]
-                levels = tuple(amc_level(table, c, -state.offset_db, 1) for c in cqis)
+        in_range = fb is not None and fb[2] >= 1
+        if fb is None:
+            report, p_meas, select = 0, None, select_optimal
+        elif fb[0] == DUAL:
+            report, p_meas = MimoFeedback(DUAL, fb[1], fb[2], fb[3]), fb[4]
+            select = select_optimal_dual
         else:
-            if fb is None:
-                report, p_meas, select = 0, None, select_optimal
-            elif fb[0] == DUAL:
-                report, p_meas = MimoFeedback(DUAL, fb[1], fb[2], fb[3]), fb[4]
-                select = select_optimal_dual
-            else:
-                report, p_meas, select = fb[2], fb[4], select_optimal
+            report, p_meas, select = fb[2], fb[4], select_optimal
+        if semi_static:
             timer_ms = state.timer_ms + cfg.tti_ms  # as on_tti advances it
-            counts["evaluated"] += (sc.strategy == SEMI_STATIC and fb is not None and fb[2] >= 1
-                                    and timer_ms > cfg.min_reconfig_interval_ms)
+            counts["evaluated"] += in_range and timer_ms > cfg.min_reconfig_interval_ms
             state, dec = on_tti(state, TtiFeedback(report, acks_in, p_meas, sample_ee),
-                                table, cfg, pm, select, sc.strategy == PER_TTI_OPTIMAL)
+                                table, cfg, pm, select)
             reconfigured = dec.action == RECONFIGURE
-            reconfigs += reconfigured
-            if reconfigured and sc.strategy == SEMI_STATIC:
+            if reconfigured:
                 branch = "periodic" if timer_ms > cfg.max_reconfig_interval_ms else "event"
                 counts[branch] += 1
             p = state.power_dbm
             levels = dec.levels
+        else:
+            for ack in acks_in:
+                update_offset(state, ack, cfg)
+                counts["clamped"] += abs(state.offset_db) == cfg.offset_clamp_db
+            levels = ()
+            if in_range and baseline:
+                cqis = fb[2:4] if fb[0] == DUAL else fb[2:3]
+                levels = tuple(amc_level(table, c, -state.offset_db, 1) for c in cqis)
+            elif in_range:
+                sel = select(p_meas, report, state.offset_db, table, cfg, pm)
+                reconfigured = True
+                p = sel.power_dbm
+                levels = sel.levels
+        reconfigs += reconfigured
         if resolve_first:
             queue(failed_in, True)
         if levels:

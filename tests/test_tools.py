@@ -59,3 +59,16 @@ def test_layers_compares_two_trees_in_fresh_processes(layers, capsys):
     out = capsys.readouterr().out
     assert "loop us/TTI MIMO PerTtiOptimal" in out and "build ms SIMO" in out
     assert "RunMetrics equal in every case and process: yes" in out
+
+
+def test_layers_exits_1_when_two_trees_give_different_run_metrics(layers, monkeypatch, capsys):
+    def fake(src, ttis, repeats):
+        return {"figures": {"loop us/TTI SIMO SemiStatic": 1.0},
+                "metrics": {"SIMO SemiStatic": f"RunMetrics of {src.name}"}}
+
+    monkeypatch.setattr(layers, "in_fresh_process", fake)
+    a, b = layers.SRC, layers.SRC.parent / "tools"
+    assert layers.main(["--src", str(a), "--src", str(b), "--rounds", "2"]) == 1
+    assert "RunMetrics equal in every case and process: NO" in capsys.readouterr().out
+    # the same results from both trees pass
+    assert layers.main(["--src", str(a), "--src", str(a), "--rounds", "2"]) == 0

@@ -15,7 +15,8 @@ process of each per round, the first tree first on even rounds and
 second on odd ones. The script prints each figure's median and IQR over
 the rounds, and for two trees the change of the median and the rounds
 on which the second tree was faster (wins out of N). It also checks
-that both trees give the same RunMetrics in every case.
+that both trees give the same RunMetrics in every case, and exits 1
+when they do not, so a byte-identity check can be scripted.
 
 At 20000 TTIs and 5 repeats a process takes about 4-5 s on a 2-core host.
 
@@ -146,6 +147,8 @@ def main(argv=None) -> int:
     if len(srcs) == 2:
         same = all(s["metrics"] == samples[0][0]["metrics"] for tree in samples for s in tree)
         print(f"RunMetrics equal in every case and process: {'yes' if same else 'NO'}")
+        if not same:
+            return 1
     return 0
 
 
