@@ -86,11 +86,6 @@ __all__ = [
 KEEP = "keep"
 RECONFIGURE = "reconfigure"
 
-# MimoFeedback modes, here so that _check_dual_report can check a
-# report's mode; mimo_dtxaa exports them
-SINGLE = "single"
-DUAL = "dual"
-
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -157,9 +152,7 @@ class ControllerDecision(NamedTuple):
     transmit nothing); power_dbm the transmit power. estimated_ee
     carries the optimizer's view for tracing, infeasible flags
     configurations where even the lowest allowed level exceeds the
-    power budget. A KEEP decision inside the minimum interval is not
-    evaluated: no selection is made there, and estimated_ee = 0.0 and
-    infeasible = False say only that.
+    power budget.
     """
 
     action: str
@@ -337,6 +330,8 @@ def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, re
     infeasible)."""
     items, bits, floor, offsets, starts, ends, winners, _ = search
     x = p_dbm - ref + delta_db
+    if not math.isfinite(x):
+        raise ValueError(f"power {p_dbm} dBm and offset {delta_db} dB must be finite")
 
     # the affordable positions: those whose power fits the budget.
     # Powers rise with the offset, so the bisect lands next to the last
@@ -388,7 +383,13 @@ def select_optimal(
     affordable level at full power. Level j's power is p_dbm + beta_j -
     beta_feedback + delta_db, the expression of estimate_power_for_mcs.
     """
-    _check_cqi_report(feedback_cqi, table, cfg)
+    if not _is_cqi_index(feedback_cqi):
+        raise ValueError(f"feedback_cqi must be an integer CQI index, got {feedback_cqi!r}")
+    n = len(table._thr_list)
+    if feedback_cqi < 1 or feedback_cqi > n:
+        raise ValueError("feedback_cqi must be a valid table index")
+    if cfg.min_mcs > n:
+        raise ValueError("min_mcs must be a valid table index")
     search = _searches.get((id(table), id(pm))) or _level_search(table, pm)
     ref = table._thr_list[feedback_cqi - 1]
     return _select(search, p_dbm, ref, delta_db, cfg, pm, OptimalSelection)
@@ -398,28 +399,6 @@ def _is_cqi_index(value) -> bool:
     """A CQI report's type: a Python int, the engine's own, or a numpy
     integer, as cqi_from_sinr gives for array input; not a bool."""
     return type(value) is int or isinstance(value, np.integer)
-
-
-def _check_cqi_report(cqi, table: McsTable, cfg: ControllerConfig) -> None:
-    """select_optimal's checks of its report and of cfg.min_mcs."""
-    if not _is_cqi_index(cqi):
-        raise ValueError(f"feedback_cqi must be an integer CQI index, got {cqi!r}")
-    n = len(table._thr_list)
-    if cqi < 1 or cqi > n:
-        raise ValueError("feedback_cqi must be a valid table index")
-    if cfg.min_mcs > n:
-        raise ValueError("min_mcs must be a valid table index")
-
-
-def _check_dual_report(feedback: MimoFeedback, table: McsTable, cfg: ControllerConfig) -> None:
-    """select_optimal_dual's checks of its report and of cfg.min_mcs."""
-    if feedback.mode != DUAL:
-        raise ValueError("dual-stream selection needs dual-mode feedback")
-    n = len(table._thr_list)
-    if not (1 <= feedback.cqi_primary <= n and 1 <= feedback.cqi_secondary <= n):
-        raise ValueError("reference indices must be valid table entries")
-    if cfg.min_mcs > n:
-        raise ValueError("min_mcs must be a valid table index")
 
 
 def relative_ee_difference(xi_opt: float, xi: float) -> float:
@@ -457,7 +436,7 @@ def amc_level(table: McsTable, cqi: int, shift_db: float, min_mcs: int) -> int:
     """Plain AMC: the highest level supportable once the reported
     level's threshold moves by shift_db, clamped to [min_mcs, N]."""
     thr = table._thr_list
-    return min(max(bisect_right(thr, thr[cqi - 1] + shift_db), min_mcs), len(thr))
+    return min(max(bisect_right(thr, table.threshold(cqi) + shift_db), min_mcs), len(thr))
 
 
 def on_tti(
@@ -483,8 +462,9 @@ def on_tti(
 
     Out-of-range CQI serves nothing and skips trigger evaluation; the
     timer still runs and late ACK/NACK outcomes still adapt the offset.
-    While the timer is within the minimum interval the trigger cannot
-    fire, so select is not called and the step serves plain AMC.
+    Every report in range is selected on. Within the minimum interval
+    the trigger cannot fire, so the step keeps its power and serves
+    plain AMC.
 
     A call that raises leaves state as it found it.
     """
@@ -514,23 +494,14 @@ def on_tti(
             if feedback.measured_power_dbm is None
             else feedback.measured_power_dbm
         )
-        if state.timer_ms > cfg.min_reconfig_interval_ms:
-            best = select(measured_p, report, state.offset_db, table, cfg, pm)
-            gap = relative_ee_difference(best.ee, state.ee_smoothed)
-            if should_trigger(gap, state.timer_ms, cfg):
-                state.power_dbm = best.power_dbm
-                state.timer_ms = 0.0
-                return state, ControllerDecision(
-                    RECONFIGURE, best.power_dbm, best.levels, best.ee, best.infeasible
-                )
-            ee, infeasible = best.ee, best.infeasible
-        else:
-            # inside the minimum interval should_trigger is false for any
-            # gap, so the selection could change nothing and is not made;
-            # the step still rejects what select and should_trigger reject
-            should_trigger(0.0, state.timer_ms, cfg)
-            (_check_cqi_report if len(reported) == 1 else _check_dual_report)(report, table, cfg)
-            ee, infeasible = 0.0, False
+        best = select(measured_p, report, state.offset_db, table, cfg, pm)
+        gap = relative_ee_difference(best.ee, state.ee_smoothed)
+        if should_trigger(gap, state.timer_ms, cfg):
+            state.power_dbm = best.power_dbm
+            state.timer_ms = 0.0
+            return state, ControllerDecision(
+                RECONFIGURE, best.power_dbm, best.levels, best.ee, best.infeasible
+            )
 
         # plain AMC at held power: follow the report, compensated for any
         # power change since the measurement, backed off by the offset
@@ -540,7 +511,7 @@ def on_tti(
             levels = (first,)
         else:
             levels = (first, amc_level(table, reported[1], shift, cfg.min_mcs))
-        return state, ControllerDecision(KEEP, state.power_dbm, levels, ee, infeasible)
+        return state, ControllerDecision(KEEP, state.power_dbm, levels, best.ee, best.infeasible)
     except BaseException:
         state.timer_ms, state.offset_db, state.ee_smoothed = kept
         raise

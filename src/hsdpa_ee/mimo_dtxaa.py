@@ -37,8 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ee_controller import DUAL, SINGLE, ControllerConfig, _build_search, _check_dual_report
-from .ee_controller import _is_cqi_index, _searches, _select
+from .ee_controller import ControllerConfig, _build_search, _is_cqi_index, _searches, _select
 from .link_channel import ChannelParams
 from .mcs_table import McsTable
 from .power_model import PowerModelParams
@@ -59,6 +58,10 @@ __all__ = [
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# the report modes of MimoFeedback
+SINGLE = "single"
+DUAL = "dual"
 
 # dB of total power per dB of per-stream threshold shift: the shift is
 # applied to each of the two equal-power streams
@@ -255,7 +258,13 @@ def select_optimal_dual(
     best-affordable fallback. pm should describe the dual-chain
     hardware state (m_a = 2).
     """
-    _check_dual_report(feedback, table, cfg)
+    if feedback.mode != DUAL:
+        raise ValueError("dual-stream selection needs dual-mode feedback")
     i1, i2 = feedback.cqi_primary, feedback.cqi_secondary
+    n = len(table._thr_list)
+    if not (1 <= i1 <= n and 1 <= i2 <= n):
+        raise ValueError("reference indices must be valid table entries")
+    if cfg.min_mcs > n:
+        raise ValueError("min_mcs must be a valid table index")
     search = _searches.get((id(table), id(pm), i1, i2)) or _pair_search(table, pm, i1, i2)
     return _select(search, p_dbm, 0.0, delta_db, cfg, pm, DualSelection)

@@ -71,8 +71,8 @@ one test, cqi1 >= 1, takes a report as in range for every strategy (a
 dual report has both streams in range). FixedBaseline serves amc_level
 at min_mcs 1, written out. PerTtiOptimal is defined in the loop: it
 selects on every report in range and applies the selection.
-SemiStatic calls on_tti only where on_tti evaluates the dual trigger,
-on a report in range once the minimum interval has passed, with the
+SemiStatic calls on_tti only where its dual trigger can fire, on a
+report in range once the minimum interval has passed, with the
 offset, the timer and the smoothed EE written into its ControllerState
 around the call. On its other TTIs the loop advances the timer and the
 smoothed EE as on_tti does, and inside the minimum interval serves
@@ -750,10 +750,11 @@ def _run_link(
                     p_cfg = st.power_dbm
                 levels = dec.levels
             else:
-                # SemiStatic inside the minimum interval, as on_tti steps
-                # it: the timer and the smoothed EE advance, and plain AMC
-                # serves at the held power, amc_level(table, cqi, (p_cfg -
-                # measured) - offset, min_mcs), written out
+                # SemiStatic inside the minimum interval, where its trigger
+                # cannot fire, so nothing is selected: the timer and the
+                # smoothed EE advance, and plain AMC serves at the held
+                # power, amc_level(table, cqi, (p_cfg - measured) - offset,
+                # min_mcs), written out
                 timer += tti_ms
                 ee_smoothed += smoothing * (last_sample_ee - ee_smoothed)
                 shift = (p_cfg - fb[4]) - offset

@@ -20,6 +20,7 @@ from hsdpa_ee.ee_controller import (
     TtiFeedback,
     estimate_ee,
     estimate_power_for_mcs,
+    amc_level,
     new_controller_state,
     on_tti,
     relative_ee_difference,
@@ -428,9 +429,8 @@ def test_on_tti_out_of_range_cqi_serves_nothing():
     ((DUAL, 5, 7), True, 31),
 ])
 def test_on_tti_rejects_a_cqi_outside_the_table(timer_ms, report, dual, min_mcs):
-    # inside the minimum interval select and should_trigger are not
-    # called, so the step must raise the ValueError they raise past it,
-    # not an IndexError or TypeError out of the AMC path
+    # the step must raise select's ValueError at either timer, not an
+    # IndexError or TypeError out of the AMC path
     cfg = ControllerConfig(min_mcs=min_mcs)
     t = default_table()
     assert len(t) == 30
@@ -478,6 +478,27 @@ def test_on_tti_rejects_a_negative_timer_inside_the_minimum_interval():
     cfg = ControllerConfig()
     # -8 ms after the step
     assert_rejected_unchanged(-10.0, 5, default_table(), cfg, match="timer")
+
+
+@pytest.mark.parametrize("timer_ms", [0.0, 30.0])  # next step inside / past 20 ms
+def test_on_tti_rejects_a_nan_measured_power_and_keeps_its_state(timer_ms):
+    # a NaN measurement used to reconfigure the state to NaN dBm
+    st = ControllerState(power_dbm=40.0, offset_db=0.25, timer_ms=timer_ms, ee_smoothed=1e6)
+    before = replace(st)
+    with pytest.raises(ValueError, match="power nan dBm"):
+        on_tti(st, TtiFeedback(5, (False,), float("nan"), 2e6), default_table(),
+               ControllerConfig(), PM5)
+    assert st == before
+
+
+@pytest.mark.parametrize("cqi", [0, 31])
+def test_amc_level_rejects_a_cqi_outside_the_table(cqi):
+    # CQI 0 used to read the top threshold and serve level 30, and CQI
+    # 31 raised an IndexError
+    t = default_table()
+    assert len(t) == 30
+    with pytest.raises(ValueError, match=f"cqi index {cqi} outside 1..30"):
+        amc_level(t, cqi, 0.0, 1)
 
 
 def test_on_tti_amc_follows_offset_backoff():

@@ -3,7 +3,8 @@ synthesis reject NaN and infinite numbers, a run length, a seed and an
 MCS floor must be ints, and the HSDPA standard's constants (the TTI,
 spreading factor, bandwidth, carrier and tap powers), the outer loop's
 steps and clamp and the UE noise figure and density cannot be set. The
-SINR and CQI maps refuse a NaN SINR, power or gain.
+SINR and CQI maps refuse a NaN SINR, power or gain, and the selectors a
+non-finite power or offset.
 
 Without these checks a NaN slips through every range comparison (they
 are all false) and a run finishes with NaN energy, while the selectors'
@@ -21,7 +22,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from hsdpa_ee.ee_controller import ControllerConfig
+from hsdpa_ee.ee_controller import ControllerConfig, select_optimal
 from hsdpa_ee.link_channel import (
     UE_NOISE_W_PER_HZ,
     ChannelParams,
@@ -31,6 +32,7 @@ from hsdpa_ee.link_channel import (
     synth_fading,
 )
 from hsdpa_ee.mcs_table import McsEntry, McsTable, cqi_from_sinr, load_table, reference_table
+from hsdpa_ee.mimo_dtxaa import DUAL, MimoFeedback, select_optimal_dual
 from hsdpa_ee.power_model import PowerModelParams
 from hsdpa_ee.sim_engine import ScenarioConfig, run
 
@@ -44,6 +46,12 @@ def table_with(**entry):
     rows = [McsEntry(k, k - 2.0, 100 * k, 2, 1) for k in (1, 2, 3)]
     rows[1] = dataclasses.replace(rows[1], **entry)
     return McsTable(entries=tuple(rows))
+
+
+def select(selector, report, p_dbm=36.0, delta_db=0.0):
+    """selector on report at the reference table and default settings."""
+    return selector(p_dbm, report, delta_db, reference_table(), ControllerConfig(),
+                    PowerModelParams())
 
 
 def float_fields(cls):
@@ -74,6 +82,9 @@ CASES = (
        for f in ("sinr_threshold_db", "tbs_bits")]
     + [("synth_fading.dt_s", lambda v: synth_fading(2, 100, v, 5.56, np.random.default_rng(0))),
        ("synth_fading.f_d", lambda v: synth_fading(2, 100, 2e-3, v, np.random.default_rng(0)))]
+    + [(f"{f.__name__}.{key}", lambda v, f=f, r=r, key=key: select(f, r, **{key: v}))
+       for f, r in ((select_optimal, 5), (select_optimal_dual, MimoFeedback(DUAL, 0, 5, 7)))
+       for key in ("p_dbm", "delta_db")]
 )
 
 # the standard's constants, the outer loop's steps and clamp and the

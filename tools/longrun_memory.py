@@ -42,8 +42,7 @@ def scenario(mode: str, ttis: int):
     from hsdpa_ee.ee_controller import ControllerConfig
     from hsdpa_ee.link_channel import make_channel
     from hsdpa_ee.mcs_table import reference_table
-    from hsdpa_ee.power_model import PowerModelParams
-    from hsdpa_ee.sim_engine import FIXED_BASELINE, ScenarioConfig, power_model_for_mode
+    from hsdpa_ee.sim_engine import FIXED_BASELINE, ScenarioConfig
 
     return ScenarioConfig(
         channel=make_channel(DISTANCE_M, -72.5, geometry_db=23.0, alpha=0.995, speed_kmh=3.0),
@@ -53,7 +52,6 @@ def scenario(mode: str, ttis: int):
         seed=SEED,
         controller=ControllerConfig(ee_smoothing=0.01),
         table=reference_table(),
-        power_model=power_model_for_mode(mode, PowerModelParams()),
         collect_trace=False,
     )
 
