@@ -42,12 +42,21 @@ the order (or where two candidates tie at one offset), it evaluates
 every candidate instead, so the result is always the first maximum of
 the per-candidate efficiencies as evaluated below.
 
-The chosen candidate's efficiency is evaluated with numpy's power ufunc,
-not Python's ** or math.pow. numpy dispatches its own SIMD kernel (on
-AVX-512 hosts a vector pow that differs from libm's in the last bit
-for a few percent of arguments) and applies the same kernel to a
-scalar as to every element of a wide array, so the figures match the
-ones a whole-table evaluation gives, bit for bit.
+Every efficiency a result or a decision depends on is evaluated with
+numpy's power ufunc, not Python's ** or math.pow. numpy dispatches its
+own SIMD kernel (on AVX-512 hosts a vector pow that differs from libm's
+in the last bit for a few percent of arguments) and applies the same
+kernel to a scalar as to every element of a wide array, so the figures
+match the ones a whole-table evaluation gives, bit for bit. One
+np.power call costs about as much as the rest of a selection, though,
+and the engine reads the chosen candidate's efficiency at most to
+compare a gap with ee_gap_threshold. So the selectors and on_tti take
+exact_ee=False: the chosen candidate's efficiency then takes its power
+from **, within an ulp of np.power's, and may differ in its last few
+bits (at most 5 * 2^-52 relative), while the every-candidate evaluation that decides the argmax keeps np.power, so
+the item, power and infeasible flag are the same. on_tti decides its
+trigger from np.power's efficiency by construction: where the fast gap
+lies within _TIE_MARGIN of the threshold, it selects again exactly.
 """
 
 from __future__ import annotations
@@ -196,6 +205,8 @@ class OptimalSelection(NamedTuple):
 def new_controller_state(cfg: ControllerConfig, power_dbm: float) -> ControllerState:
     """Fresh state; the timer starts expired so the first valid feedback
     configures the link immediately through the periodic branch."""
+    if not math.isfinite(power_dbm):
+        raise ValueError(f"power_dbm must be finite, got {power_dbm}")
     return ControllerState(power_dbm=power_dbm, timer_ms=cfg.max_reconfig_interval_ms)
 
 
@@ -222,10 +233,18 @@ def estimate_ee(p_dbm: float, tbs_bits: float, pm: PowerModelParams) -> float:
     return _ee(p_dbm, tbs_bits, ControllerConfig.tti_ms * 1e-3, pm)
 
 
-def _ee(p_dbm: float, bits: float, tti_s: float, pm: PowerModelParams) -> float:
+def _ee(p_dbm: float, bits: float, tti_s: float, pm: PowerModelParams, exact=True) -> float:
     """bits over the energy of one TTI at p_dbm: the one EE formula of
-    both selectors. np.power, not **: see the module docstring."""
-    p_w = float(np.power(10.0, (p_dbm - 30.0) / 10.0))
+    both selectors. The power is np.power's when exact, else that of **,
+    within an ulp of it (see the module docstring)."""
+    y = (p_dbm - 30.0) / 10.0
+    # ** serves only normal powers: it raises OverflowError past 1e308 W,
+    # where np.power gives inf, and an ulp of a subnormal power is no
+    # longer a rounding-sized part of it
+    if exact or not -300.0 < y < 300.0:
+        p_w = float(np.power(10.0, y))
+    else:
+        p_w = 10.0 ** y
     return bits / (tti_s * (p_w / pm.eta + pm.overhead_w))
 
 
@@ -324,10 +343,10 @@ def _level_search(table: McsTable, pm: PowerModelParams) -> _Search:
     return _build_search((id(table), id(pm)), table, pm, levels, bits, table._thr_list, levels)
 
 
-def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, result):
+def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, result, exact):
     """The constrained EE argmax of search's candidates, candidate k at
     p_dbm + offsets[k] - ref + delta_db, as result(item, power, ee,
-    infeasible)."""
+    infeasible); ee is evaluated exact or not as _ee is."""
     items, bits, floor, offsets, starts, ends, winners, _ = search
     x = p_dbm - ref + delta_db
     if not math.isfinite(x):
@@ -349,10 +368,11 @@ def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, re
     if pos_min >= affordable:  # no admissible candidate fits the budget
         pos = max(affordable - 1, 0)
         p_pos = p_dbm + offsets[pos] - ref + delta_db
-        return result(items[pos], p_max, _ee(p_pos, bits[pos], tti_s, pm), True)
+        return result(items[pos], p_max, _ee(p_pos, bits[pos], tti_s, pm, exact), True)
 
     # the candidate whose interval holds x wins with room to spare;
-    # outside every interval, evaluate every candidate
+    # outside every interval, evaluate every candidate, exactly, since
+    # the evaluated figures decide the argmax
     i = bisect_right(starts, x) - 1
     if i >= 0 and x <= ends[i]:
         pos_star = winners[i]
@@ -361,7 +381,7 @@ def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, re
         pos_star = ees.index(max(ees))
     pos = min(max(pos_star, pos_min), affordable - 1)
     p_pos = p_dbm + offsets[pos] - ref + delta_db
-    return result(items[pos], p_pos, _ee(p_pos, bits[pos], tti_s, pm), False)
+    return result(items[pos], p_pos, _ee(p_pos, bits[pos], tti_s, pm, exact), False)
 
 
 def select_optimal(
@@ -371,6 +391,8 @@ def select_optimal(
     table: McsTable,
     cfg: ControllerConfig,
     pm: PowerModelParams,
+    *,
+    exact_ee: bool = True,
 ) -> OptimalSelection:
     """Constrained EE argmax over every table level.
 
@@ -382,6 +404,10 @@ def select_optimal(
     selection is flagged infeasible and falls back to the best
     affordable level at full power. Level j's power is p_dbm + beta_j -
     beta_feedback + delta_db, the expression of estimate_power_for_mcs.
+
+    The result's ee is evaluated with np.power. With exact_ee=False it
+    takes its power from ** instead and may differ in its last bits; the
+    level, power and infeasible flag are the same either way.
     """
     if not _is_cqi_index(feedback_cqi):
         raise ValueError(f"feedback_cqi must be an integer CQI index, got {feedback_cqi!r}")
@@ -392,7 +418,7 @@ def select_optimal(
         raise ValueError("min_mcs must be a valid table index")
     search = _searches.get((id(table), id(pm))) or _level_search(table, pm)
     ref = table._thr_list[feedback_cqi - 1]
-    return _select(search, p_dbm, ref, delta_db, cfg, pm, OptimalSelection)
+    return _select(search, p_dbm, ref, delta_db, cfg, pm, OptimalSelection, exact_ee)
 
 
 def _is_cqi_index(value) -> bool:
@@ -435,6 +461,9 @@ def update_offset(state: ControllerState, ack: bool, cfg: ControllerConfig) -> C
 def amc_level(table: McsTable, cqi: int, shift_db: float, min_mcs: int) -> int:
     """Plain AMC: the highest level supportable once the reported
     level's threshold moves by shift_db, clamped to [min_mcs, N]."""
+    # bisect ranks NaN above every threshold: it would serve level N
+    if not math.isfinite(shift_db):
+        raise ValueError(f"shift_db must be finite, got {shift_db}")
     thr = table._thr_list
     return min(max(bisect_right(thr, table.threshold(cqi) + shift_db), min_mcs), len(thr))
 
@@ -446,6 +475,8 @@ def on_tti(
     cfg: ControllerConfig,
     pm: PowerModelParams,
     select=select_optimal,
+    *,
+    exact_ee: bool = True,
 ) -> tuple[ControllerState, ControllerDecision]:
     """One SemiStatic step: adapt the offset, re-estimate the optimum,
     and either reconfigure (trigger fired) or keep serving via AMC.
@@ -453,6 +484,12 @@ def on_tti(
     select is called as select(measured_power, feedback.cqi, offset,
     table, cfg, pm): select_optimal for a CQI index, select_optimal_dual
     for a dual-mode MimoFeedback.
+
+    With exact_ee=False, select is called with exact_ee=False as well,
+    and again as above where the gap it gives lies within _TIE_MARGIN of
+    ee_gap_threshold, so the trigger is decided on np.power's efficiency
+    either way. The state and the decision are the same as with the
+    default, except that estimated_ee may differ in its last bits.
 
     The engine (sim_engine._run_link) calls this step only where the
     trigger is evaluated: a report in range once the timer has passed
@@ -494,8 +531,16 @@ def on_tti(
             if feedback.measured_power_dbm is None
             else feedback.measured_power_dbm
         )
-        best = select(measured_p, report, state.offset_db, table, cfg, pm)
+        offset = state.offset_db
+        if exact_ee:
+            best = select(measured_p, report, offset, table, cfg, pm)
+        else:
+            best = select(measured_p, report, offset, table, cfg, pm, exact_ee=False)
         gap = relative_ee_difference(best.ee, state.ee_smoothed)
+        if not exact_ee and abs(gap - cfg.ee_gap_threshold) <= _TIE_MARGIN:
+            # np.power's gap may lie on the other side: decide on it
+            best = select(measured_p, report, offset, table, cfg, pm)
+            gap = relative_ee_difference(best.ee, state.ee_smoothed)
         if should_trigger(gap, state.timer_ms, cfg):
             state.power_dbm = best.power_dbm
             state.timer_ms = 0.0
@@ -505,7 +550,7 @@ def on_tti(
 
         # plain AMC at held power: follow the report, compensated for any
         # power change since the measurement, backed off by the offset
-        shift = (state.power_dbm - measured_p) - state.offset_db
+        shift = (state.power_dbm - measured_p) - offset
         first = amc_level(table, reported[0], shift, cfg.min_mcs)
         if len(reported) == 1:
             levels = (first,)

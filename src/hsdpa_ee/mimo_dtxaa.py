@@ -248,6 +248,8 @@ def select_optimal_dual(
     table: McsTable,
     cfg: ControllerConfig,
     pm: PowerModelParams,
+    *,
+    exact_ee: bool = True,
 ) -> DualSelection:
     """Sum-efficiency argmax over the equal-shift MCS pair list.
 
@@ -256,7 +258,9 @@ def select_optimal_dual(
     both streams admissible), the power budget the ceiling, and an
     empty admissible window is flagged infeasible with a full-power
     best-affordable fallback. pm should describe the dual-chain
-    hardware state (m_a = 2).
+    hardware state (m_a = 2). exact_ee is select_optimal's: with False,
+    ee may differ in its last bits, and the pair, power and flag are the
+    same.
     """
     if feedback.mode != DUAL:
         raise ValueError("dual-stream selection needs dual-mode feedback")
@@ -267,4 +271,4 @@ def select_optimal_dual(
     if cfg.min_mcs > n:
         raise ValueError("min_mcs must be a valid table index")
     search = _searches.get((id(table), id(pm), i1, i2)) or _pair_search(table, pm, i1, i2)
-    return _select(search, p_dbm, 0.0, delta_db, cfg, pm, DualSelection)
+    return _select(search, p_dbm, 0.0, delta_db, cfg, pm, DualSelection, exact_ee)

@@ -77,7 +77,11 @@ offset, the timer and the smoothed EE written into its ControllerState
 around the call. On its other TTIs the loop advances the timer and the
 smoothed EE as on_tti does, and inside the minimum interval serves
 on_tti's plain AMC, amc_level at the controller's min_mcs, written out;
-most TTIs are of this kind, which is what the dual trigger is for. The
+most TTIs are of this kind, which is what the dual trigger is for. Both
+controller strategies pass exact_ee=False (to the selectors, and to
+on_tti, which passes it on): PerTtiOptimal never reads a selection's
+EE and SemiStatic compares it only with ee_gap_threshold, which on_tti
+decides on np.power's EE regardless, so no output moves. The
 loop calls on_tti and the selectors by this module's names, so the
 benchmark tracer's patches on them take effect.
 
@@ -725,9 +729,11 @@ def _run_link(
                 # PerTtiOptimal: every report in range selects, and the
                 # selection is applied
                 if fb[0] == SINGLE:
-                    sel = select_optimal(fb[4], fb[2], offset, table, cfg, pm)
+                    sel = select_optimal(fb[4], fb[2], offset, table, cfg, pm, exact_ee=False)
                 else:
-                    sel = select_optimal_dual(fb[4], dual_reports[fb[1:4]], offset, table, cfg, pm)
+                    sel = select_optimal_dual(
+                        fb[4], dual_reports[fb[1:4]], offset, table, cfg, pm, exact_ee=False
+                    )
                 reconfigured = True
                 reconfigs += 1
                 p_cfg = sel.power_dbm
@@ -741,7 +747,8 @@ def _run_link(
                     cqi, select = dual_reports[fb[1:4]], select_optimal_dual
                 st.offset_db, st.timer_ms, st.ee_smoothed = offset, timer, ee_smoothed
                 st, dec = on_tti(
-                    st, TtiFeedback(cqi, (), fb[4], last_sample_ee), table, cfg, pm, select
+                    st, TtiFeedback(cqi, (), fb[4], last_sample_ee), table, cfg, pm, select,
+                    exact_ee=False,
                 )
                 timer, ee_smoothed = st.timer_ms, st.ee_smoothed
                 if dec.action == RECONFIGURE:

@@ -3,8 +3,9 @@ synthesis reject NaN and infinite numbers, a run length, a seed and an
 MCS floor must be ints, and the HSDPA standard's constants (the TTI,
 spreading factor, bandwidth, carrier and tap powers), the outer loop's
 steps and clamp and the UE noise figure and density cannot be set. The
-SINR and CQI maps refuse a NaN SINR, power or gain, and the selectors a
-non-finite power or offset.
+SINR and CQI maps refuse a NaN SINR, power or gain, the selectors a
+non-finite power or offset, plain AMC a non-finite shift and a fresh
+controller state a non-finite power.
 
 Without these checks a NaN slips through every range comparison (they
 are all false) and a run finishes with NaN energy, while the selectors'
@@ -22,7 +23,15 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from hsdpa_ee.ee_controller import ControllerConfig, select_optimal
+from hsdpa_ee.ee_controller import (
+    ControllerConfig,
+    ControllerState,
+    TtiFeedback,
+    amc_level,
+    new_controller_state,
+    on_tti,
+    select_optimal,
+)
 from hsdpa_ee.link_channel import (
     UE_NOISE_W_PER_HZ,
     ChannelParams,
@@ -85,6 +94,8 @@ CASES = (
     + [(f"{f.__name__}.{key}", lambda v, f=f, r=r, key=key: select(f, r, **{key: v}))
        for f, r in ((select_optimal, 5), (select_optimal_dual, MimoFeedback(DUAL, 0, 5, 7)))
        for key in ("p_dbm", "delta_db")]
+    + [("amc_level.shift_db", lambda v: amc_level(reference_table(), 5, v, 1)),
+       ("new_controller_state.power_dbm", lambda v: new_controller_state(ControllerConfig(), v))]
 )
 
 # the standard's constants, the outer loop's steps and clamp and the
@@ -180,6 +191,19 @@ def test_make_channel_uses_the_default_noise_density():
     default = ChannelParams.n0_w_per_hz
     assert default == UE_NOISE_W_PER_HZ == 3.9811e-21 * 10.0 ** (9.0 / 10.0)
     assert make_channel(435.0, -72.5).n0_w_per_hz == default
+
+
+@pytest.mark.parametrize("report", [5, MimoFeedback(DUAL, 0, 5, 7)], ids=["single", "dual"])
+def test_on_tti_on_a_nan_power_state_raises_and_keeps_its_state(report):
+    # the held power's shift was NaN, and plain AMC served the top level
+    # at power_dbm=nan
+    st = ControllerState(power_dbm=math.nan, timer_ms=0.0, ee_smoothed=1e12)
+    before = repr(st)
+    selector = select_optimal_dual if isinstance(report, MimoFeedback) else select_optimal
+    with pytest.raises(ValueError, match="^shift_db must be finite, got nan"):
+        on_tti(st, TtiFeedback(report, (False,), 40.0, 2e6), reference_table(),
+               ControllerConfig(), PowerModelParams(), selector)
+    assert repr(st) == before
 
 
 @pytest.mark.parametrize("sinr_db", [math.nan, np.array([1.0, math.nan]), [math.nan]],

@@ -997,14 +997,42 @@ def assert_same_run(got, want):
 
 def counting_steps(monkeypatch):
     """Wrap the engine's on_tti and selectors; the Counter returned
-    counts their calls by name."""
+    counts their calls by name, and by (name, exact_ee) where the call
+    passes exact_ee."""
     calls = Counter()
     for name in ("on_tti", "select_optimal", "select_optimal_dual"):
-        def wrapper(*args, _name=name, _fn=getattr(sim_engine, name)):
+        def wrapper(*args, _name=name, _fn=getattr(sim_engine, name), **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            if "exact_ee" in kwargs:
+                calls[_name, kwargs["exact_ee"]] += 1
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(sim_engine, name, wrapper)
     return calls
+
+
+@pytest.mark.parametrize("mode", [SIMO, MIMO])
+@pytest.mark.parametrize("strategy", [FIXED_BASELINE, SEMI_STATIC, PER_TTI_OPTIMAL])
+def test_the_controllers_take_the_fast_ee(monkeypatch, mode, strategy):
+    # PerTtiOptimal never reads a selection's EE and SemiStatic only
+    # compares its gap with the threshold, so both ask for the fast one;
+    # on_tti passes exact_ee=False on to the engine's selector
+    sc = make_scenario(antenna_mode=mode, strategy=strategy)
+    chunks = list(sim_engine._build_link(sc))
+    calls = counting_steps(monkeypatch)
+    sim_engine._run_link(sc, chunks)
+    selectors = ("select_optimal",) if mode == SIMO else ("select_optimal", "select_optimal_dual")
+    if strategy == FIXED_BASELINE:
+        assert not calls
+        return
+    for name in selectors:
+        assert calls[name, False] > 0, calls
+    fast = sum(calls[name, False] for name in selectors)
+    if strategy == PER_TTI_OPTIMAL:
+        assert calls["on_tti"] == 0
+        assert fast == sum(calls[name] for name in selectors)
+    else:
+        assert calls["on_tti"] == calls["on_tti", False] == fast
+        assert calls["on_tti", True] == 0
 
 
 @pytest.mark.parametrize("mode", [SISO, SIMO, MIMO])

@@ -49,7 +49,7 @@ def layers():
 def test_layers_times_every_case_of_a_short_run(layers):
     got = layers.measure(300, 1)
     assert set(got["metrics"]) == {f"{m} {s}" for m in layers.MODES for s in layers.STRATEGIES}
-    assert len(got["figures"]) == 8
+    assert len(got["figures"]) == 12
     assert all(math.isfinite(v) and v > 0 for v in got["figures"].values())
 
 
@@ -72,3 +72,18 @@ def test_layers_exits_1_when_two_trees_give_different_run_metrics(layers, monkey
     assert "RunMetrics equal in every case and process: NO" in capsys.readouterr().out
     # the same results from both trees pass
     assert layers.main(["--src", str(a), "--src", str(a), "--rounds", "2"]) == 0
+
+
+def test_layers_prints_a_figure_one_tree_lacks_as_a_dash(layers, monkeypatch, capsys):
+    # an engine from before the exact_ee keyword has no fast selector figure
+    def fake(src, ttis, repeats):
+        figures = {"select_optimal us exact": 3.0}
+        if src.name == "new":
+            figures["select_optimal us fast"] = 2.0
+        return {"figures": figures, "metrics": {}}
+
+    monkeypatch.setattr(layers, "in_fresh_process", fake)
+    assert layers.main(["--src", "old", "--src", "new", "--rounds", "2"]) == 0
+    lines = {line.split("  ")[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+    assert lines["select_optimal us exact"][-2:] == ["+0.0%", "0/2"]
+    assert lines["select_optimal us fast"][-4:] == ["-", "2.000", "[", "0.000]"]

@@ -7,7 +7,12 @@ table:
 * the link build of each antenna mode, SIMO and MIMO: the chunk's fading
   synthesis and per-TTI constants, sim_engine._build_link, in ms;
 * the warm-link loop of each mode x strategy case: sim_engine._run_link
-  on the built link with the trace off, in us per TTI.
+  on the built link with the trace off, in us per TTI;
+* the selectors per call, in us: select_optimal on the arguments of
+  every call of the SIMO PerTtiOptimal run, select_optimal_dual on those
+  of the MIMO one, each with the default exact EE and with
+  exact_ee=False (the engine's call; left out for an engine without the
+  keyword).
 
 Each is the best of --repeats calls in the process. One tree is measured
 in --rounds processes; two trees (--src given twice) alternate, one
@@ -16,9 +21,10 @@ second on odd ones. The script prints each figure's median and IQR over
 the rounds, and for two trees the change of the median and the rounds
 on which the second tree was faster (wins out of N). It also checks
 that both trees give the same RunMetrics in every case, and exits 1
-when they do not, so a byte-identity check can be scripted.
+when they do not, so a byte-identity check can be scripted. A figure
+one tree lacks prints as "-".
 
-At 20000 TTIs and 5 repeats a process takes about 4-5 s on a 2-core host.
+At 20000 TTIs and 5 repeats a process takes about 6-7 s on a 2-core host.
 
 Usage:
     python3 tools/layers.py [--src DIR [--src DIR]] [--rounds N] [--repeats N] [--ttis N]
@@ -27,6 +33,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import statistics
 import subprocess
@@ -39,6 +46,8 @@ SEED = 5
 DISTANCE_M = 435.0
 MODES = ("SIMO", "MIMO")
 STRATEGIES = ("FixedBaseline", "SemiStatic", "PerTtiOptimal")
+# the selector timed on each mode's PerTtiOptimal run
+SELECTORS = {"SIMO": "select_optimal", "MIMO": "select_optimal_dual"}
 
 
 def scenario(mode: str, strategy: str, ttis: int):
@@ -57,6 +66,36 @@ def scenario(mode: str, strategy: str, ttis: int):
         table=reference_table(),
         collect_trace=False,
     )
+
+
+def recorded_calls(sc, chunks, name: str) -> list[tuple]:
+    """The positional arguments of every call the engine makes to its
+    selector name in one run of sc on chunks."""
+    from hsdpa_ee import sim_engine
+
+    select = getattr(sim_engine, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return select(*args, **kwargs)
+
+    setattr(sim_engine, name, recording)
+    try:
+        sim_engine._run_link(sc, chunks)
+    finally:
+        setattr(sim_engine, name, select)
+    return calls
+
+
+def us_per_call(select, calls: list[tuple], kwargs: dict, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = perf_counter()
+        for args in calls:
+            select(*args, **kwargs)
+        best = min(best, perf_counter() - start)
+    return best / len(calls) * 1e6
 
 
 def measure(ttis: int, repeats: int) -> dict:
@@ -81,6 +120,12 @@ def measure(ttis: int, repeats: int) -> dict:
                 best = min(best, perf_counter() - start)
             figures[f"loop us/TTI {mode} {strategy}"] = best / ttis * 1e6
             metrics[f"{mode} {strategy}"] = repr(got)
+        name = SELECTORS[mode]
+        calls = recorded_calls(scenario(mode, "PerTtiOptimal", ttis), chunks, name)
+        select = getattr(sim_engine, name)
+        figures[f"{name} us exact"] = us_per_call(select, calls, {}, repeats)
+        if "exact_ee" in inspect.signature(select).parameters:
+            figures[f"{name} us fast"] = us_per_call(select, calls, {"exact_ee": False}, repeats)
     return {"figures": figures, "metrics": metrics}
 
 
@@ -131,12 +176,14 @@ def main(argv=None) -> int:
     if len(srcs) == 2:
         header += f"{'B vs A':>10}{'B wins':>9}"
     print(header)
-    for name in samples[0][0]["figures"]:
-        per_tree = [[s["figures"][name] for s in tree] for tree in samples]
+    names = dict.fromkeys(name for tree in samples for s in tree for name in s["figures"])
+    for name in names:
+        per_tree = [[s["figures"][name] for s in tree if name in s["figures"]] for tree in samples]
         line = f"{name:<34}" + "".join(
-            f"{statistics.median(v):>11.3f} [{iqr(v):>6.3f}]" for v in per_tree
+            f"{statistics.median(v):>11.3f} [{iqr(v):>6.3f}]" if v else f"{'-':>20}"
+            for v in per_tree
         )
-        if len(srcs) == 2:
+        if len(srcs) == 2 and all(per_tree):
             a, b = per_tree
             change = statistics.median(b) / statistics.median(a) - 1.0
             wins = sum(y < x for x, y in zip(a, b))
