@@ -42,18 +42,22 @@ the order (or where two candidates tie at one offset), it evaluates
 every candidate instead, so the result is always the first maximum of
 the per-candidate efficiencies as evaluated below.
 
-Every efficiency a result or a decision depends on is evaluated with
-numpy's power ufunc, not Python's ** or math.pow. numpy dispatches its
-own SIMD kernel (on AVX-512 hosts a vector pow that differs from libm's
-in the last bit for a few percent of arguments) and applies the same
-kernel to a scalar as to every element of a wide array, so the figures
-match the ones a whole-table evaluation gives, bit for bit. One
-np.power call costs about as much as the rest of a selection, though,
-and the engine reads the chosen candidate's efficiency at most to
-compare a gap with ee_gap_threshold. So the selectors and on_tti take
-exact_ee=False: the chosen candidate's efficiency then takes its power
-from **, within an ulp of np.power's, and may differ in its last few
-bits (at most 5 * 2^-52 relative), while the every-candidate evaluation that decides the argmax keeps np.power, so
+An efficiency is a candidate's bits over _tti_energy_j, the energy one
+TTI at its power consumes; the engine charges each TTI it serves, and
+each idle one, that same function's energy. Its exact flag chooses how
+the power in watts is taken. Every efficiency a result or a decision
+depends on is evaluated exactly, with numpy's power ufunc, not Python's
+** or math.pow. numpy dispatches its own SIMD kernel (on AVX-512 hosts
+a vector pow that differs from libm's in the last bit for a few percent
+of arguments) and applies the same kernel to a scalar as to every
+element of a wide array, so the figures match the ones a whole-table
+evaluation gives, bit for bit. One np.power call costs about as much as
+the rest of a selection, though, and the engine reads the chosen
+candidate's efficiency at most to compare a gap with ee_gap_threshold.
+So the selectors and on_tti take exact_ee=False: the chosen candidate's
+efficiency then takes its power from **, within an ulp of np.power's,
+and may differ in its last few bits (at most 5 * 2^-52 relative), while
+the every-candidate evaluation that decides the argmax stays exact, so
 the item, power and infeasible flag are the same. on_tti decides its
 trigger from np.power's efficiency by construction: where the fast gap
 lies within _TIE_MARGIN of the threshold, it selects again exactly.
@@ -104,7 +108,8 @@ class ControllerConfig:
     tti_ms, the HSDPA transmission time interval of 2 ms (3GPP TS
     25.308), is a class constant, not a field: it sets each TTI's
     energy, the trigger timers and the span of a run, and the fading
-    is sampled at it.
+    is sampled at it. tti_s is the same interval in seconds, the one
+    place it is converted.
 
     The ACK/NACK outer loop's steps and clamp are class constants too:
     it is ordinary HSDPA link adaptation at the 10% block error rate of
@@ -114,6 +119,7 @@ class ControllerConfig:
     """
 
     tti_ms = 2.0
+    tti_s = tti_ms * 1e-3
     offset_step_up_db = 0.5
     offset_step_down_db = 0.5 / 9.0
     offset_clamp_db = 6.0
@@ -225,18 +231,23 @@ def estimate_power_for_mcs(
 
 def estimate_ee(p_dbm: float, tbs_bits: float, pm: PowerModelParams) -> float:
     """Estimated efficiency in bits/J of serving tbs_bits at p_dbm for
-    one TTI."""
+    one TTI: tbs_bits over the TTI's energy, exactly as the selectors
+    evaluate a candidate."""
     if tbs_bits <= 0.0:
         raise ValueError("tbs_bits must be > 0")
     if not math.isfinite(p_dbm):
         raise ValueError("power in dBm must be finite")
-    return _ee(p_dbm, tbs_bits, ControllerConfig.tti_ms * 1e-3, pm)
+    return tbs_bits / _tti_energy_j(p_dbm, pm)
 
 
-def _ee(p_dbm: float, bits: float, tti_s: float, pm: PowerModelParams, exact=True) -> float:
-    """bits over the energy of one TTI at p_dbm: the one EE formula of
-    both selectors. The power is np.power's when exact, else that of **,
-    within an ulp of it (see the module docstring)."""
+_TTI_S = ControllerConfig.tti_s  # a global: _tti_energy_j runs on every selection
+
+
+def _tti_energy_j(p_dbm: float, pm: PowerModelParams, exact=True) -> float:
+    """The energy in J one TTI at p_dbm consumes: the one energy formula
+    of the selectors' EE and the engine's served and idle TTIs. The
+    power is np.power's when exact, else that of **, within an ulp of it
+    (see the module docstring)."""
     y = (p_dbm - 30.0) / 10.0
     # ** serves only normal powers: it raises OverflowError past 1e308 W,
     # where np.power gives inf, and an ulp of a subnormal power is no
@@ -245,7 +256,7 @@ def _ee(p_dbm: float, bits: float, tti_s: float, pm: PowerModelParams, exact=Tru
         p_w = float(np.power(10.0, y))
     else:
         p_w = 10.0 ** y
-    return bits / (tti_s * (p_w / pm.eta + pm.overhead_w))
+    return _TTI_S * (p_w / pm.eta + pm.overhead_w)
 
 
 # Relative EE lead (as a natural log) a candidate needs for the interval
@@ -329,7 +340,8 @@ def _build_search(key, table, pm, items, bits, offsets, lowest) -> _Search:
     with block sizes bits and lowest levels lowest (for the min_mcs
     floor), cached under key."""
     floor = list(accumulate(lowest, max))
-    search = _Search(items, bits, floor, offsets, *_argmax_intervals(offsets, bits, pm), (table, pm))
+    intervals = _argmax_intervals(offsets, bits, pm)
+    search = _Search(items, bits, floor, offsets, *intervals, (table, pm))
     if len(_searches) >= _CACHE_LIMIT:
         _searches.clear()
     _searches[key] = search
@@ -346,7 +358,9 @@ def _level_search(table: McsTable, pm: PowerModelParams) -> _Search:
 def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, result, exact):
     """The constrained EE argmax of search's candidates, candidate k at
     p_dbm + offsets[k] - ref + delta_db, as result(item, power, ee,
-    infeasible); ee is evaluated exact or not as _ee is."""
+    infeasible). Each EE is bits[k] over _tti_energy_j at that power:
+    exact for every candidate where they decide the argmax, and for the
+    result's ee as exact says."""
     items, bits, floor, offsets, starts, ends, winners, _ = search
     x = p_dbm - ref + delta_db
     if not math.isfinite(x):
@@ -363,12 +377,11 @@ def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, re
     while affordable > 0 and p_dbm + offsets[affordable - 1] - ref + delta_db > p_max:
         affordable -= 1
 
-    tti_s = cfg.tti_ms * 1e-3
     pos_min = bisect_left(floor, cfg.min_mcs)
     if pos_min >= affordable:  # no admissible candidate fits the budget
         pos = max(affordable - 1, 0)
         p_pos = p_dbm + offsets[pos] - ref + delta_db
-        return result(items[pos], p_max, _ee(p_pos, bits[pos], tti_s, pm, exact), True)
+        return result(items[pos], p_max, bits[pos] / _tti_energy_j(p_pos, pm, exact), True)
 
     # the candidate whose interval holds x wins with room to spare;
     # outside every interval, evaluate every candidate, exactly, since
@@ -377,11 +390,11 @@ def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, re
     if i >= 0 and x <= ends[i]:
         pos_star = winners[i]
     else:
-        ees = [_ee(p_dbm + offsets[k] - ref + delta_db, bits[k], tti_s, pm) for k in range(n)]
+        ees = [bits[k] / _tti_energy_j(p_dbm + offsets[k] - ref + delta_db, pm) for k in range(n)]
         pos_star = ees.index(max(ees))
     pos = min(max(pos_star, pos_min), affordable - 1)
     p_pos = p_dbm + offsets[pos] - ref + delta_db
-    return result(items[pos], p_pos, _ee(p_pos, bits[pos], tti_s, pm, exact), False)
+    return result(items[pos], p_pos, bits[pos] / _tti_energy_j(p_pos, pm, exact), False)
 
 
 def select_optimal(

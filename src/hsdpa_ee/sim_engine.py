@@ -69,32 +69,39 @@ trigger is evaluated. Every strategy's ACK/NACK outer loop is
 ee_controller.update_offset, written out once on a local offset, and
 one test, cqi1 >= 1, takes a report as in range for every strategy (a
 dual report has both streams in range). FixedBaseline serves amc_level
-at min_mcs 1, written out. PerTtiOptimal is defined in the loop: it
-selects on every report in range and applies the selection.
-SemiStatic calls on_tti only where its dual trigger can fire, on a
-report in range once the minimum interval has passed, with the
-offset, the timer and the smoothed EE written into its ControllerState
-around the call. On its other TTIs the loop advances the timer and the
-smoothed EE as on_tti does, and inside the minimum interval serves
-on_tti's plain AMC, amc_level at the controller's min_mcs, written out;
-most TTIs are of this kind, which is what the dual trigger is for. Both
-controller strategies pass exact_ee=False (to the selectors, and to
-on_tti, which passes it on): PerTtiOptimal never reads a selection's
-EE and SemiStatic compares it only with ee_gap_threshold, which on_tti
-decides on np.power's EE regardless, so no output moves. The
-loop calls on_tti and the selectors by this module's names, so the
-benchmark tracer's patches on them take effect.
+at min_mcs 1, written out. The two controller strategies share one
+dispatch: where they select, the report's mode picks its selector,
+select_optimal or select_optimal_dual. PerTtiOptimal is defined in the
+loop: it selects on every report in range and applies the selection.
+SemiStatic calls on_tti, passing it the selector, only where its dual
+trigger can fire, on a report in range once the minimum interval has
+passed, with the offset, the timer and the smoothed EE written into its
+ControllerState around the call. On its other TTIs the loop advances
+the timer and the smoothed EE as on_tti does, and inside the minimum
+interval serves on_tti's plain AMC, amc_level at the controller's
+min_mcs, written out; most TTIs are of this kind, which is what the
+dual trigger is for. Both controller strategies pass exact_ee=False (to
+the selectors, and to on_tti, which passes it on): PerTtiOptimal never
+reads a selection's EE and SemiStatic compares it only with
+ee_gap_threshold, which on_tti decides on np.power's EE regardless, so
+no output moves. The loop calls on_tti and the selectors by this
+module's names, so the benchmark tracer's patches on them take effect.
+
+A TTI's consumed energy is the selectors' own formula,
+ee_controller._tti_energy_j: a served TTI's at the configured power,
+computed once per power, with ** where it serves (exact=False), and an
+idle TTI's at -inf dBm, 0 W radiated, which leaves the overhead alone.
 
 The feedback delay, the retransmission limit, the pilot averaging
 window and the chunk length are module constants (FEEDBACK_DELAY_TTIS,
 MAX_RETRANSMISSIONS, PILOT_WINDOW_S, CHUNK_TTIS), not scenario fields:
 no experiment varies them. The HSDPA standard's own figures are fixed
 too, as class constants of the configs that read them: the TTI
-(ControllerConfig.tti_ms, 2 ms), at which the fading is also sampled,
-and ChannelParams' spreading factor, bandwidth, carrier and Pedestrian
-A tap powers. So are the outer loop's steps and clamp (class
-constants of ControllerConfig) and the terminal's noise density
-(ChannelParams.n0_w_per_hz).
+(ControllerConfig.tti_ms, 2 ms, and tti_s, the same in seconds), at
+which the fading is also sampled, and ChannelParams' spreading factor,
+bandwidth, carrier and Pedestrian A tap powers. So are the outer loop's
+steps and clamp (class constants of ControllerConfig) and the
+terminal's noise density (ChannelParams.n0_w_per_hz).
 """
 
 from __future__ import annotations
@@ -113,13 +120,21 @@ from .ee_controller import (
     RECONFIGURE,
     ControllerConfig,
     TtiFeedback,
+    _tti_energy_j,
     new_controller_state,
     on_tti,
     select_optimal,
 )
 from .link_channel import ChannelParams, bessel_j0, doppler_hz, hs_sinr_db, synth_fading
 from .mcs_table import McsTable, default_table
-from .mimo_dtxaa import DUAL, SINGLE, MimoFeedback, pci_codebook, select_optimal_dual, stream_gain_series
+from .mimo_dtxaa import (
+    DUAL,
+    SINGLE,
+    MimoFeedback,
+    pci_codebook,
+    select_optimal_dual,
+    stream_gain_series,
+)
 from .power_model import PowerModelParams
 
 __all__ = [
@@ -282,7 +297,7 @@ def fading_block(
     benchmark tracer's patch on it takes effect."""
     n_taps = len(ch.pdp_weights)
     amps = _process_amps(ch, n_rx * n_tx)
-    block = synth_fading(len(amps), n_steps, ControllerConfig.tti_ms * 1e-3, _doppler(ch), rng)
+    block = synth_fading(len(amps), n_steps, ControllerConfig.tti_s, _doppler(ch), rng)
     block *= amps[:, None]
     return block.reshape(n_taps, n_rx, n_tx, n_steps)
 
@@ -415,7 +430,7 @@ def _single_stream_link(sc: ScenarioConfig, n: int, rng) -> _Link:
         np.square(power, out=power)
         np.add(gain, power, out=gain)
 
-    synth_fading(len(amps), n, ControllerConfig.tti_ms * 1e-3, _doppler(ch), rng, add_power)
+    synth_fading(len(amps), n, ControllerConfig.tti_s, _doppler(ch), rng, add_power)
     _gains_to_db((gain,), ch, 1.0, _pilot_loss_db(sc))
     return _single_stream_view(sc.table, memoryview(gain))
 
@@ -572,7 +587,7 @@ def _mimo_link(sc: ScenarioConfig, n: int, rng) -> _Link:
         if made % 4 == 0:
             _add_stream_gains(gains, tap.reshape(1, 2, 2, n))
 
-    synth_fading(len(amps), n, ControllerConfig.tti_ms * 1e-3, _doppler(ch), rng, add_process)
+    synth_fading(len(amps), n, ControllerConfig.tti_s, _doppler(ch), rng, add_process)
     _gains_to_db(gains.reshape(12, n), ch, 1.0, _pilot_loss_db(sc))
     # each of the 12 rows a zero-copy view of doubles, read as floats
     return _mimo_view(sc.table, [[memoryview(row) for row in rows] for rows in gains])
@@ -633,11 +648,8 @@ def _run_link(
     cfg, pm, table = sc.controller, sc.power_model, sc.table
     T = sc.duration_ttis
     delay = FEEDBACK_DELAY_TTIS
-    ts = cfg.tti_ms * 1e-3
     thr = table._thr_list
     tbs = table._tbs_list
-    overhead = pm.overhead_w
-    eta = pm.eta
     strategy = sc.strategy
     baseline = strategy == FIXED_BASELINE
     per_tti_optimal = strategy == PER_TTI_OPTIMAL
@@ -677,7 +689,7 @@ def _run_link(
     p_energy = served_energy = None  # energy of a served TTI, cached per power
     # an idle TTI's power and energy, one object each for the whole run
     idle_p = float("-inf")
-    idle_energy = ts * overhead
+    idle_energy = _tti_energy_j(idle_p, pm)
     last_sample_ee = 0.0
     dual_reports = _DualReports()
 
@@ -725,36 +737,29 @@ def _run_link(
                 levels = (bisect_right(thr, thr[fb[2] - 1] - offset) or 1,)
                 if fb[0] == DUAL:
                     levels += (bisect_right(thr, thr[fb[3] - 1] - offset) or 1,)
-            elif per_tti_optimal:
-                # PerTtiOptimal: every report in range selects, and the
-                # selection is applied
-                if fb[0] == SINGLE:
-                    sel = select_optimal(fb[4], fb[2], offset, table, cfg, pm, exact_ee=False)
-                else:
-                    sel = select_optimal_dual(
-                        fb[4], dual_reports[fb[1:4]], offset, table, cfg, pm, exact_ee=False
-                    )
-                reconfigured = True
-                reconfigs += 1
-                p_cfg = sel.power_dbm
-                levels = sel.levels
-            elif timer + tti_ms > min_interval:
-                # SemiStatic evaluates its dual trigger: on_tti steps st,
-                # whose offset has taken this TTI's ACKs already
+            elif per_tti_optimal or timer + tti_ms > min_interval:
+                # a selection, by the report's selector: PerTtiOptimal
+                # applies it on every report in range, and SemiStatic
+                # evaluates its dual trigger on it, with on_tti stepping
+                # st, whose offset has taken this TTI's ACKs already
                 if fb[0] == SINGLE:
                     cqi, select = fb[2], select_optimal
                 else:
                     cqi, select = dual_reports[fb[1:4]], select_optimal_dual
-                st.offset_db, st.timer_ms, st.ee_smoothed = offset, timer, ee_smoothed
-                st, dec = on_tti(
-                    st, TtiFeedback(cqi, (), fb[4], last_sample_ee), table, cfg, pm, select,
-                    exact_ee=False,
-                )
-                timer, ee_smoothed = st.timer_ms, st.ee_smoothed
-                if dec.action == RECONFIGURE:
+                if per_tti_optimal:
+                    dec = select(fb[4], cqi, offset, table, cfg, pm, exact_ee=False)
                     reconfigured = True
+                else:
+                    st.offset_db, st.timer_ms, st.ee_smoothed = offset, timer, ee_smoothed
+                    st, dec = on_tti(
+                        st, TtiFeedback(cqi, (), fb[4], last_sample_ee), table, cfg, pm, select,
+                        exact_ee=False,
+                    )
+                    timer, ee_smoothed = st.timer_ms, st.ee_smoothed
+                    reconfigured = dec.action == RECONFIGURE
+                if reconfigured:
                     reconfigs += 1
-                    p_cfg = st.power_dbm
+                    p_cfg = dec.power_dbm
                 levels = dec.levels
             else:
                 # SemiStatic inside the minimum interval, where its trigger
@@ -782,8 +787,7 @@ def _run_link(
                 off = (p_cfg - 30.0) - share_db[fb[0]]
                 if p_cfg != p_energy:
                     p_energy = p_cfg
-                    p_w = 10.0 ** ((p_cfg - 30.0) / 10.0)
-                    served_energy = ts * (p_w / eta + overhead)
+                    served_energy = _tti_energy_j(p_cfg, pm, False)
                 energy = served_energy
                 delivered = 0
                 acks = failed = ()
@@ -840,7 +844,7 @@ def _run_link(
         # alive at a time
         link = report = fixed_reports = sinr_db = rows = fixed = None
 
-    span_s = T * cfg.tti_ms * 1e-3
+    span_s = T * cfg.tti_s
     metrics = RunMetrics(
         avg_ee_bits_per_joule=delivered_bits / energy_j if energy_j > 0 else 0.0,
         throughput_bps=delivered_bits / span_s,

@@ -158,8 +158,8 @@ def test_fixed_engine_constants_are_unknown_keys(tmp_path, capsys, key):
     assert f"[line 3]: unknown key {key!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["tti_ms", "offset_step_up_db", "offset_step_down_db",
-                                 "offset_clamp_db"])
+@pytest.mark.parametrize("key", ["tti_ms", "tti_s", "offset_step_up_db",
+                                 "offset_step_down_db", "offset_clamp_db"])
 def test_fixed_controller_constants_are_unknown_keys(tmp_path, capsys, key):
     cfg = write(tmp_path, "bad.ini", f"[scenario]\nduration_ttis = 10\n\n[controller]\n{key} = 3\n")
     assert main(["run", "--config", cfg]) == EXIT_PARSE

@@ -104,7 +104,8 @@ CASES = (
 # unknown keyword, a TypeError that names it
 PINNED_CASES = (
     [(f"ControllerConfig.{f}", lambda v, f=f: ControllerConfig(**{f: v}))
-     for f in ("tti_ms", "offset_step_up_db", "offset_step_down_db", "offset_clamp_db")]
+     for f in ("tti_ms", "tti_s", "offset_step_up_db", "offset_step_down_db",
+               "offset_clamp_db")]
     + [(f"ChannelParams.{f}",
         lambda v, f=f: ChannelParams(**{"i_or_w": 1e-10, "i_oc_w": 1e-11, f: v}))
        for f in ("bandwidth_hz", "carrier_hz", "pdp_weights", "n0_w_per_hz")]
@@ -166,6 +167,7 @@ def test_power_at_1000_db_runs_without_overflow(key, value):
 # or not, can be passed
 PINNED = (
     (ControllerConfig, "tti_ms", 2.0, 1.0),
+    (ControllerConfig, "tti_s", 2e-3, 1e-3),
     (ControllerConfig, "offset_step_up_db", 0.5, 0.3),
     (ControllerConfig, "offset_step_down_db", 0.5 / 9.0, 0.3),
     (ControllerConfig, "offset_clamp_db", 6.0, 3.0),

@@ -14,15 +14,19 @@ table:
   exact_ee=False (the engine's call; left out for an engine without the
   keyword).
 
-Each is the best of --repeats calls in the process. One tree is measured
-in --rounds processes; two trees (--src given twice) alternate, one
-process of each per round, the first tree first on even rounds and
-second on odd ones. The script prints each figure's median and IQR over
-the rounds, and for two trees the change of the median and the rounds
-on which the second tree was faster (wins out of N). It also checks
-that both trees give the same RunMetrics in every case, and exits 1
-when they do not, so a byte-identity check can be scripted. A figure
-one tree lacks prints as "-".
+Each is the best of --repeats calls in the process. Each loop and
+per-call figure has a twin named with a trailing "cpu": the same calls
+timed by the process's CPU time (time.process_time) instead of the wall
+clock (time.perf_counter), so the time the process waits while others
+run is left out. One tree is measured in --rounds processes; two trees
+(--src given twice) alternate, one process of each per round, the first
+tree first on even rounds and second on odd ones. The script prints
+each figure's median and IQR over the rounds, and for two trees the
+change of the median and the rounds on which the second tree was
+faster (wins out of N). It also checks that both trees give the same
+RunMetrics in every case, and exits 1 when they do not, so a
+byte-identity check can be scripted. A figure one tree lacks prints as
+"-".
 
 At 20000 TTIs and 5 repeats a process takes about 6-7 s on a 2-core host.
 
@@ -39,7 +43,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = 5
@@ -88,14 +92,30 @@ def recorded_calls(sc, chunks, name: str) -> list[tuple]:
     return calls
 
 
-def us_per_call(select, calls: list[tuple], kwargs: dict, repeats: int) -> float:
-    best = float("inf")
+def best_of(repeats: int, fn) -> tuple:
+    """fn's result, and the least wall time and the least CPU time in s
+    over repeats calls of it."""
+    wall = cpu = float("inf")
     for _ in range(repeats):
-        start = perf_counter()
+        start, start_cpu = perf_counter(), process_time()
+        got = fn()
+        cpu = min(cpu, process_time() - start_cpu)
+        wall = min(wall, perf_counter() - start)
+    return got, wall, cpu
+
+
+def put_us(figures: dict, name: str, wall: float, cpu: float, per: int) -> None:
+    """Figure name and its CPU twin, in us per one of per items."""
+    figures[name] = wall / per * 1e6
+    figures[f"{name} cpu"] = cpu / per * 1e6
+
+
+def call_all(select, calls: list[tuple], kwargs: dict):
+    def calls_of_a_run():
         for args in calls:
             select(*args, **kwargs)
-        best = min(best, perf_counter() - start)
-    return best / len(calls) * 1e6
+
+    return calls_of_a_run
 
 
 def measure(ttis: int, repeats: int) -> dict:
@@ -105,27 +125,23 @@ def measure(ttis: int, repeats: int) -> dict:
 
     figures, metrics = {}, {}
     for mode in MODES:
-        best = float("inf")
-        for _ in range(repeats):
-            start = perf_counter()
-            chunks = list(sim_engine._build_link(scenario(mode, STRATEGIES[0], ttis)))
-            best = min(best, perf_counter() - start)
-        figures[f"build ms {mode}"] = best * 1e3
+        sc = scenario(mode, STRATEGIES[0], ttis)
+        chunks, wall, _ = best_of(repeats, lambda: list(sim_engine._build_link(sc)))
+        figures[f"build ms {mode}"] = wall * 1e3
         for strategy in STRATEGIES:
             sc = scenario(mode, strategy, ttis)
-            best = float("inf")
-            for _ in range(repeats):
-                start = perf_counter()
-                got, _ = sim_engine._run_link(sc, chunks)
-                best = min(best, perf_counter() - start)
-            figures[f"loop us/TTI {mode} {strategy}"] = best / ttis * 1e6
+            (got, _), wall, cpu = best_of(repeats, lambda: sim_engine._run_link(sc, chunks))
+            put_us(figures, f"loop us/TTI {mode} {strategy}", wall, cpu, ttis)
             metrics[f"{mode} {strategy}"] = repr(got)
         name = SELECTORS[mode]
         calls = recorded_calls(scenario(mode, "PerTtiOptimal", ttis), chunks, name)
         select = getattr(sim_engine, name)
-        figures[f"{name} us exact"] = us_per_call(select, calls, {}, repeats)
+        kinds = {"exact": {}}
         if "exact_ee" in inspect.signature(select).parameters:
-            figures[f"{name} us fast"] = us_per_call(select, calls, {"exact_ee": False}, repeats)
+            kinds["fast"] = {"exact_ee": False}
+        for kind, kwargs in kinds.items():
+            _, wall, cpu = best_of(repeats, call_all(select, calls, kwargs))
+            put_us(figures, f"{name} us {kind}", wall, cpu, len(calls))
     return {"figures": figures, "metrics": metrics}
 
 
