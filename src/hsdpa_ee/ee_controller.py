@@ -36,11 +36,17 @@ offset order. Once per (table, power model, and for 2x2 the reported
 pair) the search is built and cached, with the x intervals on which
 one candidate beats every other by a relative margin of at least
 _TIE_MARGIN, derived in closed form. A call bisects those intervals
-for the optimum and the offsets for the power ceiling. Outside every
-interval, within the margin of a crossing where rounding could decide
-the order (or where two candidates tie at one offset), it evaluates
-every candidate instead, so the result is always the first maximum of
-the per-candidate efficiencies as evaluated below.
+for the optimum. Outside every interval, within the margin of a
+crossing where rounding could decide the order (or where two
+candidates tie at one offset), it evaluates every candidate instead,
+so the result is always the first maximum of the per-candidate
+efficiencies as evaluated below. Powers never decrease along the
+candidates, so the ones within the power budget are a prefix of them:
+a call tests the lowest admissible candidate and the clamped optimum
+against the budget, and only where one of them exceeds it does it
+look for the prefix's end (a bisect on the offsets) and fall back to
+its last candidate, flagged infeasible where that lies below the
+minimum level.
 
 An efficiency is a candidate's bits over _tti_energy_j, the energy one
 TTI at its power consumes; the engine charges each TTI it serves, and
@@ -73,7 +79,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .mcs_table import McsTable
+from .mcs_table import McsTable, _is_cqi_index
 from .power_model import PowerModelParams
 
 if TYPE_CHECKING:
@@ -360,41 +366,61 @@ def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, re
     p_dbm + offsets[k] - ref + delta_db, as result(item, power, ee,
     infeasible). Each EE is bits[k] over _tti_energy_j at that power:
     exact for every candidate where they decide the argmax, and for the
-    result's ee as exact says."""
+    result's ee as exact says.
+
+    The offsets never decrease and rounding is monotone, so neither do
+    the powers: the candidates within the budget are a prefix. The
+    lowest admissible candidate pos_min, and then the argmax raised to
+    at least pos_min, are tested against the budget by that one
+    expression. Where both fit, the raised argmax is the result; only
+    where one of them does not is the prefix's end found, and the result
+    is its last candidate, or the infeasible fallback where pos_min lies
+    past it."""
     items, bits, floor, offsets, starts, ends, winners, _ = search
     x = p_dbm - ref + delta_db
     if not math.isfinite(x):
         raise ValueError(f"power {p_dbm} dBm and offset {delta_db} dB must be finite")
 
-    # the affordable positions: those whose power fits the budget.
-    # Powers rise with the offset, so the bisect lands next to the last
-    # one and the loops settle what rounding decides.
     p_max = cfg.p_max_dbm
     n = len(offsets)
+    pos_min = bisect_left(floor, cfg.min_mcs)
+    feasible = pos_min < n and p_dbm + offsets[pos_min] - ref + delta_db <= p_max
+    if feasible:
+        # the candidate whose interval holds x wins with room to spare;
+        # outside every interval, evaluate every candidate, exactly,
+        # since the evaluated figures decide the argmax
+        i = bisect_right(starts, x) - 1
+        if i >= 0 and x <= ends[i]:
+            pos = winners[i]
+        else:
+            ees = [bits[k] / _tti_energy_j(p_dbm + offsets[k] - ref + delta_db, pm)
+                   for k in range(n)]
+            pos = ees.index(max(ees))
+        if pos < pos_min:
+            pos = pos_min
+        p_pos = p_dbm + offsets[pos] - ref + delta_db
+        if p_pos <= p_max:
+            return tuple.__new__(
+                result, (items[pos], p_pos, bits[pos] / _tti_energy_j(p_pos, pm, exact), False)
+            )
+
+    # the affordable positions, the prefix whose powers fit the budget:
+    # the bisect lands next to its end and the loops settle what
+    # rounding decides
     affordable = bisect_right(offsets, p_max - x)
     while affordable < n and p_dbm + offsets[affordable] - ref + delta_db <= p_max:
         affordable += 1
     while affordable > 0 and p_dbm + offsets[affordable - 1] - ref + delta_db > p_max:
         affordable -= 1
-
-    pos_min = bisect_left(floor, cfg.min_mcs)
-    if pos_min >= affordable:  # no admissible candidate fits the budget
-        pos = max(affordable - 1, 0)
-        p_pos = p_dbm + offsets[pos] - ref + delta_db
-        return result(items[pos], p_max, bits[pos] / _tti_energy_j(p_pos, pm, exact), True)
-
-    # the candidate whose interval holds x wins with room to spare;
-    # outside every interval, evaluate every candidate, exactly, since
-    # the evaluated figures decide the argmax
-    i = bisect_right(starts, x) - 1
-    if i >= 0 and x <= ends[i]:
-        pos_star = winners[i]
-    else:
-        ees = [bits[k] / _tti_energy_j(p_dbm + offsets[k] - ref + delta_db, pm) for k in range(n)]
-        pos_star = ees.index(max(ees))
-    pos = min(max(pos_star, pos_min), affordable - 1)
+    # the budget caps the argmax at the prefix's last candidate, at or
+    # past pos_min; where no admissible candidate fits, that candidate
+    # is the infeasible fallback, at full power
+    pos = max(affordable - 1, 0)
     p_pos = p_dbm + offsets[pos] - ref + delta_db
-    return result(items[pos], p_pos, bits[pos] / _tti_energy_j(p_pos, pm, exact), False)
+    ee = bits[pos] / _tti_energy_j(p_pos, pm, exact)
+    if feasible:
+        return tuple.__new__(result, (items[pos], p_pos, ee, False))
+    return tuple.__new__(result, (items[pos], p_max, ee, True))
 
 
 def select_optimal(
@@ -422,22 +448,17 @@ def select_optimal(
     takes its power from ** instead and may differ in its last bits; the
     level, power and infeasible flag are the same either way.
     """
-    if not _is_cqi_index(feedback_cqi):
+    if not (type(feedback_cqi) is int or _is_cqi_index(feedback_cqi)):
         raise ValueError(f"feedback_cqi must be an integer CQI index, got {feedback_cqi!r}")
-    n = len(table._thr_list)
-    if feedback_cqi < 1 or feedback_cqi > n:
+    thr = table._thr_list
+    n = len(thr)
+    if not 1 <= feedback_cqi <= n:
         raise ValueError("feedback_cqi must be a valid table index")
     if cfg.min_mcs > n:
         raise ValueError("min_mcs must be a valid table index")
     search = _searches.get((id(table), id(pm))) or _level_search(table, pm)
-    ref = table._thr_list[feedback_cqi - 1]
+    ref = thr[feedback_cqi - 1]
     return _select(search, p_dbm, ref, delta_db, cfg, pm, OptimalSelection, exact_ee)
-
-
-def _is_cqi_index(value) -> bool:
-    """A CQI report's type: a Python int, the engine's own, or a numpy
-    integer, as cqi_from_sinr gives for array input; not a bool."""
-    return type(value) is int or isinstance(value, np.integer)
 
 
 def relative_ee_difference(xi_opt: float, xi: float) -> float:
@@ -527,7 +548,7 @@ def on_tti(
             state.ee_smoothed += cfg.ee_smoothing * (feedback.realized_ee - state.ee_smoothed)
 
         report = feedback.cqi
-        if _is_cqi_index(report):
+        if type(report) is int or _is_cqi_index(report):
             reported = (report,)
         else:
             try:

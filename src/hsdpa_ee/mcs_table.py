@@ -95,15 +95,27 @@ class McsTable:
 
     def threshold(self, cqi: int) -> float:
         """SINR threshold in dB of a valid index (1..N)."""
-        if not 1 <= cqi <= len(self.entries):
-            raise ValueError(f"cqi index {cqi} outside 1..{len(self.entries)}")
+        self._check_index(cqi)
         return self._thr_list[cqi - 1]
 
     def tbs(self, cqi: int) -> int:
         """Transport block size in bits of a valid index (1..N)."""
+        self._check_index(cqi)
+        return self._tbs_list[cqi - 1]
+
+    def _check_index(self, cqi) -> None:
+        if not (type(cqi) is int or _is_cqi_index(cqi)):
+            raise ValueError(f"cqi index must be an integer, got {cqi!r}")
         if not 1 <= cqi <= len(self.entries):
             raise ValueError(f"cqi index {cqi} outside 1..{len(self.entries)}")
-        return self._tbs_list[cqi - 1]
+
+
+def _is_cqi_index(value) -> bool:
+    """A CQI index's type: a Python int, the engine's own, or a numpy
+    integer, as cqi_from_sinr gives for array input; not a bool, which
+    would pass as 0 or 1. Callers on a hot path test type(value) is int
+    first, which skips this call for the engine's reports."""
+    return type(value) is int or isinstance(value, np.integer)
 
 
 def cqi_from_sinr(table: McsTable, sinr_db):

@@ -37,9 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ee_controller import ControllerConfig, _build_search, _is_cqi_index, _searches, _select
+from .ee_controller import ControllerConfig, _build_search, _searches, _select
 from .link_channel import ChannelParams
-from .mcs_table import McsTable
+from .mcs_table import McsTable, _is_cqi_index
 from .power_model import PowerModelParams
 
 __all__ = [

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,9 +81,13 @@ class PowerModelParams:
         if self.m_a < 1:
             raise ValueError(f"m_a must be >= 1, got {self.m_a}")
 
-    @property
+    @cached_property
     def overhead_w(self) -> float:
-        """Load-independent consumption m_a * P_cir + P_sta."""
+        """Load-independent consumption m_a * P_cir + P_sta.
+
+        Computed on the first read and kept in the instance's __dict__,
+        so later reads, one per selection, are plain attribute lookups;
+        it is not a field, so eq, hash and repr do not see it."""
         return self.m_a * self.p_cir_w + self.p_sta_w
 
 

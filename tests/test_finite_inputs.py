@@ -4,8 +4,9 @@ MCS floor must be ints, and the HSDPA standard's constants (the TTI,
 spreading factor, bandwidth, carrier and tap powers), the outer loop's
 steps and clamp and the UE noise figure and density cannot be set. The
 SINR and CQI maps refuse a NaN SINR, power or gain, the selectors a
-non-finite power or offset, plain AMC a non-finite shift and a fresh
-controller state a non-finite power.
+non-finite power or offset, plain AMC a non-finite shift, a fresh
+controller state a non-finite power, and the table's lookups a CQI
+index that is not an integer (or is a bool).
 
 Without these checks a NaN slips through every range comparison (they
 are all false) and a run finishes with NaN energy, while the selectors'
@@ -28,6 +29,7 @@ from hsdpa_ee.ee_controller import (
     ControllerState,
     TtiFeedback,
     amc_level,
+    estimate_power_for_mcs,
     new_controller_state,
     on_tti,
     select_optimal,
@@ -41,7 +43,7 @@ from hsdpa_ee.link_channel import (
     synth_fading,
 )
 from hsdpa_ee.mcs_table import McsEntry, McsTable, cqi_from_sinr, load_table, reference_table
-from hsdpa_ee.mimo_dtxaa import DUAL, MimoFeedback, select_optimal_dual
+from hsdpa_ee.mimo_dtxaa import DUAL, MimoFeedback, estimate_dual_power, select_optimal_dual
 from hsdpa_ee.power_model import PowerModelParams
 from hsdpa_ee.sim_engine import ScenarioConfig, run
 
@@ -241,6 +243,28 @@ def test_table_file_with_non_finite_thresholds_is_rejected():
     text = "cqi,sinr_db,tbs_bits,mod_order,codes\n1,-2.0,100,2,1\n2,nan,200,2,1\n3,inf,300,2,1\n"
     with pytest.raises(ValueError, match="^cqi 2: "):
         load_table(text)
+
+
+INDEX_CASES = (
+    ("threshold", lambda v: reference_table().threshold(v)),
+    ("tbs", lambda v: reference_table().tbs(v)),
+    ("estimate_power_for_mcs.feedback_cqi",
+     lambda v: estimate_power_for_mcs(40.0, v, 3, reference_table())),
+    ("estimate_power_for_mcs.target_cqi",
+     lambda v: estimate_power_for_mcs(40.0, 3, v, reference_table())),
+    ("estimate_dual_power.i1", lambda v: estimate_dual_power(40.0, v, 3, reference_table())),
+    ("estimate_dual_power.j1", lambda v: estimate_dual_power(40.0, 3, v, reference_table())),
+    ("amc_level.cqi", lambda v: amc_level(reference_table(), v, 0.0, 1)),
+)
+
+
+@pytest.mark.parametrize("value", [True, 2.5, np.float64(2.0)], ids=["True", "2.5", "float64"])
+@pytest.mark.parametrize("build", [c[1] for c in INDEX_CASES], ids=[c[0] for c in INDEX_CASES])
+def test_cqi_index_that_is_not_an_integer_is_rejected(build, value):
+    # True served as CQI 1 (estimate_power_for_mcs(40.0, True, 3, t) was
+    # 42.0), and a float index failed as a bare TypeError of list indexing
+    with pytest.raises(ValueError, match="^cqi index must be an integer, got "):
+        build(value)
 
 
 @pytest.mark.parametrize("value", [2000.0, True, "2000", None])

@@ -1,7 +1,11 @@
 """Power model oracles: hand-derived constants and grid-scan checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsdpa_ee.power_model import (
     PowerModelParams,
@@ -12,6 +16,7 @@ from hsdpa_ee.power_model import (
     shannon_ee,
     optimal_shannon_power,
 )
+from hsdpa_ee.sim_engine import _with_chain_count
 
 P5 = PowerModelParams(eta=0.38, p_cir_w=6.0, p_sta_w=6.0, m_a=1)
 
@@ -116,3 +121,27 @@ def test_zero_overhead_drives_optimum_to_zero():
     free = PowerModelParams(eta=0.38, p_cir_w=0.0, p_sta_w=0.0, m_a=1)
     p_opt = optimal_shannon_power(free, 1.0, p_max_w=20.0, tol_w=1e-6)
     assert p_opt < 1e-4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.floats(0.05, 1.0),
+    st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 600.0)),
+    st.integers(1, 4),
+)
+def test_overhead_w_is_read_once_and_is_not_a_field(eta, p_cir_w, p_sta_w, m_a):
+    # the selectors read overhead_w on every call, so it is computed on
+    # the first read and kept; the kept value must not make equal
+    # parameters differ, since _with_chain_count's lru_cache and the
+    # selectors' searches rely on their equality and hash
+    pm = PowerModelParams(eta=eta, p_cir_w=p_cir_w, p_sta_w=p_sta_w, m_a=m_a)
+    twin = PowerModelParams(eta=eta, p_cir_w=p_cir_w, p_sta_w=p_sta_w, m_a=m_a)
+    first = pm.overhead_w
+    assert first.hex() == (m_a * p_cir_w + p_sta_w).hex()
+    assert pm.overhead_w is first
+    assert "overhead_w" not in {f.name for f in dataclasses.fields(pm)}
+    assert "overhead_w" not in repr(pm) and repr(pm) == repr(twin)
+    assert pm == twin and hash(pm) == hash(twin)
+    assert _with_chain_count(pm, m_a + 1) is _with_chain_count(twin, m_a + 1)
+    assert dataclasses.replace(pm) == twin

@@ -49,7 +49,8 @@ def layers():
 def test_layers_times_every_case_of_a_short_run(layers):
     got = layers.measure(300, 1)
     assert set(got["metrics"]) == {f"{m} {s}" for m in layers.MODES for s in layers.STRATEGIES}
-    assert len(got["figures"]) == 22  # 2 builds; 6 loops, 4 selectors and their CPU twins
+    # 2 builds; 6 loops, 4 selectors, the SIMO step and the 2x2 report, and their CPU twins
+    assert len(got["figures"]) == 26
     assert all(math.isfinite(v) and v > 0 for v in got["figures"].values())
 
 

@@ -12,7 +12,16 @@ table:
   every call of the SIMO PerTtiOptimal run, select_optimal_dual on those
   of the MIMO one, each with the default exact EE and with
   exact_ee=False (the engine's call; left out for an engine without the
-  keyword).
+  keyword);
+* the controller step's own time per call, in us: on_tti on the
+  arguments of every call of the SIMO SemiStatic run, each on a fresh
+  ControllerState holding the state's values at that call, less the
+  time of building those states and of making the selector calls the
+  steps made, each in a loop of its own (so it leaves out a step's
+  selection, as the benchmark's on_tti self time does, and also the
+  second loop's own cost per selector call);
+* the scalar 2x2 report per call, in us: the link's report(t, p) on the
+  arguments of every call of the MIMO SemiStatic run.
 
 Each is the best of --repeats calls in the process. Each loop and
 per-call figure has a twin named with a trailing "cpu": the same calls
@@ -42,6 +51,7 @@ import json
 import statistics
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from time import perf_counter, process_time
 
@@ -89,6 +99,51 @@ def recorded_calls(sc, chunks, name: str) -> list[tuple]:
         sim_engine._run_link(sc, chunks)
     finally:
         setattr(sim_engine, name, select)
+    return calls
+
+
+def recorded_steps(sc, chunks) -> tuple[list, list]:
+    """The on_tti calls of one SemiStatic run of sc on chunks, as (the
+    state's field values at the call, the other positional arguments,
+    the keyword arguments), and the selector calls those steps made, as
+    (selector, positional arguments, keyword arguments)."""
+    from hsdpa_ee import sim_engine
+
+    step = sim_engine.on_tti
+    steps, selections = [], []
+
+    def recording(state, feedback, table, cfg, pm, select, **kwargs):
+        steps.append((astuple(state), (feedback, table, cfg, pm, select), kwargs))
+
+        def recording_select(*args, **kw):
+            selections.append((select, args, kw))
+            return select(*args, **kw)
+
+        return step(state, feedback, table, cfg, pm, recording_select, **kwargs)
+
+    sim_engine.on_tti = recording
+    try:
+        sim_engine._run_link(sc, chunks)
+    finally:
+        sim_engine.on_tti = step
+    return steps, selections
+
+
+def recorded_reports(sc, chunks) -> list[tuple]:
+    """Every report(t, p_dbm) call of one run of sc on chunks, as
+    (report, t, p_dbm)."""
+    from hsdpa_ee import sim_engine
+
+    calls = []
+
+    def recorder(report):
+        def recording(t, p_dbm):
+            calls.append((report, t, p_dbm))
+            return report(t, p_dbm)
+
+        return recording
+
+    sim_engine._run_link(sc, [link._replace(report=recorder(link.report)) for link in chunks])
     return calls
 
 
@@ -142,7 +197,51 @@ def measure(ttis: int, repeats: int) -> dict:
         for kind, kwargs in kinds.items():
             _, wall, cpu = best_of(repeats, call_all(select, calls, kwargs))
             put_us(figures, f"{name} us {kind}", wall, cpu, len(calls))
+        semi_static = scenario(mode, "SemiStatic", ttis)
+        if mode == "SIMO":
+            put_us(figures, "on_tti self us SIMO", *step_self_s(semi_static, chunks, repeats))
+        else:
+            put_us(figures, "2x2 report us MIMO", *report_s(semi_static, chunks, repeats))
     return {"figures": figures, "metrics": metrics}
+
+
+def step_self_s(sc, chunks, repeats: int) -> tuple:
+    """on_tti's own wall and CPU time in s over the calls of recorded_steps,
+    and the number of calls."""
+    from hsdpa_ee.ee_controller import ControllerState, on_tti
+
+    steps, selections = recorded_steps(sc, chunks)
+
+    def states():
+        for fields, _, _ in steps:
+            ControllerState(*fields)
+
+    def steps_on_fresh_states():
+        for fields, args, kwargs in steps:
+            on_tti(ControllerState(*fields), *args, **kwargs)
+
+    def selects():
+        for select, args, kwargs in selections:
+            select(*args, **kwargs)
+
+    _, wall, cpu = best_of(repeats, steps_on_fresh_states)
+    for fn in (states, selects):
+        _, other_wall, other_cpu = best_of(repeats, fn)
+        wall, cpu = wall - other_wall, cpu - other_cpu
+    return wall, cpu, len(steps)
+
+
+def report_s(sc, chunks, repeats: int) -> tuple:
+    """The wall and CPU time in s of the report calls of recorded_reports,
+    and the number of calls."""
+    calls = recorded_reports(sc, chunks)
+
+    def reports():
+        for report, t, p_dbm in calls:
+            report(t, p_dbm)
+
+    _, wall, cpu = best_of(repeats, reports)
+    return wall, cpu, len(calls)
 
 
 def in_fresh_process(src: Path, ttis: int, repeats: int) -> dict:
