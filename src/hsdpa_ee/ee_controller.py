@@ -42,11 +42,9 @@ candidates tie at one offset), it evaluates every candidate instead,
 so the result is always the first maximum of the per-candidate
 efficiencies as evaluated below. Powers never decrease along the
 candidates, so the ones within the power budget are a prefix of them:
-a call tests the lowest admissible candidate and the clamped optimum
-against the budget, and only where one of them exceeds it does it
-look for the prefix's end (a bisect on the offsets) and fall back to
-its last candidate, flagged infeasible where that lies below the
-minimum level.
+a call raises the optimum to the minimum level and walks down from it
+to the prefix's last candidate, flagged infeasible where that lies
+below the minimum level.
 
 An efficiency is a candidate's bits over _tti_energy_j, the energy one
 TTI at its power consumes; the engine charges each TTI it serves, and
@@ -143,6 +141,8 @@ class ControllerConfig:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if abs(self.p_max_dbm) > 1000.0:  # as baseline_power_dbm, so its watts fit a float
+            raise ValueError(f"p_max_dbm must be finite, within +-1000 dB, got {self.p_max_dbm}")
         if not 0.0 < self.ee_gap_threshold < 1.0:
             raise ValueError("ee_gap_threshold must be in (0, 1)")
         if self.min_reconfig_interval_ms < 0.0:
@@ -370,55 +370,37 @@ def _select(search: _Search, p_dbm, ref, delta_db, cfg: ControllerConfig, pm, re
 
     The offsets never decrease and rounding is monotone, so neither do
     the powers: the candidates within the budget are a prefix. The
-    lowest admissible candidate pos_min, and then the argmax raised to
-    at least pos_min, are tested against the budget by that one
-    expression. Where both fit, the raised argmax is the result; only
-    where one of them does not is the prefix's end found, and the result
-    is its last candidate, or the infeasible fallback where pos_min lies
-    past it."""
+    argmax, raised to the lowest admissible candidate pos_min (or the
+    last, where none is admissible), walks down while its power exceeds
+    the budget. Where the walk stops within the budget at or past
+    pos_min, that candidate is the result; otherwise it is the
+    infeasible fallback, returned at p_max_dbm with the ee of its own
+    power."""
     items, bits, floor, offsets, starts, ends, winners, _ = search
     x = p_dbm - ref + delta_db
     if not math.isfinite(x):
         raise ValueError(f"power {p_dbm} dBm and offset {delta_db} dB must be finite")
 
-    p_max = cfg.p_max_dbm
-    n = len(offsets)
+    # the candidate whose interval holds x wins with room to spare;
+    # outside every interval, evaluate every candidate, exactly, since
+    # the evaluated figures decide the argmax
+    i = bisect_right(starts, x) - 1
+    if i >= 0 and x <= ends[i]:
+        pos = winners[i]
+    else:
+        ees = [bits[k] / _tti_energy_j(p_dbm + offsets[k] - ref + delta_db, pm)
+               for k in range(len(offsets))]
+        pos = ees.index(max(ees))
     pos_min = bisect_left(floor, cfg.min_mcs)
-    feasible = pos_min < n and p_dbm + offsets[pos_min] - ref + delta_db <= p_max
-    if feasible:
-        # the candidate whose interval holds x wins with room to spare;
-        # outside every interval, evaluate every candidate, exactly,
-        # since the evaluated figures decide the argmax
-        i = bisect_right(starts, x) - 1
-        if i >= 0 and x <= ends[i]:
-            pos = winners[i]
-        else:
-            ees = [bits[k] / _tti_energy_j(p_dbm + offsets[k] - ref + delta_db, pm)
-                   for k in range(n)]
-            pos = ees.index(max(ees))
-        if pos < pos_min:
-            pos = pos_min
-        p_pos = p_dbm + offsets[pos] - ref + delta_db
-        if p_pos <= p_max:
-            return tuple.__new__(
-                result, (items[pos], p_pos, bits[pos] / _tti_energy_j(p_pos, pm, exact), False)
-            )
-
-    # the affordable positions, the prefix whose powers fit the budget:
-    # the bisect lands next to its end and the loops settle what
-    # rounding decides
-    affordable = bisect_right(offsets, p_max - x)
-    while affordable < n and p_dbm + offsets[affordable] - ref + delta_db <= p_max:
-        affordable += 1
-    while affordable > 0 and p_dbm + offsets[affordable - 1] - ref + delta_db > p_max:
-        affordable -= 1
-    # the budget caps the argmax at the prefix's last candidate, at or
-    # past pos_min; where no admissible candidate fits, that candidate
-    # is the infeasible fallback, at full power
-    pos = max(affordable - 1, 0)
+    if pos < pos_min:
+        pos = min(pos_min, len(offsets) - 1)
+    p_max = cfg.p_max_dbm
     p_pos = p_dbm + offsets[pos] - ref + delta_db
+    while p_pos > p_max and pos > 0:
+        pos -= 1
+        p_pos = p_dbm + offsets[pos] - ref + delta_db
     ee = bits[pos] / _tti_energy_j(p_pos, pm, exact)
-    if feasible:
+    if pos >= pos_min and p_pos <= p_max:
         return tuple.__new__(result, (items[pos], p_pos, ee, False))
     return tuple.__new__(result, (items[pos], p_max, ee, True))
 
@@ -441,8 +423,10 @@ def select_optimal(
     level affordable within p_max. Ties go to the lower level (lower
     power). When even min_mcs does not fit in the power budget the
     selection is flagged infeasible and falls back to the best
-    affordable level at full power. Level j's power is p_dbm + beta_j -
-    beta_feedback + delta_db, the expression of estimate_power_for_mcs.
+    affordable level (level 1 where none is) at full power; its ee is
+    that level's at the level's own power, not at the p_max returned.
+    Level j's power is p_dbm + beta_j - beta_feedback + delta_db, the
+    expression of estimate_power_for_mcs.
 
     The result's ee is evaluated with np.power. With exact_ee=False it
     takes its power from ** instead and may differ in its last bits; the

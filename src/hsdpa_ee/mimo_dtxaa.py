@@ -257,7 +257,8 @@ def select_optimal_dual(
     list: the minimum-level constraint sets the floor (first pair with
     both streams admissible), the power budget the ceiling, and an
     empty admissible window is flagged infeasible with a full-power
-    best-affordable fallback. pm should describe the dual-chain
+    best-affordable fallback, whose ee is the pair's at its own power,
+    not at the p_max returned. pm should describe the dual-chain
     hardware state (m_a = 2). exact_ee is select_optimal's: with False,
     ee may differ in its last bits, and the pair, power and flag are the
     same.

@@ -1,13 +1,15 @@
 """The power budget against a scan of every candidate.
 
 A candidate's power p_dbm + offsets[k] - ref + delta_db never decreases
-in k, so _select tests only the lowest admissible candidate and the
-clamped optimum against the budget, and looks for the end of the
-affordable prefix only where one of them is over it. The oracle here
-takes no such shortcut: it evaluates that expression for every
-candidate, counts the ones within the budget, and checks that they are
-a prefix. Budgets are put exactly on a candidate's computed power and
-one float to either side, where a rounding slip would show.
+in k, so _select walks down from the clamped optimum and tests only the
+candidates it passes against the budget. The oracle here takes no such
+shortcut: it evaluates that expression for every candidate, counts the
+ones within the budget, and checks that they are a prefix. Each call
+has one of three outcomes: the clamped optimum fits the budget
+(uncapped), the budget caps it at the prefix's last candidate (capped),
+or no admissible candidate fits (infeasible). Budgets are put exactly
+on a candidate's computed power and one float to either side, where a
+rounding slip would show.
 """
 
 import math
@@ -32,12 +34,11 @@ from hsdpa_ee.mimo_dtxaa import (
     select_optimal_dual,
 )
 
-WAYS = ("early return", "over budget", "infeasible")
+WAYS = ("uncapped", "capped", "infeasible")
 
 
 def prefix_scan(search, p_dbm, ref, delta_db, cfg, pm, result, exact):
-    """_select's result by a scan of every candidate, and the way _select
-    takes to it."""
+    """_select's result by a scan of every candidate, and its outcome."""
     items, bits = search.items, search.bits
     powers = [p_dbm + offset - ref + delta_db for offset in search.offsets]
     affordable = sum(q <= cfg.p_max_dbm for q in powers)
@@ -51,7 +52,7 @@ def prefix_scan(search, p_dbm, ref, delta_db, cfg, pm, result, exact):
     ees = [b / _tti_energy_j(q, pm) for b, q in zip(bits, powers)]
     c = max(ees.index(max(ees)), pos_min)
     pos = min(c, affordable - 1)
-    way = "early return" if c < affordable else "over budget"
+    way = "uncapped" if c < affordable else "capped"
     return result(items[pos], powers[pos], bits[pos] / _tti_energy_j(powers[pos], pm, exact),
                   False), way
 

@@ -228,6 +228,8 @@ def test_invalid_scenario_exits_2(tmp_path):
     ("geometry_db = -4000", "geometry_db"),
     ("baseline_power_dbm = 4000\nstrategy = FixedBaseline", "baseline_power_dbm"),
     ("baseline_power_dbm = 4000\nstrategy = SemiStatic", "baseline_power_dbm"),
+    ("[controller]\np_max_dbm = 4000", "p_max_dbm"),
+    ("[controller]\np_max_dbm = -4000", "p_max_dbm"),
 ])
 def test_a_power_that_overflows_exits_2_naming_it(tmp_path, capsys, text, key):
     # refused when the config is read, naming the key, before an

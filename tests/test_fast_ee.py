@@ -73,7 +73,7 @@ def test_fast_select_optimal_matches_the_exact_one(table, pm, seed):
     for p, i, delta, cfg in calls(rng, table, 40):
         assert_close(*both(select_optimal, p, i, delta, table, cfg, pm))
     i = int(rng.integers(1, len(table) + 1))
-    cfg = ControllerConfig(p_max_dbm=1e4)
+    cfg = ControllerConfig(p_max_dbm=1000.0)
     for p in edge_points(_level_search(table, pm), table.threshold(i)):
         assert_close(*both(select_optimal, p, i, 0.0, table, cfg, pm))
 
@@ -87,7 +87,7 @@ def test_fast_select_optimal_dual_matches_the_exact_one(table, pm, seed):
         fb = MimoFeedback(DUAL, 0, i1, int(rng.integers(1, n + 1)))
         assert_close(*both(select_optimal_dual, p, fb, delta, table, cfg, pm))
     fb = MimoFeedback(DUAL, 0, int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1)))
-    cfg = ControllerConfig(p_max_dbm=1e4)
+    cfg = ControllerConfig(p_max_dbm=1000.0)
     for p in edge_points(_pair_search(table, pm, fb.cqi_primary, fb.cqi_secondary)):
         assert_close(*both(select_optimal_dual, p, fb, 0.0, table, cfg, pm))
 
@@ -111,7 +111,7 @@ def test_the_generated_calls_take_every_branch():
         for p, i, delta, cfg in calls(rng, table, 300):
             got = select_optimal(p, i, delta, table, cfg, pm)
             seen[branch(search, p - table.threshold(i) + delta, got)] += 1
-        cfg = ControllerConfig(p_max_dbm=1e4)
+        cfg = ControllerConfig(p_max_dbm=1000.0)
         for i in (5, 10, 20):
             for p in edge_points(search, table.threshold(i)):
                 got = select_optimal(p, i, 0.0, table, cfg, pm)
@@ -122,7 +122,7 @@ def test_the_generated_calls_take_every_branch():
 def test_a_power_past_the_float_range_takes_np_powers_ee():
     # ** raises OverflowError beyond 1e308 W, where np.power gives inf W
     # and so an ee of 0
-    cfg = ControllerConfig(p_max_dbm=5000.0)
+    cfg = ControllerConfig(p_max_dbm=1000.0)
     with pytest.warns(RuntimeWarning, match="overflow"):
         got, want = both(select_optimal, 3500.0, 1, 0.0, reference_table(), cfg,
                          PowerModelParams())

@@ -128,20 +128,23 @@ def test_non_finite_input_is_rejected(build, error, match, value):
 
 def power_build(key):
     """Build what takes the config power key: make_channel's two dB
-    values, or a scenario's baseline power."""
+    values, or a scenario's baseline power or power budget."""
     if key == "baseline_power_dbm":
         return lambda v: scenario(baseline_power_dbm=v)
+    if key == "p_max_dbm":
+        return lambda v: scenario(controller=ControllerConfig(p_max_dbm=v))
     return lambda v: make_channel(**{"distance_m": 435.0, "i_or_dbm": -72.5, key: v})
 
 
-POWER_KEYS = ("i_or_dbm", "geometry_db", "baseline_power_dbm")
+POWER_KEYS = ("i_or_dbm", "geometry_db", "baseline_power_dbm", "p_max_dbm")
 
 
 @pytest.mark.parametrize("value", [4000.0, -4000.0])
 @pytest.mark.parametrize("key", POWER_KEYS)
 def test_power_past_1000_db_is_rejected_naming_it(key, value):
     # 4000 dB overflowed a float (OverflowError), -4000 dB of geometry
-    # divided by zero
+    # divided by zero, and a 4000 dBm budget let a selection's power
+    # overflow np.power to an ee of 0
     with pytest.raises(ValueError, match=f"^{key} must be finite, within \\+-1000 dB"):
         power_build(key)(value)
 
@@ -152,7 +155,7 @@ def test_power_at_1000_db_runs_without_overflow(key, value):
     # the bound is inclusive, and every power a run derives from a value
     # on it still fits a float: no warning, no inf, no nan
     sc = scenario(duration_ttis=50)
-    if key == "baseline_power_dbm":
+    if key in ("baseline_power_dbm", "p_max_dbm"):
         sc = power_build(key)(value)
     else:
         sc = dataclasses.replace(sc, channel=power_build(key)(value))

@@ -228,7 +228,7 @@ def test_select_optimal_on_and_beside_every_breakpoint(table, pm, data):
     n = len(table)
     i = data.draw(st.integers(1, n))
     ref = table.threshold(i)
-    cfg = ControllerConfig(p_max_dbm=1e4, min_mcs=1)
+    cfg = ControllerConfig(p_max_dbm=1000.0, min_mcs=1)
     search = _level_search(table, pm)
 
     def argmax_at(p):
@@ -257,7 +257,7 @@ def test_zero_overhead_argmax_ignores_power():
     # with x, so one level is optimal at every power
     pm = PowerModelParams(p_cir_w=0.0, p_sta_w=0.0)
     table = reference_table()
-    cfg = ControllerConfig(p_max_dbm=1e4)
+    cfg = ControllerConfig(p_max_dbm=1000.0)
     chosen = {select_optimal(p, 15, 0.0, table, cfg, pm).mcs for p in np.linspace(-30, 90, 241)}
     assert len(chosen) == 1
     rng = np.random.default_rng(4)
@@ -286,7 +286,7 @@ def test_select_optimal_randomized_covers_every_branch():
         elif got.mcs == cfg.min_mcs:
             seen["lower"] += 1
         elif select_optimal(call[0], call[1], call[2], table,
-                            ControllerConfig(p_max_dbm=1e4), call[5]).mcs > got.mcs:
+                            ControllerConfig(p_max_dbm=1000.0), call[5]).mcs > got.mcs:
             seen["upper"] += 1
         else:
             seen["free"] += 1
@@ -303,7 +303,7 @@ def test_estimate_ee_is_the_selectors_formula():
     # select_optimal writes both estimates out inline; its power and EE
     # must be theirs bit for bit, which ties criterion 03 to the selector
     table = reference_table()
-    cfg = ControllerConfig(p_max_dbm=1e4)
+    cfg = ControllerConfig(p_max_dbm=1000.0)
     pm = PowerModelParams()
     for p in np.linspace(10.0, 45.0, 71):
         got = select_optimal(float(p), 12, 0.0, table, cfg, pm)
@@ -406,7 +406,7 @@ def test_select_optimal_dual_with_candidates_at_one_power():
 def test_select_optimal_dual_on_and_beside_every_breakpoint(table, pm, data):
     n = len(table)
     fb = MimoFeedback(DUAL, 0, data.draw(st.integers(1, n)), data.draw(st.integers(1, n)))
-    cfg = ControllerConfig(p_max_dbm=1e4, min_mcs=1)
+    cfg = ControllerConfig(p_max_dbm=1000.0, min_mcs=1)
     search = _pair_search(table, pm, fb.cqi_primary, fb.cqi_secondary)
 
     def select(select_fn, p):
