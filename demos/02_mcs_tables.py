@@ -9,7 +9,6 @@ import numpy as np
 
 from hsdpa_ee import (
     cqi_from_sinr,
-    default_table,
     make_uniform_table,
     reference_table,
     table_to_csv,

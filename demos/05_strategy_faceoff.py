@@ -9,8 +9,6 @@ semi_static      EE argmax applied only when the trigger allows it
 Same seed = same fading and noise, so the comparison is paired.
 """
 
-import numpy as np
-
 from hsdpa_ee import (
     FIXED_BASELINE,
     PER_TTI_OPTIMAL,

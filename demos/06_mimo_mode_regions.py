@@ -16,7 +16,6 @@ from hsdpa_ee import (
     pci_codebook,
     reference_table,
     select_mode_and_feedback,
-    stream_gains,
 )
 
 table = reference_table()

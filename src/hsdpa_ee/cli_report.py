@@ -39,10 +39,12 @@ antenna_modes may repeat, and m_a is not a key: it follows antenna_mode.
 all floats are emitted with repr so the files re-parse losslessly.
 trace.csv is written row by row as the runs go, into trace.csv.part next
 to it, and renamed into place once every strategy has run, so a traced
-run's memory does not grow with its length and a run that fails leaves
-no trace.csv. Each trace row is one f-string with the bytes csv.writer
-would write (_trace_sink); its two float cells are formatted once per
-float object, which the engine reuses while the power holds.
+run's memory does not grow with its length. A run that fails removes
+only its trace.csv.part: an earlier run's trace.csv and metrics.csv in
+the same directory stay as they were. Each trace row is one f-string
+with the bytes csv.writer would write (_trace_sink); its two float
+cells are formatted once per float object, which the engine reuses
+while the power holds.
 Exit codes: 0 success, 1 config parse failure, 2 invalid experiment,
 3 I/O failure.
 """
@@ -434,6 +436,13 @@ def _analytic_rows(pm_base: PowerModelParams):
 _TRACE_HEADER = ["strategy", "antenna_mode", "tti_index", "p_tx_dbm", "mcs_index",
                  "mcs_secondary", "outcome", "delivered_bits", "consumed_energy_j",
                  "reconfigured"]
+# metrics.csv's columns are RunMetrics fields and series.csv's SweepPoint
+# fields: each names both its header cell and its row's attribute
+_METRICS_HEADER = ["strategy", "antenna_mode", "avg_ee_bits_per_joule", "throughput_bps",
+                   "reconfig_count", "nack_rate", "delivered_bits", "consumed_energy_j",
+                   "duration_ttis"]
+_SERIES_HEADER = ["variable", "value", "strategy", "mean_ee", "std_ee",
+                  "mean_reconfigs", "mean_throughput"]
 
 
 def _trace_sink(label: str, mode: str, write) -> Callable[[TtiRecord], None]:
@@ -519,18 +528,8 @@ def cmd_run(spec: ExperimentSpec, out_dir: str) -> list[str]:
             os.remove(part_path)
         raise
 
-    _write_csv(
-        metrics_path,
-        ["strategy", "antenna_mode", "avg_ee_bits_per_joule", "throughput_bps",
-         "reconfig_count", "nack_rate", "delivered_bits", "consumed_energy_j",
-         "duration_ttis"],
-        (
-            (m.strategy, m.antenna_mode, m.avg_ee_bits_per_joule, m.throughput_bps,
-             m.reconfig_count, m.nack_rate, m.delivered_bits, m.consumed_energy_j,
-             m.duration_ttis)
-            for m in results
-        ),
-    )
+    cols = _METRICS_HEADER
+    _write_csv(metrics_path, cols, ([getattr(m, c) for c in cols] for m in results))
     # a traced run hands its sink one row per TTI
     n_rows = sum(m.duration_ttis for m in results) if spec.template.collect_trace else 0
     print(f"{spec.name}: wrote {trace_path} ({n_rows} rows), {metrics_path}")
@@ -553,16 +552,8 @@ def cmd_sweep(spec: ExperimentSpec, out_dir: str) -> list[str]:
         antenna_modes=spec.antenna_modes or None,
     )
     path = os.path.join(out_dir, "series.csv")
-    _write_csv(
-        path,
-        ["variable", "value", "strategy", "mean_ee", "std_ee",
-         "mean_reconfigs", "mean_throughput"],
-        (
-            (p.variable, p.value, p.strategy, p.mean_ee, p.std_ee,
-             p.mean_reconfigs, p.mean_throughput)
-            for p in points
-        ),
-    )
+    cols = _SERIES_HEADER
+    _write_csv(path, cols, ([getattr(p, c) for c in cols] for p in points))
     print(f"{spec.name}: wrote {path} ({len(points)} rows, {spec.repetitions} reps/cell)")
     return [path]
 

@@ -217,8 +217,8 @@ class OptimalSelection(NamedTuple):
 def new_controller_state(cfg: ControllerConfig, power_dbm: float) -> ControllerState:
     """Fresh state; the timer starts expired so the first valid feedback
     configures the link immediately through the periodic branch."""
-    if not math.isfinite(power_dbm):
-        raise ValueError(f"power_dbm must be finite, got {power_dbm}")
+    if not abs(power_dbm) <= 1000.0:  # as p_max_dbm, so its watts fit a float
+        raise ValueError(f"power_dbm must be finite, within +-1000 dB, got {power_dbm}")
     return ControllerState(power_dbm=power_dbm, timer_ms=cfg.max_reconfig_interval_ms)
 
 
@@ -519,7 +519,9 @@ def on_tti(
     timer still runs and late ACK/NACK outcomes still adapt the offset.
     Every report in range is selected on. Within the minimum interval
     the trigger cannot fire, so the step keeps its power and serves
-    plain AMC.
+    plain AMC. A finite measured power (the held one where none is
+    given) beyond +-1000 dB is refused, as p_max_dbm is; the selector
+    refuses NaN and inf.
 
     A call that raises leaves state as it found it.
     """
@@ -549,6 +551,10 @@ def on_tti(
             if feedback.measured_power_dbm is None
             else feedback.measured_power_dbm
         )
+        if 1000.0 < abs(measured_p) < math.inf:  # NaN and inf: the selector's message
+            raise ValueError(
+                f"measured_power_dbm must be finite, within +-1000 dB, got {measured_p}"
+            )
         offset = state.offset_db
         if exact_ee:
             best = select(measured_p, report, offset, table, cfg, pm)

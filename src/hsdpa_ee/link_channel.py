@@ -84,9 +84,10 @@ class ChannelParams:
     The HS-PDSCH's spreading factor (16) on a 5 MHz carrier (3GPP TS
     25.308) at 2 GHz, the ITU Pedestrian A tap powers and the terminal's
     noise density (n0_w_per_hz, UE_NOISE_W_PER_HZ) are class constants,
-    not fields: no experiment varies them. The taps fade as independent
-    flat Rayleigh processes, so tap delays never reach a link gain and
-    are not kept.
+    not fields: no experiment varies them, and so is the noise power
+    over the carrier, noise_w = n0_w_per_hz * bandwidth_hz. The taps
+    fade as independent flat Rayleigh processes, so tap delays never
+    reach a link gain and are not kept.
     """
 
     sf = 16
@@ -94,6 +95,7 @@ class ChannelParams:
     carrier_hz = 2e9
     pdp_weights = pa3_profile()
     n0_w_per_hz = UE_NOISE_W_PER_HZ
+    noise_w = n0_w_per_hz * bandwidth_hz
 
     i_or_w: float
     i_oc_w: float
@@ -113,10 +115,6 @@ class ChannelParams:
             raise ValueError("speed must be >= 0")
         if self.distance_m <= 0.0:
             raise ValueError("distance must be > 0")
-
-    @property
-    def noise_w(self) -> float:
-        return self.n0_w_per_hz * self.bandwidth_hz
 
     @property
     def denominator_w(self) -> float:
@@ -139,16 +137,16 @@ def make_channel(
 
     geometry_db is I_or / (I_oc + N0 * W) in dB; the other-cell power is
     derived from it and clipped at zero when the requested geometry is
-    already noise-limited. N0 is the terminal's UE_NOISE_W_PER_HZ,
-    ChannelParams.n0_w_per_hz. Both dB values must lie within +-1000 dB,
-    far past any link, so that no power below overflows a float.
+    already noise-limited. N0 * W is ChannelParams.noise_w. Both dB
+    values must lie within +-1000 dB, far past any link, so that no
+    power below overflows a float.
     """
     for name, value in (("i_or_dbm", i_or_dbm), ("geometry_db", geometry_db)):
         if not abs(value) <= 1000.0:
             raise ValueError(f"{name} must be finite, within +-1000 dB, got {value}")
     i_or_w = 10.0 ** ((i_or_dbm - 30.0) / 10.0)
     denom_target = i_or_w / 10.0 ** (geometry_db / 10.0)
-    i_oc_w = max(0.0, denom_target - UE_NOISE_W_PER_HZ * ChannelParams.bandwidth_hz)
+    i_oc_w = max(0.0, denom_target - ChannelParams.noise_w)
     return ChannelParams(
         i_or_w=i_or_w,
         i_oc_w=i_oc_w,

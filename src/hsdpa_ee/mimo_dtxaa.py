@@ -262,14 +262,14 @@ def select_optimal_dual(
     hardware state (m_a = 2). exact_ee is select_optimal's: with False,
     ee may differ in its last bits, and the pair, power and flag are the
     same.
+
+    A report outside the table has no cached search: the pair search
+    refuses it (enumerate_equal_delta_pairs), before min_mcs is checked.
     """
     if feedback.mode != DUAL:
         raise ValueError("dual-stream selection needs dual-mode feedback")
     i1, i2 = feedback.cqi_primary, feedback.cqi_secondary
-    n = len(table._thr_list)
-    if not (1 <= i1 <= n and 1 <= i2 <= n):
-        raise ValueError("reference indices must be valid table entries")
-    if cfg.min_mcs > n:
-        raise ValueError("min_mcs must be a valid table index")
     search = _searches.get((id(table), id(pm), i1, i2)) or _pair_search(table, pm, i1, i2)
+    if cfg.min_mcs > len(table._thr_list):
+        raise ValueError("min_mcs must be a valid table index")
     return _select(search, p_dbm, 0.0, delta_db, cfg, pm, DualSelection, exact_ee)

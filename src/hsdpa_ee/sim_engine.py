@@ -59,10 +59,11 @@ the engine holds that link, up to about 12.6 MB for a full 2x2 chunk
 (12 rows of 131072 doubles). A run longer than one chunk keeps none.
 A FixedBaseline run never changes its power, so on every link its
 reports are computed for every TTI of a chunk in one vectorised call
-before the loop enters it (_Link.fixed_reports): the threshold bisect
-of a single stream, and for 2x2 the first of the eight hypotheses with
-the most bits, walked in report order. They equal the scalar report
-that serves the controller strategies, one call per TTI.
+before the loop enters it (_Link.fixed_reports): each stream's CQI is
+cqi_from_sinr of its constants, and a 2x2 report is the first of the
+eight hypotheses with the most bits, walked in report order. They
+equal the scalar report that serves the controller strategies, one
+call per TTI.
 
 The loop steps the controller itself, on locals, except where the
 trigger is evaluated. Every strategy's ACK/NACK outer loop is
@@ -126,7 +127,7 @@ from .ee_controller import (
     select_optimal,
 )
 from .link_channel import ChannelParams, bessel_j0, doppler_hz, hs_sinr_db, synth_fading
-from .mcs_table import McsTable, default_table
+from .mcs_table import McsTable, cqi_from_sinr, default_table
 from .mimo_dtxaa import (
     DUAL,
     SINGLE,
@@ -205,7 +206,7 @@ def power_model_for_mode(mode: str, base: PowerModelParams) -> PowerModelParams:
 def _with_chain_count(base: PowerModelParams, m_a: int) -> PowerModelParams:
     # memoised, so the runs of a sweep share one object per mode and
     # with it the selectors' searches, which are cached per object
-    return PowerModelParams(eta=base.eta, p_cir_w=base.p_cir_w, p_sta_w=base.p_sta_w, m_a=m_a)
+    return replace(base, m_a=m_a)
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -452,7 +453,7 @@ def _single_stream_view(table: McsTable, c_db) -> _Link:
         return SINGLE, 0, bisect_right(thr, (p_dbm - 30.0) + c_db[t]), 0, p_dbm
 
     def fixed_reports(p_dbm):
-        cqi = np.searchsorted(table.thresholds_db, (p_dbm - 30.0) + np.asarray(c_db), side="right")
+        cqi = cqi_from_sinr(table, (p_dbm - 30.0) + np.asarray(c_db))
         # one report per CQI, shared by its TTIs
         distinct = [(SINGLE, 0, c, 0, p_dbm) for c in range(len(thr) + 1)]
         return list(map(distinct.__getitem__, cqi.tolist()))
@@ -538,12 +539,12 @@ def _mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm):
     return DUAL, dual, d1, d2
 
 
-def _mimo_hypotheses(thr, tbs, a1, a2, a_single, p_dbm):
+def _mimo_hypotheses(table, a1, a2, a_single, p_dbm):
     """The 2x2 report at power p_dbm for every TTI at once, as
     (hypothesis, c1, c2) arrays: hypothesis pci for a single-stream
-    report and 4 + pci for a dual one. thr and tbs are the table's
-    thresholds and (integer) block sizes as arrays, a1/a2/a_single the
-    per-PCI rows of _mimo_hypothesis.
+    report and 4 + pci for a dual one. Each stream's CQI is table's
+    cqi_from_sinr, and a1/a2/a_single are the per-PCI rows of
+    _mimo_hypothesis.
 
     The rule itself: walk the eight hypotheses in report order,
     single-stream PCI 0-3 then dual-stream PCI 0-3, count one only when
@@ -551,11 +552,11 @@ def _mimo_hypotheses(thr, tbs, a1, a2, a_single, p_dbm):
     bits; with none, the report is single-stream PCI 0 at CQI 0."""
     T = len(a1[0])
     hyp, c1, c2, best_bits = (np.zeros(T, dtype=np.int64) for _ in range(4))
-    bits_at = np.concatenate(([0], tbs))  # a level's block size, 0 out of range
+    bits_at = np.array([0, *table._tbs_list])  # a level's block size, 0 out of range
     hypotheses = [(a_single[pci],) for pci in range(4)] + [(a1[pci], a2[pci]) for pci in range(4)]
     for h, streams in enumerate(hypotheses):
         off = p_dbm - 30.0 if h < 4 else p_dbm - 30.0 - _HALF_DB
-        cqis = [np.searchsorted(thr, np.asarray(row) + off, side="right") for row in streams]
+        cqis = [cqi_from_sinr(table, np.asarray(row) + off) for row in streams]
         bits = sum(bits_at[c] for c in cqis)
         better = bits > best_bits
         for c in cqis:
@@ -603,9 +604,7 @@ def _mimo_view(table: McsTable, consts) -> _Link:
         return _mimo_hypothesis(thr, tbs, a1, a2, a_single, t, p_dbm) + (p_dbm,)
 
     def fixed_reports(p_dbm):
-        hyp, c1, c2 = _mimo_hypotheses(
-            table.thresholds_db, np.array(tbs), a1, a2, a_single, p_dbm
-        )
+        hyp, c1, c2 = _mimo_hypotheses(table, a1, a2, a_single, p_dbm)
         # one report per distinct (hypothesis, c1, c2), shared by its TTIs
         k = len(thr) + 1
         _, first, idx = np.unique(

@@ -5,8 +5,9 @@ spreading factor, bandwidth, carrier and tap powers), the outer loop's
 steps and clamp and the UE noise figure and density cannot be set. The
 SINR and CQI maps refuse a NaN SINR, power or gain, the selectors a
 non-finite power or offset, plain AMC a non-finite shift, a fresh
-controller state a non-finite power, and the table's lookups a CQI
-index that is not an integer (or is a bool).
+controller state a power not within +-1000 dB, the SemiStatic step a
+finite measured power beyond it, and the table's lookups a CQI index
+that is not an integer (or is a bool).
 
 Without these checks a NaN slips through every range comparison (they
 are all false) and a run finishes with NaN energy, while the selectors'
@@ -165,6 +166,24 @@ def test_power_at_1000_db_runs_without_overflow(key, value):
             metrics, _ = run(dataclasses.replace(sc, strategy=strategy))
             assert math.isfinite(metrics.consumed_energy_j) and metrics.consumed_energy_j > 0
             assert math.isfinite(metrics.avg_ee_bits_per_joule)
+
+
+@pytest.mark.parametrize("power_dbm", [3500.0, -3500.0])
+def test_on_tti_refuses_a_measured_power_past_1000_db_and_keeps_its_state(power_dbm):
+    # 3500 dBm used to overflow the selection's np.power to an ee of 0
+    # (a RuntimeWarning), and then raise "xi_opt must be > 0"
+    st = ControllerState(power_dbm=power_dbm, timer_ms=300.0)
+    before = repr(st)
+    with pytest.raises(ValueError, match="^measured_power_dbm must be finite, within \\+-1000 dB"):
+        on_tti(st, TtiFeedback(1, (), power_dbm, 0.0), reference_table(),
+               ControllerConfig(p_max_dbm=1000.0), PowerModelParams())
+    assert repr(st) == before
+
+
+@pytest.mark.parametrize("power_dbm", [4000.0, -4000.0])
+def test_new_controller_state_refuses_a_power_past_1000_db(power_dbm):
+    with pytest.raises(ValueError, match="^power_dbm must be finite, within \\+-1000 dB"):
+        new_controller_state(ControllerConfig(), power_dbm)
 
 
 # the HSDPA standard's figures, the outer loop's and the terminal's noise

@@ -6,6 +6,7 @@ fixed-power mode-selection equivalence.
 import numpy as np
 import pytest
 
+from hsdpa_ee import ee_controller
 from hsdpa_ee.ee_controller import (
     KEEP,
     RECONFIGURE,
@@ -17,7 +18,7 @@ from hsdpa_ee.ee_controller import (
     on_tti,
 )
 from hsdpa_ee.link_channel import hs_sinr_db, make_channel
-from hsdpa_ee.mcs_table import cqi_from_sinr, default_table, make_uniform_table
+from hsdpa_ee.mcs_table import cqi_from_sinr, default_table, make_uniform_table, reference_table
 from hsdpa_ee.mimo_dtxaa import (
     DUAL,
     SINGLE,
@@ -447,3 +448,15 @@ def test_on_tti_dual_report_amc_shifts_both_levels():
     # offset: both reported levels move up by two 1 dB steps
     assert dec.levels == (16, 11)
 
+
+@pytest.mark.parametrize("min_mcs", [1, 31], ids=["valid_min_mcs", "min_mcs_above_table"])
+def test_dual_selection_refuses_a_report_outside_the_table_and_caches_nothing(min_mcs):
+    # the pair search's range check is the only one; it is reached before
+    # the min_mcs check, so a call wrong both ways reports the pair
+    table = reference_table()
+    before = dict(ee_controller._searches)
+    with pytest.raises(ValueError, match="^reference indices must be valid table entries"):
+        select_optimal_dual(36.0, MimoFeedback(DUAL, 0, 31, 5), 0.0, table,
+                            ControllerConfig(min_mcs=min_mcs), PM2)
+    assert ee_controller._searches.keys() == before.keys()
+    assert all(ee_controller._searches[k] is v for k, v in before.items())

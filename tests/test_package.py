@@ -1,5 +1,6 @@
-"""The package namespace re-exports every module's __all__, and the
-sources parse as the Python floor that pyproject.toml declares.
+"""The package namespace re-exports every module's __all__, the
+sources parse as the Python floor that pyproject.toml declares, and
+every name a source imports is used.
 
 hsdpa_ee/__init__.py star-imports each module but cli_report, the
 command line front end, so a name added to a module's __all__ is a
@@ -64,3 +65,59 @@ def test_newer_syntax_fails_the_floor_check():
     ast.parse(newer)
     with pytest.raises(SyntaxError):
         ast.parse(newer, feature_version=_floor())
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """The names tree's imports bind, with their lines; __future__ and
+    star imports bind none that code reads."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = alias.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """The names tree reads: in code, in annotations (string ones too)
+    and as the strings of __all__."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        # an argument's or assignment's annotation, or a return's
+        ann = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used |= _used_names(ast.parse(ann.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return used
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_every_imported_name_is_used(source):
+    tree = ast.parse((ROOT / source).read_text(encoding="utf-8"), source)
+    used = _used_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+    assert not unused, f"{source}: imported and never used: {unused}"
+
+
+def test_the_import_check_counts_annotations_and_all():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from os import *\n"
+        "import a.b\n"
+        "from m import c, d as e, f, g, h\n"
+        "__all__ = ['f']\n"
+        "def k(x: c) -> 'e':\n"
+        "    y: list[g] = a.b\n"
+    )
+    used = _used_names(tree)
+    assert set(_imported_names(tree)) == {"a", "c", "e", "f", "g", "h"}
+    assert {name for name in _imported_names(tree) if name not in used} == {"h"}

@@ -16,7 +16,7 @@ from hsdpa_ee.power_model import (
     shannon_ee,
     optimal_shannon_power,
 )
-from hsdpa_ee.sim_engine import _with_chain_count
+from hsdpa_ee.sim_engine import MIMO, _with_chain_count, power_model_for_mode
 
 P5 = PowerModelParams(eta=0.38, p_cir_w=6.0, p_sta_w=6.0, m_a=1)
 
@@ -145,3 +145,14 @@ def test_overhead_w_is_read_once_and_is_not_a_field(eta, p_cir_w, p_sta_w, m_a):
     assert pm == twin and hash(pm) == hash(twin)
     assert _with_chain_count(pm, m_a + 1) is _with_chain_count(twin, m_a + 1)
     assert dataclasses.replace(pm) == twin
+
+
+def test_the_mimo_power_model_keeps_every_other_field_of_its_base():
+    # the 2x2 model is its base with two chains, whatever the base's
+    # amplifier and overhead figures are
+    base = PowerModelParams(eta=0.25, p_cir_w=7.5, p_sta_w=11.0, m_a=1)
+    default = PowerModelParams()
+    assert all(getattr(base, f) != getattr(default, f) for f in ("eta", "p_cir_w", "p_sta_w"))
+    mimo = power_model_for_mode(MIMO, base)
+    assert mimo == dataclasses.replace(base, m_a=2)
+    assert power_model_for_mode(MIMO, base) is mimo
